@@ -805,11 +805,11 @@ def annotate_partition(batch: pa.Table, *, index_dir: str, avgdl: float) -> pa.T
 
 def _decode_partition_flat(tbl: pa.Table) -> tuple[dict, bool]:
     """Whole-partition columnar decode — the inverse of
-    :func:`encode_partition_rows`: ONE varint decode per stream over the
-    CONCATENATED blob columns (no per-row Python), recovering the flat
-    (codes, buckets, doc_ids, tfs, dls, poss) arrays.  Returns
-    ``(flat, store_positions)``; ``store_positions`` is False for
-    indexes built without the positional stream."""
+    :func:`encode_partition_rows`: :func:`cb.compress.decode_table` for
+    the id/tf/dl streams plus one varint pass over the positions,
+    recovering the flat (codes, buckets, doc_ids, tfs, dls, poss)
+    arrays.  Returns ``(flat, store_positions)``; ``store_positions`` is
+    False for indexes built without the positional stream."""
     n_rows = tbl.num_rows
     empty = {
         "codes": np.empty(0, dtype=np.int64),
@@ -829,29 +829,7 @@ def _decode_partition_flat(tbl: pa.Table) -> tuple[dict, bool]:
     if total == 0:
         return empty, True
     buckets_row = tbl["bucket"].to_numpy(zero_copy_only=False).astype(np.int32)
-    # id deltas reset at every block start (per-row multiples of BLOCK)
-    n_blocks = (dfs + compress.BLOCK - 1) // compress.BLOCK
-    row_starts = _cumsum0(dfs)[:-1]
-    blk_off = _cumsum0(n_blocks)
-    tot_blocks = int(blk_off[-1])
-    blk_starts = (
-        np.repeat(row_starts, n_blocks)
-        + (np.arange(tot_blocks, dtype=np.int64) - np.repeat(blk_off[:-1], n_blocks))
-        * compress.BLOCK
-    )
-    v = compress.varint_decode(compress._binary_column_stream(tbl["ids_blob"]), total)
-    t = np.cumsum(v, dtype=np.uint64)
-    sizes = np.diff(np.append(blk_starts, total))
-    base = np.empty(tot_blocks, dtype=np.uint64)
-    base[0] = np.uint64(0)
-    base[1:] = t[blk_starts[1:] - 1]
-    ids = (t - np.repeat(base, sizes)).astype(np.int64)
-    tfs = compress.varint_decode(
-        compress._binary_column_stream(tbl["tfs_blob"]), total
-    ).astype(np.int64)
-    dls = compress.varint_decode(
-        compress._binary_column_stream(tbl["dls_blob"]), total
-    ).astype(np.int64)
+    ids, tfs, dls = compress.decode_table(tbl)
     pos_stream = compress._binary_column_stream(tbl["pos_blob"])
     total_occ = int(tfs.sum())
     store_positions = len(pos_stream) > 0 or total_occ == 0

@@ -133,40 +133,27 @@ def cmd_delete(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
+    """Snapshots live in ``<repo>/<name>``; a complete one holds
+    ``_snapshot.json`` (cb.snapshot writes it last)."""
+    import os
+
     from . import snapshot as snap
 
+    if args.action == "list":
+        names = sorted(os.listdir(args.repo)) if os.path.isdir(args.repo) else []
+        complete = [n for n in names if os.path.isfile(os.path.join(args.repo, n, snap.MANIFEST))]
+        print(json.dumps({"snapshots": complete}))
+        return 0
+    if not (args.name and args.index):
+        raise SystemExit(f"snapshot {args.action} needs --name and --index")
+    snap_dir = os.path.join(args.repo, args.name)
     if args.action == "create":
-        if not (args.name and args.index):
-            raise SystemExit("snapshot create needs --name and --index")
-        m = snap.create(args.index, args.repo, args.name)
-        print(json.dumps({"name": args.name, "files": len(m["files"]),
-                          "new_blobs": m["new_blobs"]}))
-    elif args.action == "restore":
-        if not (args.name and args.index):
-            raise SystemExit("snapshot restore needs --name and --index (target)")
-        n = snap.restore(args.repo, args.name, args.index)
-        print(json.dumps({"name": args.name, "restored_files": n,
+        m = snap.create_snapshot(args.index, snap_dir)
+        print(json.dumps({"name": args.name, "files": m["n_files"]}))
+    else:
+        m = snap.restore_snapshot(snap_dir, args.index)
+        print(json.dumps({"name": args.name, "restored_files": m["n_files"],
                           "target": args.index}))
-    else:
-        print(json.dumps({"snapshots": snap.list_snapshots(args.repo)}))
-    return 0
-
-
-def cmd_alias(args) -> int:
-    from . import snapshot as snap
-
-    if args.action == "set":
-        if not (args.name and args.index):
-            raise SystemExit("alias set needs --name and --index")
-        snap.set_alias(args.root, args.name, args.index)
-        print(json.dumps({"alias": args.name, "index": args.index}))
-    elif args.action == "resolve":
-        if not args.name:
-            raise SystemExit("alias resolve needs --name")
-        print(json.dumps({"alias": args.name,
-                          "index": snap.resolve_alias(args.root, args.name)}))
-    else:
-        print(json.dumps({"aliases": snap.list_aliases(args.root)}))
     return 0
 
 
@@ -539,22 +526,13 @@ def main(argv=None) -> int:
 
     sn = sub.add_parser(
         "snapshot",
-        help="content-addressed index snapshots: create/restore/list (ES _snapshot analog)",
+        help="hardlinked index snapshots: create/restore/list (ES _snapshot analog)",
     )
     sn.add_argument("action", choices=["create", "restore", "list"])
     sn.add_argument("--repo", required=True, help="snapshot repository dir")
-    sn.add_argument("--name", default=None, help="snapshot name")
+    sn.add_argument("--name", default=None, help="snapshot name (a dir under --repo)")
     sn.add_argument("--index", default=None, help="index dir (create) / restore target")
     sn.set_defaults(fn=cmd_snapshot)
-
-    al = sub.add_parser(
-        "alias", help="atomic index aliases: set/resolve/list (ES alias analog)"
-    )
-    al.add_argument("action", choices=["set", "resolve", "list"])
-    al.add_argument("--root", required=True, help="dir holding aliases.json")
-    al.add_argument("--name", default=None)
-    al.add_argument("--index", default=None, help="target index dir (set)")
-    al.set_defaults(fn=cmd_alias)
 
     sg = sub.add_parser(
         "suggest",

@@ -222,32 +222,64 @@ def _binary_column_stream(col) -> np.ndarray:
     return data[offs[0] : offs[-1]]
 
 
+def _block_starts(dfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row df of a posting table -> (flat posting index of every
+    block start, per-row block offsets with n_rows+1 entries).  Row r's
+    blocks start at row_start + {0, BLOCK, 2*BLOCK, ...}."""
+    n_blocks = (dfs + BLOCK - 1) // BLOCK
+    row_starts = np.zeros(len(dfs), dtype=np.int64)
+    np.cumsum(dfs[:-1], out=row_starts[1:])
+    block_offsets = np.zeros(len(dfs) + 1, dtype=np.int64)
+    np.cumsum(n_blocks, out=block_offsets[1:])
+    block_in_row = np.arange(int(block_offsets[-1]), dtype=np.int64) - np.repeat(
+        block_offsets[:-1], n_blocks
+    )
+    return np.repeat(row_starts, n_blocks) + block_in_row * BLOCK, block_offsets
+
+
+def _column_varints(col, total: int) -> np.ndarray:
+    """All varints of one blob column, decoded in ONE pass over the
+    concatenated stream, as int64."""
+    return varint_decode(_binary_column_stream(col), total).astype(np.int64)
+
+
+def decode_table(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columnar decode of a posting table's (doc_ids, tfs, doc_lens)
+    streams: one varint pass per stream over the concatenated blob
+    columns, no per-row Python.  Row r's postings are the slice
+    ``[cum_df[r], cum_df[r+1])`` of each array, equal to
+    ``PostingList(row).decode_all()``.  Positions are not decoded.
+
+    The encoded id deltas reset to an absolute id at every block start,
+    so ids = running cumsum minus the cumsum just before each block."""
+    dfs = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+    total = int(dfs.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    starts, _ = _block_starts(dfs)
+    t = np.cumsum(varint_decode(_binary_column_stream(tbl["ids_blob"]), total), dtype=np.uint64)
+    base = np.empty(len(starts), dtype=np.uint64)
+    base[0] = np.uint64(0)
+    base[1:] = t[starts[1:] - 1]
+    ids = (t - np.repeat(base, np.diff(np.append(starts, total)))).astype(np.int64)
+    return ids, _column_varints(tbl["tfs_blob"], total), _column_varints(tbl["dls_blob"], total)
+
+
 def annotate_umax_table(tbl: pa.Table, avgdl: float) -> pa.Table:
     """Columnar block-umax rewrite of a whole partition file: ONE varint
     decode over the concatenated tf/dl streams + one reduceat, instead
     of a per-row Python dict round-trip (``to_pylist``) over up-to-GiB
     partition files."""
-    n = tbl.num_rows
-    if n == 0:
+    if tbl.num_rows == 0:
         return tbl
     dfs = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
     total = int(dfs.sum())
-    tfs = varint_decode(_binary_column_stream(tbl["tfs_blob"]), total).astype(np.int64)
-    dls = varint_decode(_binary_column_stream(tbl["dls_blob"]), total).astype(np.int64)
-    u = scoring.u_factor(tfs, dls, avgdl)
-    # per-row block starts: row_start + {0, BLOCK, 2*BLOCK, ...}
-    n_blocks = (dfs + BLOCK - 1) // BLOCK
-    row_starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(dfs[:-1], out=row_starts[1:])
-    block_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_blocks, out=block_offsets[1:])
-    tot_blocks = int(block_offsets[-1])
-    starts = (
-        np.repeat(row_starts, n_blocks)
-        + (np.arange(tot_blocks, dtype=np.int64) - np.repeat(block_offsets[:-1], n_blocks))
-        * BLOCK
+    u = scoring.u_factor(
+        _column_varints(tbl["tfs_blob"], total), _column_varints(tbl["dls_blob"], total), avgdl
     )
-    umax_flat = np.maximum.reduceat(u, starts) if tot_blocks else np.empty(0, dtype=np.float64)
+    starts, block_offsets = _block_starts(dfs)
+    umax_flat = np.maximum.reduceat(u, starts) if len(starts) else np.empty(0, dtype=np.float64)
     umax_col = pa.ListArray.from_arrays(
         pa.array(block_offsets, type=pa.int32()), pa.array(umax_flat, type=pa.float64())
     )

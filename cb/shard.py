@@ -3,26 +3,37 @@
 The from-scratch replacement for what ConveyorBelt outsources to an
 Elasticsearch cluster (README.md:5-8); structurally the analog of the
 reference's long-lived stateful workers — connection+cache state loaded
-once per worker (NestBatchPusher / ElasticsearchClient index cache,
-/root/reference/src/ConveyorBelt.Tooling/NestBatchPusher.cs:16-99 and
-ElasticsearchClient.cs:22-45), here an actor that loads its term
-partitions once in ``__init__`` and serves many queries.
+once per worker (the reference's NestBatchPusher.cs:16-99 and
+ElasticsearchClient.cs:22-45 index cache), here an actor that loads its
+slice of the index once in ``__init__`` and serves many queries.
 
-Topology: the index is TERM-partitioned (hash(term) % num_parts); each
-``ShardServer`` owns the partitions ``p % num_servers == server_id``.
-A query tokenizes on the driver, fetches each term's compressed postings
-from its owner (an ObjectRef — zero-copy via the object store), and the
-server owning the most query terms scores the gathered lists (vectorized
-exact TAAT by default, block-max WAND selectable).  Scoring needs NO
-side tables: per-posting doc lengths are stored in the postings
-themselves (cb.compress), so the only corpus-global serving state is
-two scalars (N, avgdl) from ``_global.json``.
+Topology: the index is TERM-partitioned on disk (hash(term) % num_parts),
+and each partition is one parquet file per doc-range BUCKET
+(cb.build).  :class:`QueryEngine` runs a DOC-SHARDED pool by default:
+server ``s`` owns buckets ``b % num_servers == s`` of EVERY partition
+and reads only those files, so load I/O and memory are ~1/S
+of the index per server.  A query tokenizes on the driver, fans out to
+every server, each scores its disjoint doc range with exact TAAT
+(block-max WAND selectable), and the driver merges by (score desc,
+doc_id asc).  idf stays corpus-exact on a slice: per-term global df
+comes from each partition's ``_termdf.parquet`` summary.  Scoring needs
+no side tables — per-posting doc lengths ride in the postings
+(cb.compress) — so the only corpus-global serving state is (N, avgdl)
+from ``_global.json`` (or a federation's overlay).  The older
+``mode="term"`` pool (whole partitions per server, non-local postings
+fetched through the object store) remains for parity tests.
+
+Warm: :meth:`ShardServer.warm` pre-decodes a server's postings so the
+first queries do not pay it.  Per loaded partition it selects the rows
+of the terms to warm, decodes their id/tf/dl streams in ONE varint pass
+per stream (:func:`cb.compress.decode_table`), computes the BM25
+u-factor once over the flat arrays, and caches each term's
+``(ids, u)`` as a slice — the decoded cache ``wand.taat_scores`` reads,
+where idf multiplies at use.
 
 Scale note (10^12 docs): with doc lengths posting-resident, serving
-shards are self-contained; the remaining scale dimension is hybrid
-partitioning — doc-range index GROUPS, term-partitioned inside a group,
-queries fanned across groups and merged by (score, doc_id).  The group
-dimension is exactly this module applied per group.
+shards are self-contained; adding servers re-slices the doc ranges, and
+doc-range index GROUPS (cb.federated) fan out and merge the same way.
 """
 
 from __future__ import annotations
@@ -36,8 +47,8 @@ import pyarrow.parquet as pq
 
 import ray
 
-from . import analyze, phrase as phrase_mod, scoring, wand
-from .build import IndexMeta, term_partition
+from . import analyze, compress, phrase as phrase_mod, scoring, wand
+from .build import IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
 
 
@@ -796,21 +807,51 @@ class ShardServer:
     def warm(self, min_df: int = 0) -> int:
         """Pre-decode postings + contribution vectors for owned terms
         with df >= min_df (the first-touch decode otherwise lands on the
-        first query: p95). Returns the number of terms warmed."""
-        n = 0
-        for part in self.parts.values():
-            if part.table is None:
-                continue
-            for term in part.offsets:
-                cp = self._local(term)
-                if cp is None or cp.gdf < min_df or term in self.decoded:
-                    continue
-                ids, tfs, dls = cp.decode_all()
-                # weight-independent u-vector; idf multiplies at use
-                # (matches taat_scores' cache contract)
-                self.decoded[term] = (ids, scoring.u_factor(tfs, dls, self.stats.avgdl))
-                n += 1
+        first query: p95).  Returns the number of terms warmed by this
+        call (terms already decoded are skipped)."""
+        with self.telemetry.timer("server.warm"):
+            n = sum(self._warm_partition(part, min_df) for part in self.parts.values())
+        self.telemetry.incr("server.terms_warmed", n)
         return n
+
+    def _warm_partition(self, part: ShardPartition, min_df: int) -> int:
+        """One columnar pass over a partition's loaded slice: select the
+        rows of the terms to warm (so the cached slices never pin cold
+        postings), decode them with ONE varint pass per stream
+        (:func:`cb.compress.decode_table`), compute the u-factor once
+        over the flat arrays, and cache each term's ``(ids, u)`` as a
+        slice.  u is weight-independent; idf multiplies at use
+        (``taat_scores``' cache contract)."""
+        if part.table is None:
+            return 0
+        dfs = part.table["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+        row_cum = _cumsum0(dfs)
+        terms, starts, lens = [], [], []
+        for term, (s, ln) in part.offsets.items():
+            if term in self.decoded:
+                continue
+            gdf = part.global_df.get(term)
+            if gdf is None:  # no corpus summary: the slice's own df
+                gdf = row_cum[s + ln] - row_cum[s]
+            if gdf < min_df:
+                continue
+            terms.append(term)
+            starts.append(s)
+            lens.append(ln)
+        if not terms:
+            return 0
+        rows = np.concatenate([np.arange(s, s + ln) for s, ln in zip(starts, lens)])
+        full = np.array_equal(rows, np.arange(part.table.num_rows))
+        ids, tfs, dls = compress.decode_table(part.table if full else part.table.take(rows))
+        u = scoring.u_factor(tfs, dls, self.stats.avgdl)
+        # posting bounds of each term's rows within the selection
+        bounds = _cumsum0(dfs[rows])[_cumsum0(np.array(lens))].tolist()
+        for i, term in enumerate(terms):
+            self.decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
+            # score reads df/gdf from the cached ChunkedPostings; phrase
+            # and WAND decode from them
+            self._local(term)
+        return len(terms)
 
     def score(self, terms: list[str], k: int, fetched_terms: list[str], *fetched, algo: str = "taat"):
         """Run top-k over the query terms; ``fetched`` are ChunkedPostings
@@ -2372,14 +2413,16 @@ class QueryEngine:
         (dispatch / wait / merge / total, with percentiles) plus the
         additive roll-up of every server's counters — the
         TelemetryProvider.cs:6-27 analog for serving (build-side
-        counters live in IndexMeta.build_metrics)."""
+        counters live in IndexMeta.build_metrics).  ``per_server`` keeps
+        each actor's own snapshot (pool order), so the straggler and
+        its warm/score split stay visible next to the roll-up."""
         from .telemetry import merge_snapshots
 
+        per_server = ray.get([s.metrics.remote() for s in self.servers])
         return {
             "engine": self.telemetry.snapshot(),
-            "servers": merge_snapshots(
-                ray.get([s.metrics.remote() for s in self.servers])
-            ),
+            "servers": merge_snapshots(per_server),
+            "per_server": per_server,
         }
 
     def search_alias(self, alias: str, text: str, k: int = 10) -> list[tuple[int, float]]:

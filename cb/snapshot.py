@@ -49,7 +49,12 @@ def create_snapshot(index_dir: str, snap_dir: str) -> dict:
     ``snap_dir``; returns the manifest (also written to
     ``snap_dir/_snapshot.json``, LAST — a manifest's presence marks the
     snapshot complete, so a crashed snapshot is never mistaken for a
-    good one)."""
+    good one).  A reused ``snap_dir`` loses its old manifest BEFORE any
+    file is replaced, so a crash mid-copy leaves no manifest over a
+    mixed file set."""
+    mp = os.path.join(snap_dir, MANIFEST)
+    if os.path.exists(mp):
+        os.remove(mp)
     files = []
     for root, _dirs, names in os.walk(index_dir):
         for name in sorted(names):
@@ -62,7 +67,7 @@ def create_snapshot(index_dir: str, snap_dir: str) -> dict:
     tmp = os.path.join(snap_dir, MANIFEST + ".tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f)
-    os.replace(tmp, os.path.join(snap_dir, MANIFEST))
+    os.replace(tmp, mp)
     return manifest
 
 

@@ -146,12 +146,9 @@ class TermCursor:
         return self.chunked.decode_all()
 
 
-def _gather_terms(postings: dict, idfs: dict, need_umax: bool = True) -> list[TermCursor]:
+def _gather_terms(postings: dict, idfs: dict) -> list[TermCursor]:
     terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
-    return [
-        TermCursor(t, postings[t], idfs[t], i, need_umax=need_umax)
-        for i, t in enumerate(terms)
-    ]
+    return [TermCursor(t, postings[t], idfs[t], i) for i, t in enumerate(terms)]
 
 
 def topk_taat(
@@ -182,26 +179,28 @@ def taat_scores(
     """Exact TAAT accumulation -> (matching doc ids sorted, scores).
     The shared core of :func:`topk_taat` and filtered search (which
     masks the universe by a metadata predicate BEFORE ranking)."""
-    cursors = _gather_terms(postings, idfs, need_umax=False)
-    if not cursors:
+    terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
+    if not terms:
         return None, None
     per_term = []
-    for c in cursors:
+    for t in terms:  # sorted -> spec summation order
         # the cache stores the WEIGHT-INDEPENDENT u-factor vector; idf
         # (which carries any per-query boost) multiplies at use, so a
-        # boosted query never poisons the cache for an unboosted one
-        hit = decoded_cache.get(c.term) if decoded_cache is not None else None
+        # boosted query never poisons the cache for an unboosted one.
+        # Only a miss needs a cursor (to decode).
+        hit = decoded_cache.get(t) if decoded_cache is not None else None
         if hit is not None:
             ids, u_vec = hit
         else:
-            ids, tfs, dls = c.decode_chunks()
+            cursor = TermCursor(t, postings[t], idfs[t], 0, need_umax=False)
+            ids, tfs, dls = cursor.decode_chunks()
             u_vec = scoring.u_factor(tfs, dls, stats.avgdl)
             if decoded_cache is not None:
-                decoded_cache[c.term] = (ids, u_vec)
-        per_term.append((ids, c.idf * u_vec))
+                decoded_cache[t] = (ids, u_vec)
+        per_term.append((ids, float(idfs[t]) * u_vec))
     universe = np.unique(np.concatenate([ids for ids, _ in per_term]))
     acc = np.zeros(len(universe), dtype=np.float64)
-    for ids, contrib in per_term:  # cursors sorted by term -> spec order
+    for ids, contrib in per_term:
         acc[np.searchsorted(universe, ids)] += contrib
     return universe, acc
 

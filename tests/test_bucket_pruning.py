@@ -4,17 +4,20 @@ serving bitwise-identical results (the same proof style as the IVF
 probed-subset test)."""
 
 import glob
+import json
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
 
+from cb import scoring, wand
 from cb.build import IndexMeta, build_index
-from cb.shard import LocalSearcher, QueryEngine, ShardPartition, _merge_topk
+from cb.shard import LocalSearcher, QueryEngine, ShardPartition, ShardServer, _merge_topk
 
 HI = 1 << 59  # bucket stride at range_bits=4 (bucket = id >> 59)
 
@@ -119,3 +122,90 @@ def test_pruned_load_reads_fraction_of_bytes(built):
                 subset += sz
     assert 0 < subset < total
     assert subset / total < 0.75  # ~half the buckets -> well under all
+
+
+def _server(idx, parts, buckets=None, fed=None):
+    """A ShardServer instance in this process (no actor)."""
+    return ShardServer.__ray_metadata__.modified_class(idx, parts, buckets=buckets, fed=fed)
+
+
+def _per_term_decoded(srv, min_df):
+    """What warm must store: one ChunkedPostings.decode_all + u_factor
+    per term with df >= min_df."""
+    want = {}
+    for part in srv.parts.values():
+        for term in part.offsets:
+            cp = part.get(term)
+            if cp.gdf >= min_df:
+                ids, tfs, dls = cp.decode_all()
+                want[term] = (ids, scoring.u_factor(tfs, dls, srv.stats.avgdl))
+    return want
+
+
+def _assert_bitwise(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for t, (ids, u) in want.items():
+        g_ids, g_u = got[t]
+        assert g_ids.dtype == ids.dtype and g_u.dtype == u.dtype, t
+        assert g_ids.tobytes() == ids.tobytes(), t
+        assert g_u.tobytes() == u.tobytes(), t
+
+
+@pytest.mark.parametrize("case", ["doc_slice", "term_parts", "missing_part", "fed"])
+def test_columnar_warm_matches_per_term_decode(built, tmp_path, case):
+    """warm's one-pass-per-partition decode stores bitwise what a
+    per-term decode would, returns the number of terms it warmed, and
+    warms nothing on a second call."""
+    meta = IndexMeta(built)
+    idx, parts, buckets, fed = built, list(range(meta.num_parts)), [0, 2], None
+    if case == "term_parts":
+        parts, buckets = [1, 3], None
+    elif case == "missing_part":
+        # part 0 has no file in this server's slice (table is None)
+        idx = str(tmp_path / "idx")
+        shutil.copytree(built, idx)
+        os.remove(os.path.join(idx, "parts", "part=0", "bucket=1.parquet"))
+        buckets = [1]
+    elif case == "fed":
+        # a federation override: other N/avgdl and per-term dfs
+        fed = str(tmp_path / "fed")
+        os.makedirs(os.path.join(fed, "feddf"))
+        with open(os.path.join(fed, "fed.json"), "w") as f:
+            json.dump({"n_docs": 3 * meta.n_docs, "avgdl": 1.7 * meta.avgdl}, f)
+        for p in parts:
+            t = pq.read_table(os.path.join(meta.part_dir(p), "_termdf.parquet"))
+            pq.write_table(
+                t.set_column(t.schema.get_field_index("df"), "df", pc.multiply(t["df"], 3)),
+                os.path.join(fed, "feddf", f"part={p}.parquet"),
+            )
+    probe = _server(idx, parts, buckets, fed)
+    if case == "missing_part":
+        assert probe.parts[0].table is None
+        assert any(part.table is not None for part in probe.parts.values())
+    gdfs = sorted(part.get(t).gdf for part in probe.parts.values() for t in part.offsets)
+    for min_df in (0, gdfs[len(gdfs) // 2], gdfs[-1] + 1):
+        srv = _server(idx, parts, buckets, fed)
+        want = _per_term_decoded(srv, min_df)
+        assert srv.warm(min_df) == len(want)
+        _assert_bitwise(srv.decoded, want)
+        assert set(want) <= set(srv.cache)
+        assert srv.warm(min_df) == 0
+        snap = srv.metrics()
+        assert snap["timers"]["server.warm"]["count"] == 2
+        assert snap["counters"]["server.terms_warmed"] == len(want)
+    assert 0 < len(_per_term_decoded(probe, gdfs[len(gdfs) // 2])) < len(gdfs)
+
+
+def test_taat_miss_caches_what_warm_stores(built):
+    """A decoded-cache miss in taat_scores fills the cache with exactly
+    the (ids, u) warm would have stored, and scores identically."""
+    parts = list(range(IndexMeta(built).num_parts))
+    warm, cold = _server(built, parts, [1, 3]), _server(built, parts, [1, 3])
+    warm.warm(0)
+    terms = sorted(warm.decoded)[::3]
+    postings = {t: cold._local(t) for t in terms}
+    idfs = {t: float(scoring.idf(p.gdf, cold.n_docs)) for t, p in postings.items()}
+    got = wand.taat_scores(postings, idfs, cold.stats, cold.decoded)
+    _assert_bitwise(cold.decoded, {t: warm.decoded[t] for t in terms})
+    want = wand.taat_scores(postings, idfs, warm.stats, warm.decoded)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

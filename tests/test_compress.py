@@ -113,3 +113,8 @@ def test_partition_encode_matches_per_row_reference():
             got = build.encode_partition_rows(flat, avgdl, store_positions=store_positions)
             want = reference(flat, avgdl, store_positions)
             assert got.equals(want), (avgdl, store_positions)
+            # the columnar decode inverts it: row by row, bitwise the
+            # per-row PostingList.decode_all (multi-block rows included)
+            per_row = [compress.PostingList(r).decode_all() for r in got.to_pylist()]
+            for col, want_col in zip(compress.decode_table(got), zip(*per_row)):
+                assert col.tobytes() == np.concatenate(want_col).tobytes()

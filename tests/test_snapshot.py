@@ -159,3 +159,65 @@ def test_federation_snapshot_restore_relocates(tmp_path):
     finally:
         eng2.shutdown()
     assert got == want
+
+
+def test_crash_into_reused_dir_leaves_no_manifest(built, tmp_path, monkeypatch):
+    """Re-snapshotting into a dir that holds a complete snapshot, then
+    failing partway through the copy, must not leave the OLD manifest
+    marking the mixed file set complete."""
+    d, idx = built
+    snap = str(tmp_path / "snap")
+    snapshot.create_snapshot(idx, snap)
+    calls = []
+    real = snapshot._link_or_copy
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real(src, dst)
+
+    monkeypatch.setattr(snapshot, "_link_or_copy", failing)
+    with pytest.raises(OSError):
+        snapshot.create_snapshot(idx, snap)
+    assert len(calls) == 3
+    with pytest.raises(FileNotFoundError):
+        snapshot.restore_snapshot(snap, str(tmp_path / "r"))
+
+
+def test_snapshot_cli_smoke(built, tmp_path):
+    """``cb snapshot create/list/restore`` in a subprocess; the restored
+    index serves the same results.  ``cb alias`` is gone (index aliases
+    are filtered views managed through cb.shard.put_alias)."""
+    import subprocess
+    import sys
+
+    d, idx = built
+    repo = str(tmp_path / "repo")
+    dest = str(tmp_path / "dest")
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cb.cli", *argv],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    r = cli("snapshot", "list", "--repo", repo)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert json.loads(r.stdout) == {"snapshots": []}
+    r = cli("snapshot", "create", "--repo", repo, "--name", "s1", "--index", idx)
+    assert r.returncode == 0, r.stderr[-2000:]
+    n_files = json.loads(r.stdout)["files"]
+    assert n_files > 0
+    os.makedirs(os.path.join(repo, "partial"))  # no manifest: not listed
+    r = cli("snapshot", "list", "--repo", repo)
+    assert json.loads(r.stdout) == {"snapshots": ["s1"]}
+    r = cli("snapshot", "restore", "--repo", repo, "--name", "s1", "--index", dest)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert json.loads(r.stdout) == {"name": "s1", "restored_files": n_files, "target": dest}
+    assert LocalSearcher(dest).query("join merge", k=10, algo="taat") == \
+        LocalSearcher(idx).query("join merge", k=10, algo="taat")
+    r = cli("snapshot", "create", "--repo", repo)
+    assert r.returncode != 0 and "needs --name and --index" in r.stderr
+    r = cli("alias", "list", "--root", repo)
+    assert r.returncode == 2 and "invalid choice" in r.stderr

@@ -41,6 +41,8 @@ def test_query_engine_metrics_populate(tmp_path, ray_session):
 
     eng = shard.QueryEngine(idx, num_servers=2, mode="doc")
     try:
+        warmed = eng.warm(min_df=0)
+        assert warmed > 0
         for q in ("tok1 tok2", "tok3", "tok4 tok5 tok6"):
             eng.query(q, k=5)
         eng.query("tok1 tok2", k=5)  # driver result-cache hit
@@ -56,6 +58,16 @@ def test_query_engine_metrics_populate(tmp_path, ray_session):
         assert st["server.score"]["count"] == 6
         assert m["servers"]["counters"]["server.terms"] > 0
         assert st["server.score"]["total_sec"] > 0
+        # warm is timed and counted per server; per-server snapshots
+        # sit next to the roll-up
+        assert st["server.warm"]["count"] == 2
+        assert m["servers"]["counters"]["server.terms_warmed"] == warmed
+        assert len(m["per_server"]) == 2
+        for snap in m["per_server"]:
+            assert snap["timers"]["server.warm"]["count"] == 1
+            assert snap["timers"]["server.score"]["count"] == 3
+            assert "server.terms_warmed" in snap["counters"]
+        assert sum(s["counters"]["server.terms_warmed"] for s in m["per_server"]) == warmed
     finally:
         eng.shutdown()
 
