@@ -227,7 +227,7 @@ def cmd_query(args) -> int:
     ray = _init_ray()
     from .shard import QueryEngine
 
-    engine = QueryEngine(args.index, num_servers=args.servers, mode=args.mode)
+    engine = QueryEngine(args.index, num_servers=args.servers)
     if args.query:
         queries = [args.query]
     else:
@@ -577,8 +577,6 @@ def main(argv=None) -> int:
         q.add_argument("-k", type=int, default=10)
         q.add_argument("--servers", type=int, default=2)
         q.add_argument("--algo", default="taat", choices=["taat", "wand"])
-        q.add_argument("--mode", default="doc", choices=["doc", "term"],
-                       help="serving topology: doc-sharded scatter-gather or term-sharded")
         if name == "filtered-query":
             q.add_argument("--filter", action="append", metavar="COL=VALUE",
                            help="not_analyzed equality filter (repeatable)")

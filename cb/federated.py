@@ -849,7 +849,7 @@ class FederatedEngine:
     ``names=`` / day-range args prune the fan-out to the sub-indexes a
     time-bounded query can match (GetIndexNames read path)."""
 
-    def __init__(self, fed_dir: str, num_servers: int = 2, mode: str = "doc"):
+    def __init__(self, fed_dir: str, num_servers: int = 2):
         self.meta = load_fed_meta(fed_dir)
         if self.meta.get("fields"):
             raise ValueError(
@@ -857,7 +857,7 @@ class FederatedEngine:
             )
         self.fed_dir = fed_dir
         self.engines: dict[str, QueryEngine] = {
-            e["name"]: QueryEngine(e["dir"], num_servers, mode, fed=fed_dir)
+            e["name"]: QueryEngine(e["dir"], num_servers, fed=fed_dir)
             for e in self.meta["indexes"]
         }
         from .telemetry import Telemetry
@@ -903,7 +903,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch(text, k, algo)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         t1 = _time.perf_counter()
         self.telemetry.record("query.dispatch", t1 - t0)
         if not futs:
@@ -946,7 +946,7 @@ class FederatedEngine:
             if f is None:
                 continue
             w = float(ib.get(n, 1.0))
-            member_futs.append((w, f if isinstance(f, list) else [f]))
+            member_futs.append((w, f))
         if not member_futs:
             return []
         got = ray.get([r for _, fs in member_futs for r in fs])
@@ -970,7 +970,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_phrase(text, k, slop)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return []
         return _merge_topk(ray.get(futs), k)
@@ -992,7 +992,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_search(query_string, k)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return []
         return _merge_topk(ray.get(futs), k)
@@ -1015,7 +1015,7 @@ class FederatedEngine:
                 f = self.engines[n]._dispatch_search(q, k)
                 if f is None:
                     continue
-                refs.extend(f if isinstance(f, list) else [f])
+                refs.extend(f)
             per_q.append(refs)
             flat.extend(refs)
         got = ray.get(flat)
@@ -1040,7 +1040,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_facets(query_string, facet_cols, stats_cols)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return {c: {} for c in facet_cols}, {
                 c: (0, 0, None, None) for c in stats_cols
@@ -1111,7 +1111,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_histogram(query_string, histos)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return {c: {} for c in histos}
         return _merge_hists(ray.get(futs))
@@ -1127,7 +1127,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_range_agg(query_string, ranges)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return {c: [0] * len(b) for c, b in ranges.items()}
         return _merge_ranges(ray.get(futs))
@@ -1148,7 +1148,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_composite(query_string, cols)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return [], None
         from .shard import _page_composite
@@ -1168,7 +1168,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_top_hits(text, group_col, k_per)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return {}
         return _merge_top_hits(ray.get(futs), k_per)
@@ -1208,7 +1208,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_function_score(query_string, spec, k)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return []
         return _merge_topk(ray.get(futs), k)
@@ -1228,7 +1228,7 @@ class FederatedEngine:
             f = self.engines[n]._dispatch_phrase_prefix(text, k, max_expansions)
             if f is None:
                 continue
-            futs.extend(f if isinstance(f, list) else [f])
+            futs.extend(f)
         if not futs:
             return []
         return _merge_topk(ray.get(futs), k)
@@ -1245,17 +1245,14 @@ class FederatedEngine:
         return rows
 
     def query_many(self, texts: list[str], k: int = 10, algo: str = "taat", **sel_kwargs):
-        """Batched federation fan-out: in doc mode every server of every
-        selected sub-index gets ONE score_many RPC covering all queries
-        (the same round-trip amortization as QueryEngine.query_many,
-        across the whole federation); exact because every
-        (engine, server) scope is a disjoint doc set.  Falls back to
-        per-query dispatch when any engine is term-sharded."""
+        """Batched federation fan-out: every server of every selected
+        sub-index gets ONE score_many RPC covering all queries (the same
+        round-trip amortization as QueryEngine.query_many, across the
+        whole federation); exact because every (engine, server) scope is
+        a disjoint doc set."""
         from . import analyze
 
         sel = self._select(**sel_kwargs)
-        if any(self.engines[n].mode != "doc" for n in sel):
-            return [self.query(t, k, algo, **sel_kwargs) for t in texts]
         term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
         live = [i for i, terms in enumerate(term_lists) if terms]
         servers = [s for n in sel for s in self.engines[n].servers]

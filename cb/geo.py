@@ -529,10 +529,9 @@ def nearest_topk(
         keys = batch[key_col].to_numpy(zero_copy_only=False)
         lat, lon = derive_coords(keys)
         d6 = np.round(haversine_km(lat, lon, lat0, lon0), 6)
-        if len(d6) > k:
-            idx = np.argpartition(d6, k)[:k]
-        else:
-            idx = np.arange(len(d6))
+        # cut on the final re-cut's (distance, key) order: a
+        # distance-only cut could keep a larger key over a tied smaller one
+        idx = np.lexsort((keys, d6))[:k]
         return pa.table(
             {key_col: pa.array(keys[idx], pa.int64()),
              "dist_km": pa.array(d6[idx], pa.float64())}

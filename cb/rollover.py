@@ -46,16 +46,25 @@ def gen_name(alias: str, gen: int) -> str:
 
 
 def init(root: str, alias: str, max_docs: int) -> dict:
+    """Create the rollover state under ``root``, or return the existing
+    one when it was initialized with the same ``alias`` and
+    ``max_docs``.  A conflicting re-init raises ``ValueError`` rather
+    than silently keeping the old configuration."""
     os.makedirs(root, exist_ok=True)
+    if os.path.exists(_state_path(root)):
+        st = _load(root)
+        if (st["alias"], st["max_docs"]) != (alias, int(max_docs)):
+            raise ValueError(
+                f"rollover at {root!r} is initialized with alias={st['alias']!r}, "
+                f"max_docs={st['max_docs']}; got alias={alias!r}, max_docs={max_docs}"
+            )
+        return st
     st = {
         "alias": alias,
         "max_docs": int(max_docs),
         "generations": [],  # [{name, n_docs, sealed}]
         "ingested": [],  # chunk keys already staged (idempotence)
     }
-    if os.path.exists(_state_path(root)):
-        with open(_state_path(root)) as f:
-            return json.load(f)
     manifest.write_atomic(_state_path(root), st)
     return st
 

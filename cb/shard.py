@@ -9,19 +9,17 @@ slice of the index once in ``__init__`` and serves many queries.
 
 Topology: the index is TERM-partitioned on disk (hash(term) % num_parts),
 and each partition is one parquet file per doc-range BUCKET
-(cb.build).  :class:`QueryEngine` runs a DOC-SHARDED pool by default:
-server ``s`` owns buckets ``b % num_servers == s`` of EVERY partition
-and reads only those files, so load I/O and memory are ~1/S
-of the index per server.  A query tokenizes on the driver, fans out to
-every server, each scores its disjoint doc range with exact TAAT
-(block-max WAND selectable), and the driver merges by (score desc,
-doc_id asc).  idf stays corpus-exact on a slice: per-term global df
-comes from each partition's ``_termdf.parquet`` summary.  Scoring needs
-no side tables — per-posting doc lengths ride in the postings
-(cb.compress) — so the only corpus-global serving state is (N, avgdl)
-from ``_global.json`` (or a federation's overlay).  The older
-``mode="term"`` pool (whole partitions per server, non-local postings
-fetched through the object store) remains for parity tests.
+(cb.build).  :class:`QueryEngine` runs a DOC-SHARDED pool: server ``s``
+owns buckets ``b % num_servers == s`` of EVERY partition and reads only
+those files, so load I/O and memory are ~1/S of the index per server.
+Every request fans out to every server, each answers over its disjoint
+doc range (exact TAAT for top-k, block-max WAND selectable), and the
+driver merges exactly — top-k by (score desc, doc_id asc), aggregation
+partials by addition.  idf stays corpus-exact on a slice: per-term
+global df comes from each partition's ``_termdf.parquet`` summary.
+Scoring needs no side tables — per-posting doc lengths ride in the
+postings (cb.compress) — so the only corpus-global serving state is
+(N, avgdl) from ``_global.json`` (or a federation's overlay).
 
 Warm: :meth:`ShardServer.warm` pre-decodes a server's postings so the
 first queries do not pay it.  Per loaded partition it selects the rows
@@ -161,10 +159,11 @@ class ShardPartition:
                 self.offsets: dict[str, tuple[int, int]] = {}
                 self.global_df: dict[str, int] = {}
                 return
+            want = None if buckets is None else set(buckets)
             files = []
             for f in _glob.glob(os.path.join(path, "bucket=*.parquet")):
                 b = int(os.path.basename(f)[len("bucket=") : -len(".parquet")])
-                if buckets is None or b in set(buckets):
+                if want is None or b in want:
                     files.append((b, f))
             if global_df is None:
                 tdf = os.path.join(path, "_termdf.parquet")
@@ -450,6 +449,16 @@ def _merge_hists(parts: list[dict]) -> dict:
     return out
 
 
+def _merge_sig(parts) -> tuple[dict, int]:
+    """Fold per-server significant_terms partials ``(term -> count,
+    match total)``: disjoint doc slices, so both add exactly."""
+    counts: dict[str, int] = {}
+    for d, _ in parts:
+        for t, c in d.items():
+            counts[t] = counts.get(t, 0) + c
+    return counts, sum(m for _, m in parts)
+
+
 def _merge_facets(parts):
     """Merge per-server (facets, stats) pairs: counts add, sums add,
     min/max fold (disjoint doc slices, so addition is exact)."""
@@ -690,25 +699,21 @@ def load_vocab(meta: IndexMeta) -> list[str]:
 
 @ray.remote
 class ShardServer:
-    """Owns a set of term partitions — whole lists (term-sharded) or a
-    doc-range bucket slice of every list (doc-sharded, ``buckets``);
-    loads once, serves many queries.
+    """Owns a doc-range bucket slice (``buckets``) of every term
+    partition; loads once, serves many queries over that slice.
 
-    Doc-sharded load is PRUNED AT THE READ: the partition layout is one
-    file per doc-range bucket, so a server opens only its assigned
-    bucket files — bytes read per server ~ 1/S of the index, no loader
-    tasks, no shared full-file decode, and partitions larger than one
-    worker's memory still serve."""
+    Load is PRUNED AT THE READ: the partition layout is one file per
+    doc-range bucket, so a server opens only its assigned bucket files —
+    bytes read per server ~ 1/S of the index, no loader tasks, no shared
+    full-file decode, and partitions larger than one worker's memory
+    still serve."""
 
-    def __init__(
-        self,
-        index_dir: str,
-        parts: list[int],
-        buckets: list[int] | None = None,
-        fed: str | None = None,
-    ):
+    def __init__(self, index_dir: str, buckets: list[int], fed: str | None = None):
         meta = IndexMeta(index_dir)
-        self.parts = {p: ShardPartition(meta.part_dir(p), buckets=buckets) for p in parts}
+        self.parts = {
+            p: ShardPartition(meta.part_dir(p), buckets=buckets)
+            for p in range(meta.num_parts)
+        }
         self.stats = GlobalStats(meta.n_docs, meta.avgdl)
         self.n_docs = meta.n_docs
         # block-max umax annotations were computed with the BUILD-time
@@ -720,8 +725,8 @@ class ShardServer:
             # federation member (cb.federated): score with the
             # federation-global (N, avgdl) and per-term df so top-k
             # lists merge exactly across sub-indexes
-            # (dfs_query_then_fetch).  df overlays are read per OWNED
-            # term partition from the tiny feddf summaries — never a
+            # (dfs_query_then_fetch).  df overlays are read per term
+            # partition from the tiny feddf summaries — never a
             # whole-vocabulary driver object.
             import json as _json
 
@@ -741,7 +746,7 @@ class ShardServer:
         self.num_parts = meta.num_parts
         self.range_bits = meta.range_bits
         self.index_dir = index_dir
-        self.buckets = buckets  # doc-range subset (doc-sharded mode)
+        self.buckets = buckets  # this server's doc-range slice
         # tombstones are read ONCE at server start: deletes issued later
         # need a new engine (documented delete_docs contract)
         self.tombstones = load_tombstones(index_dir)
@@ -794,21 +799,34 @@ class ShardServer:
         self._match_cache[key] = ids
         return ids
 
+    def _dm(self):
+        """This slice's DocMeta, loaded once on first use (the bucket
+        range shards the filter table with the postings)."""
+        if self._docmeta is None:
+            from . import docmeta as docmeta_mod
+
+            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
+        return self._docmeta
+
+    def _dm_for(self, *parsed: dict):
+        """DocMeta when any parsed clause set filters on metadata or
+        scopes a phrase to a field, else None (plain term queries never
+        load it)."""
+        if any(p.get("filters") or p.get("scoped_phrases") for p in parsed):
+            return self._dm()
+        return None
+
     def _local(self, term: str) -> ChunkedPostings | None:
         if term not in self.cache:
             p = term_partition(term, self.num_parts)
-            part = self.parts.get(p)
-            self.cache[term] = part.get(term) if part is not None else None
+            self.cache[term] = self.parts[p].get(term)
         return self.cache[term]
 
-    def get_postings(self, term: str) -> ChunkedPostings | None:
-        return self._local(term)
-
     def warm(self, min_df: int = 0) -> int:
-        """Pre-decode postings + contribution vectors for owned terms
-        with df >= min_df (the first-touch decode otherwise lands on the
-        first query: p95).  Returns the number of terms warmed by this
-        call (terms already decoded are skipped)."""
+        """Pre-decode postings + contribution vectors for this slice's
+        terms with df >= min_df (the first-touch decode otherwise lands
+        on the first query: p95).  Returns the number of terms warmed by
+        this call (terms already decoded are skipped)."""
         with self.telemetry.timer("server.warm"):
             n = sum(self._warm_partition(part, min_df) for part in self.parts.values())
         self.telemetry.incr("server.terms_warmed", n)
@@ -853,9 +871,14 @@ class ShardServer:
             self._local(term)
         return len(terms)
 
-    def score(self, terms: list[str], k: int, fetched_terms: list[str], *fetched, algo: str = "taat"):
-        """Run top-k over the query terms; ``fetched`` are ChunkedPostings
-        for non-local terms (passed as ObjectRefs, resolved by Ray).
+    def _live_idfs(self, terms) -> tuple[dict, dict]:
+        """The query terms present in this slice -> their postings, and
+        each one's corpus-global idf (``gdf``, so slices score alike)."""
+        live = {t: p for t in terms if (p := self._local(t)) is not None}
+        return live, {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
+
+    def score(self, terms: list[str], k: int, algo: str = "taat"):
+        """Run top-k over the query terms within this slice.
 
         Default scorer is the vectorized exact TAAT (fastest for
         in-memory postings); ``algo="wand"`` selects block-max WAND —
@@ -871,14 +894,7 @@ class ShardServer:
             return hit  # exact: the index is immutable for a server's lifetime
         t0 = __import__("time").perf_counter()
         self.telemetry.incr("server.terms", len(terms))
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p  # keep remote-fetched postings for repeat queries
-        for t in terms:
-            if t not in postings:
-                postings[t] = self._local(t)
-        live = {t: p for t, p in postings.items() if p is not None}
-        idfs = {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
+        live, idfs = self._live_idfs(terms)
         if len(self.tombstones):
             # deletes present: mask the universe BEFORE ranking (WAND's
             # heap can't un-admit a tombstoned doc, so route via exact
@@ -906,99 +922,59 @@ class ShardServer:
     def metrics(self) -> dict:
         return self.telemetry.snapshot()
 
-    def score_filtered(
-        self, terms: list[str], k: int, filters: dict,
-        fetched_terms: list[str], *fetched,
-    ):
+    def score_filtered(self, terms: list[str], k: int, filters: dict):
         """Filtered BM25 (ES ``bool: {must: match, filter: term}``
         parity): exact TAAT over the query terms, then the metadata
         predicate masks the candidate universe BEFORE ranking — the
-        filter context never changes scores, only membership.  DocMeta
-        loads lazily once per server; a doc-sharded server passes its
-        bucket range so the filter table shards with the postings."""
-        from . import docmeta as docmeta_mod
+        filter context never changes scores, only membership."""
+        from .query import rank_topk
 
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p
-        for t in terms:
-            if t not in postings:
-                postings[t] = self._local(t)
-        live = {t: p for t, p in postings.items() if p is not None}
-        idfs = {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
+        dm = self._dm()
+        live, idfs = self._live_idfs(terms)
         universe, acc = wand.taat_scores(live, idfs, self.stats, decoded_cache=self.decoded)
         if universe is None:
             return []
-        keep = self._docmeta.mask(universe, filters) & _live_mask(universe, self.tombstones)
-        from .query import rank_topk
-
+        keep = dm.mask(universe, filters) & _live_mask(universe, self.tombstones)
         return rank_topk(universe[keep], acc[keep], k)
 
-    def query_string(self, parsed: dict, k: int, fetched_terms: list[str] = (), *fetched):
-        """Lucene-lite query over this server's scope (doc-sharded: its
-        disjoint doc slice — the driver merge stays exact because every
-        clause is evaluated per doc).  ``fetched`` carries non-local
-        postings in term-sharded mode (same protocol as score)."""
-        from . import docmeta as docmeta_mod, querylang
+    def query_string(self, parsed: dict, k: int):
+        """Lucene-lite query over this server's disjoint doc slice — the
+        driver merge stays exact because every clause is evaluated per
+        doc."""
+        from . import querylang
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if parsed.get("filters") or parsed.get("scoped_phrases"):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
         return querylang.execute(
             parsed,
             get_postings=self._local,
             stats=self.stats,
             k=k,
-            docmeta=dm,
+            docmeta=self._dm_for(parsed),
             decoded_cache=self.decoded,
             drop_ids=self.tombstones,
         )
 
-    def facet_counts(
-        self, parsed: dict, facet_cols: list[str], stats_cols: list[str],
-        fetched_terms: list[str] = (), *fetched,
-    ):
+    def facet_counts(self, parsed: dict, facet_cols: list[str], stats_cols: list[str]):
         """ES-style aggregations over THIS scope's full match set of a
         query string (not just top-k): terms facets + numeric stats from
-        docmeta.  Doc-sharded servers each aggregate their disjoint doc
-        slice; the driver merge is exact addition."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        docmeta.  Each server aggregates its disjoint doc slice; the driver
+        merge is exact addition."""
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None:
             return {c: {} for c in facet_cols}, {c: (0, 0, None, None) for c in stats_cols}
-        return _facets_over(ids, self._docmeta, facet_cols, stats_cols)
+        return _facets_over(ids, dm, facet_cols, stats_cols)
 
-    def stats_ext(
-        self, parsed: dict, cols: list[str], fetched_terms: list[str] = (), *fetched
-    ) -> dict:
+    def stats_ext(self, parsed: dict, cols: list[str]) -> dict:
         """ES extended_stats over THIS scope's full match set: the
         stats agg plus an exact sum-of-squares, so the driver derives
         avg/variance/std from additive integer partials."""
-        from . import docmeta as docmeta_mod
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None:
             return {c: (0, 0, 0, None, None) for c in cols}
-        return _stats_ext_over(ids, self._docmeta, cols)
+        return _stats_ext_over(ids, dm, cols)
 
-    def matrix_stats(
-        self, parsed: dict, col: str, fetched_terms: list[str] = (), *fetched
-    ) -> tuple[int, int, int, int, int, int]:
+    def matrix_stats(self, parsed: dict, col: str) -> tuple[int, int, int, int, int, int]:
         """ES matrix_stats partials over THIS scope's full match set
         for the pair (x = docmeta ``col``, y = doc token length from
         the bucket-pruned docstats): EXACT integer
@@ -1007,19 +983,14 @@ class ShardServer:
         with one double op per moment, bitwise vs the SQL mirror.
         Overflow-guarded like _stats_ext_over: vectorized when the
         whole sum provably fits int64, Python-int fold otherwise."""
-        from . import docmeta as docmeta_mod
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None or len(ids) == 0:
             return (0, 0, 0, 0, 0, 0)
         if self._docstats is None:
             self._docstats = DocStats.load(self.index_dir, buckets=self.buckets)
         x = (
-            self._docmeta.gather(ids, col)
+            dm.gather(ids, col)
             .cast(pa.int64())
             .to_numpy(zero_copy_only=False)
         )
@@ -1040,92 +1011,57 @@ class ShardServer:
             sum(a * b for a, b in zip(xi, yi)),
         )
 
-    def histogram(
-        self, parsed: dict, histos: dict, fetched_terms: list[str] = (), *fetched
-    ) -> dict:
+    def histogram(self, parsed: dict, histos: dict) -> dict:
         """Histogram aggregation over THIS scope's full match set of a
         query string (same match plumbing as facet_counts)."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None:
             return {c: {} for c in histos}
-        return _histos_over(ids, self._docmeta, histos)
+        return _histos_over(ids, dm, histos)
 
-    def range_counts(
-        self, parsed: dict, ranges: dict, fetched_terms: list[str] = (), *fetched
-    ) -> dict:
+    def range_counts(self, parsed: dict, ranges: dict) -> dict:
         """ES range aggregation over THIS scope's full match set of a
         query string: explicit ``[lo, hi)`` buckets per numeric docmeta
         column (same match plumbing as facet_counts; driver merge is
         exact elementwise addition)."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None:
             return {c: [0] * len(b) for c, b in ranges.items()}
-        return _ranges_over(ids, self._docmeta, ranges)
+        return _ranges_over(ids, dm, ranges)
 
-    def composite_counts(
-        self, parsed: dict, cols: list[str], fetched_terms: list[str] = (), *fetched
-    ) -> dict:
+    def composite_counts(self, parsed: dict, cols: list[str]) -> dict:
         """ES composite-aggregation source counts over THIS scope's
         full match set: ``(v1, v2, ...) -> count`` per distinct key
         tuple of the requested docmeta columns.  The driver merges
         additively, orders by key, and applies size/after paging —
         per-server output is one row per distinct key, never per doc."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        ids = self._cached_match(parsed, self._docmeta)
+        dm = self._dm()
+        ids = self._cached_match(parsed, dm)
         if ids is None:
             return {}
-        return _composite_over(ids, self._docmeta, list(cols))
+        return _composite_over(ids, dm, list(cols))
 
-    def top_hits(
-        self, terms: list[str], k_per: int, group_col: str,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> dict:
+    def top_hits(self, terms: list[str], k_per: int, group_col: str) -> dict:
         """ES top_hits-inside-terms-agg over THIS scope: BM25 scores for
         the full match set (exact TAAT), grouped by a docmeta column,
         local top ``k_per`` per group value by (score desc, doc_id asc).
-        Same plain-term fetch protocol as :meth:`score`; the driver
-        re-cut per value is exact because scopes are disjoint."""
-        from . import docmeta as docmeta_mod
-
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p
-        for t in terms:
-            if t not in postings:
-                postings[t] = self._local(t)
-        live = {t: p for t, p in postings.items() if p is not None}
+        The driver re-cut per value is exact because scopes are
+        disjoint."""
+        live, idfs = self._live_idfs(terms)
         if not live:
             return {}
-        idfs = {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
         universe, acc = wand.taat_scores(live, idfs, self.stats, decoded_cache=self.decoded)
         if universe is None:
             return {}
         keep = _live_mask(universe, self.tombstones)
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        return _top_hits_over(universe[keep], acc[keep], self._docmeta, group_col, k_per)
+        dm = self._dm()
+        return _top_hits_over(universe[keep], acc[keep], dm, group_col, k_per)
 
     def top_metrics(
         self, parsed: dict, group_col: str, sort_col: str,
         metric_cols: list[str], k_per: int,
-        fetched_terms: list[str] = (), *fetched,
     ) -> dict:
         """ES top_metrics-inside-terms-agg over THIS scope: the match
         set grouped by ``group_col``, each group keeping the local top
@@ -1133,13 +1069,7 @@ class ShardServer:
         requested metric columns read off docmeta for the winners only.
         Rides _top_hits_over with the numeric sort column in the score
         slot — integer metric, so cross-slice re-cuts are exact."""
-        from . import docmeta as docmeta_mod
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         ids = self._cached_match(parsed, dm)
         if ids is None or len(ids) == 0:
             return {}
@@ -1159,53 +1089,29 @@ class ShardServer:
             ]
         return out
 
-    def match_first(
-        self, parsed: dict, k: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[int]:
+    def match_first(self, parsed: dict, k: int) -> list[int]:
         """The first ``k`` matching doc ids (id order) of THIS scope —
         the scoring-free half of ES ``constant_score``: disjoint sorted
         slices re-cut exactly at the driver."""
-        from . import docmeta as docmeta_mod
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if parsed.get("filters") or parsed.get("scoped_phrases"):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed)
         ids = self._cached_match(parsed, dm)
         if ids is None:
             return []
         return np.sort(ids)[:k].tolist()
 
-    def match_count(
-        self, parsed: dict, fetched_terms: list[str] = (), *fetched
-    ) -> int:
+    def match_count(self, parsed: dict) -> int:
         """ES ``_count`` over THIS scope: size of the match set — ids
         never leave the server, disjoint slice counts add exactly at
         the driver."""
-        from . import docmeta as docmeta_mod
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if parsed.get("filters") or parsed.get("scoped_phrases"):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed)
         ids = self._cached_match(parsed, dm)
         return 0 if ids is None else int(len(ids))
 
-    def span_first(
-        self, term: str, end: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[tuple[int, int]]:
+    def span_first(self, term: str, end: int) -> list[tuple[int, int]]:
         """ES ``span_first`` over THIS scope: (doc_id, first_position)
         for live docs whose first occurrence of ``term`` ends by
         position ``end`` — decoded straight off the positional
         postings, tombstone-masked, id-sorted."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         p = self._local(term)
         if p is None:
             return []
@@ -1215,10 +1121,7 @@ class ShardServer:
         keep = _live_mask(ids, self.tombstones)
         return list(zip(ids[keep].tolist(), first[keep].tolist()))
 
-    def terms_set(
-        self, terms: list[str], spec: dict, k: int,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> list[tuple[int, float]]:
+    def terms_set(self, terms: list[str], spec: dict, k: int) -> list[tuple[int, float]]:
         """ES ``terms_set`` over THIS scope: BM25-scored term-OR match
         where each doc's own minimum_should_match comes from a doc
         field — ``required = min(cap, 1 + x // div)`` over the docmeta
@@ -1227,19 +1130,11 @@ class ShardServer:
         the SQL mirror reproduces it bit-for-bit).  Scores are the
         standard sorted-term TAAT sum; disjoint slices re-cut exactly
         at the driver."""
-        from . import docmeta as docmeta_mod
         from .query import rank_topk
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        live = {t: self._local(t) for t in sorted(set(terms))}
-        live = {t: p for t, p in live.items() if p is not None}
+        live, idfs = self._live_idfs(sorted(set(terms)))
         if not live:
             return []
-        idfs = {
-            t: float(scoring.idf(getattr(p, "gdf", p.df), self.stats.n_docs))
-            for t, p in live.items()
-        }
         universe, acc = wand.taat_scores(
             live, idfs, self.stats, decoded_cache=self.decoded
         )
@@ -1254,10 +1149,9 @@ class ShardServer:
                 else p.decode_all()[0]
             )
             cnt[np.searchsorted(universe, ids)] += 1
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
+        dm = self._dm()
         x = (
-            self._docmeta.gather(universe, spec["col"])
+            dm.gather(universe, spec["col"])
             .cast(pa.int64())
             .to_numpy(zero_copy_only=False)
         )
@@ -1268,16 +1162,12 @@ class ShardServer:
             return []
         return rank_topk(ids, sc, k)
 
-    def span_or_first(
-        self, terms: list[str], end: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[tuple[int, int]]:
+    def span_or_first(self, terms: list[str], end: int) -> list[tuple[int, int]]:
         """ES ``span_first`` over a ``span_or`` of single-term clauses,
         THIS scope: (doc_id, earliest position over the term union)
         for live docs where ANY term first occurs before ``end`` —
         straight off the positional postings, tombstone-masked,
         id-sorted."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         chunkeds = [self._local(t) for t in sorted(set(terms))]
         ids, first = phrase_mod.span_or_first_docs(chunkeds, end)
         if len(ids) == 0:
@@ -1285,17 +1175,12 @@ class ShardServer:
         keep = _live_mask(ids, self.tombstones)
         return list(zip(ids[keep].tolist(), first[keep].tolist()))
 
-    def span_not(
-        self, term_a: str, term_b: str, slop: int,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> list[tuple[int, int]]:
+    def span_not(self, term_a: str, term_b: str, slop: int) -> list[tuple[int, int]]:
         """ES ``span_not`` over THIS scope: (doc_id, first valid
         position) for live docs with an occurrence of ``term_a`` no
         closer than ``slop`` intervening tokens to any ``term_b`` —
         the exclusion dual of span_near, same vectorized keyed-
         searchsorted kernel (cb.phrase.span_not_docs)."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         pa_ = self._local(term_a)
         if pa_ is None:
             return []
@@ -1307,7 +1192,6 @@ class ShardServer:
 
     def bool_prefix(
         self, terms: list[str], prefix_terms: list[str], k: int,
-        fetched_terms: list[str] = (), *fetched,
     ) -> list[tuple[int, float]]:
         """ES ``match_bool_prefix`` over THIS scope: the complete terms
         score as BM25 shoulds (TAAT) and the trailing prefix, already
@@ -1319,14 +1203,7 @@ class ShardServer:
         bitwise."""
         from .query import rank_topk
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        live = {t: self._local(t) for t in sorted(set(terms))}
-        live = {t: p for t, p in live.items() if p is not None}
-        idfs = {
-            t: float(scoring.idf(getattr(p, "gdf", p.df), self.stats.n_docs))
-            for t, p in live.items()
-        }
+        live, idfs = self._live_idfs(sorted(set(terms)))
         universe, acc = (None, None)
         if live:
             universe, acc = wand.taat_scores(
@@ -1359,17 +1236,12 @@ class ShardServer:
             return []
         return rank_topk(ids, sc, k)
 
-    def span_near(
-        self, term_a: str, term_b: str, slop: int,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> list[tuple[int, int]]:
+    def span_near(self, term_a: str, term_b: str, slop: int) -> list[tuple[int, int]]:
         """ES ``span_near`` (in_order=false, two terms) over THIS
         scope: (doc_id, intervening-token gap) for live docs where the
         terms co-occur within ``slop`` positions — vectorized off the
         positional postings (cb.phrase.span_near_docs), tombstone-
         masked, id-sorted."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         pa_, pb_ = self._local(term_a), self._local(term_b)
         if pa_ is None or pb_ is None:
             return []
@@ -1381,15 +1253,12 @@ class ShardServer:
 
     def intervals_q(
         self, terms: list[str], max_gaps: int, ordered: bool,
-        fetched_terms: list[str] = (), *fetched,
     ) -> list[tuple[int, int]]:
         """ES ``intervals`` (match rule, N single-term clauses) over
         THIS scope: (doc_id, min_gaps) for live docs where some
         one-occurrence-per-term tuple — in query order when
         ``ordered`` — spans at most ``max_gaps`` intervening positions
         (cb.phrase.intervals_docs), tombstone-masked, id-sorted."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         chunkeds = [self._local(t) for t in terms]
         ids, gaps = phrase_mod.intervals_docs(chunkeds, max_gaps, ordered)
         if len(ids) == 0:
@@ -1410,10 +1279,7 @@ class ShardServer:
             self.results.clear()  # scored-result LRU embeds the old mask
         return int(len(self.tombstones))
 
-    def terms_stats(
-        self, parsed: dict, group_col: str, stat_col: str,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> list[tuple]:
+    def terms_stats(self, parsed: dict, group_col: str, stat_col: str) -> list[tuple]:
         """ES terms agg with a metric sub-agg, kernel over THIS scope:
         the query's FULL match set grouped by the ``group_col`` docmeta
         value — ``(value, count, sum(stat_col))`` per value seen here.
@@ -1423,13 +1289,9 @@ class ShardServer:
         Vectorized: dictionary-encode + lexsort + add.reduceat; null
         group keys drop (the GROUP-BY convention shared with
         join_children)."""
-        from . import docmeta as docmeta_mod, querylang
+        from . import querylang
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         universe, acc, keep = querylang.match(
             parsed,
             get_postings=self._local,
@@ -1467,7 +1329,6 @@ class ShardServer:
 
     def lm_counts(
         self, unigrams: list[str], bigrams: list[tuple[str, str]],
-        fetched_terms: list[str] = (), *fetched,
     ) -> tuple[dict, dict]:
         """Language-model count kernel over THIS scope (the phrase
         suggester's evidence): collection frequency (total occurrences,
@@ -1476,8 +1337,6 @@ class ShardServer:
         so disjoint doc slices sum at the driver.  Only the
         candidate-set terms are decoded: the broadcast stays
         query-sized, never vocabulary-sized."""
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
         decs = {}
         cf: dict[str, int] = {}
         for t in unigrams:
@@ -1495,10 +1354,7 @@ class ShardServer:
                     bc[(a, b)] = c
         return cf, bc
 
-    def join_children(
-        self, parsed: dict, parent_col: str,
-        fetched_terms: list[str] = (), *fetched,
-    ) -> list[tuple]:
+    def join_children(self, parsed: dict, parent_col: str) -> list[tuple]:
         """ES join-field ``has_child`` kernel over THIS scope: the
         query's FULL match set scored, grouped by the parent key read
         off the docmeta column — ``(parent_value, max_score,
@@ -1507,13 +1363,9 @@ class ShardServer:
         merge exactly across disjoint doc slices at the driver.  Null
         parent keys drop (the SQL GROUP-BY-join convention shared with
         _top_hits_over)."""
-        from . import docmeta as docmeta_mod, querylang
+        from . import querylang
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         universe, acc, keep = querylang.match(
             parsed,
             get_postings=self._local,
@@ -1554,12 +1406,9 @@ class ShardServer:
         touched; disjoint slices re-cut exactly at the driver."""
         import pyarrow.compute as pc_
 
-        from . import docmeta as docmeta_mod
         from .query import rank_topk
 
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         if len(dm.ids) == 0 or not parent_scores:
             return []
         parents = sorted(parent_scores)
@@ -1581,11 +1430,7 @@ class ShardServer:
         values) for every requested id this slice's doc store holds;
         absent and tombstoned ids are omitted (the 404 half of mget),
         so the disjoint-slice fan-out concatenates duplicate-free."""
-        from . import docmeta as docmeta_mod
-
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
         ids = ids[_live_mask(ids, self.tombstones)]
         if len(ids) == 0 or len(dm.ids) == 0:
@@ -1600,25 +1445,16 @@ class ShardServer:
             for j, i in enumerate(ids)
         ]
 
-    def sample_hits(
-        self, parsed: dict, k: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[tuple[int, int]]:
+    def sample_hits(self, parsed: dict, k: int) -> list[tuple[int, int]]:
         """ES sampler aggregation, deterministically: the k lowest
         md5-hashed docs of THIS scope's full match set, as (doc_id,
         hash) pairs.  Hash order is a fixed uniform shuffle of the doc
         id space, so per-scope local top-k by (hash, doc_id) re-cut at
         the driver IS the global sample — no reservoir, no RNG state,
         rerun-stable and SQL-mirrorable."""
-        from . import docmeta as docmeta_mod, querylang
         from .hashing import md5_lower64
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if parsed.get("filters") or parsed.get("scoped_phrases"):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed)
         ids = self._cached_match(parsed, dm)
         if ids is None or len(ids) == 0:
             return []
@@ -1630,7 +1466,6 @@ class ShardServer:
 
     def diversified_hits(
         self, parsed: dict, col: str, k: int, max_per: int,
-        fetched_terms: list[str] = (), *fetched,
     ) -> list[tuple[int, int, str]]:
         """ES diversified_sampler over THIS scope, deterministically:
         candidates for the md5(doc_id)-order uniform sample with at
@@ -1639,14 +1474,9 @@ class ShardServer:
         every global survivor (the global per-value cut can only drop
         more), so the driver's identical re-cut is exact.  Returns
         (doc_id, hash, value) triples, ≤ max_per per value."""
-        from . import docmeta as docmeta_mod
         from .hashing import md5_lower64
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         ids = self._cached_match(parsed, dm)
         if ids is None or len(ids) == 0:
             return []
@@ -1671,9 +1501,7 @@ class ShardServer:
             for d, x, c in zip(si[keep], sh[keep], sc[keep])
         ]
 
-    def function_score(
-        self, parsed: dict, spec: dict, k: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[tuple[int, float]]:
+    def function_score(self, parsed: dict, spec: dict, k: int) -> list[tuple[int, float]]:
         """ES function_score over the query's FULL match set: the BM25
         score of every matching doc in this scope is combined with a
         docmeta-feature function BEFORE the top-k cut (unlike rescore,
@@ -1686,14 +1514,10 @@ class ShardServer:
         - ``saturation`` (ES rank_feature): ``score + w * x/(x+pivot)``
         - ``linear_decay``: ``score * max(0, scale-|x-origin|)/scale``
         """
-        from . import docmeta as docmeta_mod, querylang
+        from . import querylang
         from .query import rank_topk
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         universe, acc, keep = querylang.match(
             parsed,
             get_postings=self._local,
@@ -1712,7 +1536,7 @@ class ShardServer:
 
     def boosting(
         self, parsed_pos: dict, parsed_neg: dict, negative_boost: float,
-        k: int, fetched_terms: list[str] = (), *fetched,
+        k: int,
     ) -> list[tuple[int, float]]:
         """ES ``boosting`` query over THIS scope: the positive clause's
         full-match BM25 scores, multiplied by ``negative_boost`` for
@@ -1721,21 +1545,10 @@ class ShardServer:
         multiply by an exact binary fraction per demoted doc, so the
         SQL mirror (score * CASE WHEN matched THEN nb ELSE 1) is
         bitwise; per-doc, so disjoint doc slices re-cut exactly."""
-        from . import docmeta as docmeta_mod, querylang
+        from . import querylang
         from .query import rank_topk
 
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if any(
-            p.get("filters") or p.get("scoped_phrases")
-            for p in (parsed_pos, parsed_neg)
-        ):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(
-                    self.index_dir, buckets=self.buckets
-                )
-            dm = self._docmeta
+        dm = self._dm_for(parsed_pos, parsed_neg)
         universe, acc, keep = querylang.match(
             parsed_pos,
             get_postings=self._local,
@@ -1762,28 +1575,20 @@ class ShardServer:
             sc = np.where(demote, sc * float(negative_boost), sc)
         return rank_topk(ids, sc, k)
 
-    def explain(
-        self, terms: list[str], doc_id: int, fetched_terms: list[str] = (), *fetched
-    ) -> list[tuple[str, int, int, float]]:
+    def explain(self, terms: list[str], doc_id: int) -> list[tuple[str, int, int, float]]:
         """ES explain API: per-term BM25 contribution breakdown for ONE
         document — (term, tf, doc_len, contribution) for every query
         term the doc contains, computed with exactly the scoring
         kernel's idf * u factors (the sum of contributions IS the doc's
-        TAAT score, bitwise).  Doc-sharded: only the server whose slice
+        TAAT score, bitwise).  Only the server whose slice
         holds the doc emits rows."""
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p
-        for t in terms:
-            if t not in postings:
-                postings[t] = self._local(t)
         out: list[tuple[str, int, int, float]] = []
         if len(self.tombstones) and not _live_mask(
             np.array([doc_id], dtype=np.int64), self.tombstones
         )[0]:
             return out
         for t in sorted(terms):
-            p = postings.get(t)
+            p = self._local(t)
             if p is None:
                 continue
             ids, tfs, dls = p.decode_all()
@@ -1794,26 +1599,13 @@ class ShardServer:
                 out.append((t, int(tfs[j]), int(dls[j]), idf * u))
         return out
 
-    def filter_counts(
-        self, parsed: dict, named: dict, fetched_terms: list[str] = (), *fetched
-    ) -> dict[str, int]:
+    def filter_counts(self, parsed: dict, named: dict) -> dict[str, int]:
         """ES ``filters`` aggregation over THIS scope: for each named
         sub-query, |match(main) ∩ match(sub)| on this disjoint doc
         slice (both match sets come from the same querylang.match
         plumbing; the driver fold is exact addition).  Sub-queries are
         parsed/expanded driver-side and shipped concrete."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        need_dm = parsed.get("filters") or parsed.get("scoped_phrases") or any(
-            sp.get("filters") or sp.get("scoped_phrases") for sp in named.values()
-        )
-        dm = None
-        if need_dm:
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed, *named.values())
 
         main = self._cached_match(parsed, dm)
         out: dict[str, int] = {}
@@ -1828,27 +1620,14 @@ class ShardServer:
             out[name] = int(len(np.intersect1d(main, sub, assume_unique=True)))
         return out
 
-    def adjacency_counts(
-        self, parsed: dict, named: dict, fetched_terms: list[str] = (), *fetched
-    ) -> dict[tuple[str, str], int]:
+    def adjacency_counts(self, parsed: dict, named: dict) -> dict[tuple[str, str], int]:
         """ES ``adjacency_matrix`` aggregation over THIS scope: for
         every named filter pair (a, b) with a <= b, the count of
         main-match docs in match(a) ∩ match(b) (the diagonal (a, a) is
         the plain filters-agg bucket).  Per-name match sets are
         computed ONCE on this slice, pairwise intersections are sorted
         numpy intersects; the driver fold is exact addition."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        need_dm = parsed.get("filters") or parsed.get("scoped_phrases") or any(
-            sp.get("filters") or sp.get("scoped_phrases") for sp in named.values()
-        )
-        dm = None
-        if need_dm:
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed, *named.values())
 
         def _match_ids(p_):
             ids = self._cached_match(p_, dm)
@@ -1873,25 +1652,15 @@ class ShardServer:
                 )
         return out
 
-    def significant(
-        self, parsed: dict, min_df: int = 2, fetched_terms: list[str] = (), *fetched
-    ) -> tuple[dict, int]:
+    def significant(self, parsed: dict, min_df: int = 2) -> tuple[dict, int]:
         """Foreground term counts over THIS scope's match set (the
-        per-server half of ES significant_terms): for every owned term
-        with corpus df >= min_df, |postings(term) ∩ matched| via one
+        per-server half of ES significant_terms): for every term in this
+        slice with corpus df >= min_df, |postings(term) ∩ matched| via one
         vectorized searchsorted.  Without stored per-doc term vectors
-        this walks the owned vocabulary once per query — warmed decodes
+        this walks the slice's vocabulary once per query — warmed decodes
         (``warm``) make it a pure numpy pass; scopes are disjoint doc
         slices so the driver merge is exact addition."""
-        from . import docmeta as docmeta_mod, querylang
-
-        for t, p in zip(fetched_terms, fetched):
-            self.cache[t] = p
-        dm = None
-        if parsed.get("filters") or parsed.get("scoped_phrases"):
-            if self._docmeta is None:
-                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-            dm = self._docmeta
+        dm = self._dm_for(parsed)
         ids = self._cached_match(parsed, dm)
         if ids is None:
             return {}, 0
@@ -1904,13 +1673,10 @@ class ShardServer:
         (``col == val`` — the filter-only background population of ES
         significant_terms' background_filter): one vectorized equality
         over this slice's docmeta, tombstone-masked, then the same
-        owned-vocabulary walk as :meth:`significant`."""
+        vocabulary walk as :meth:`significant`."""
         import pyarrow.compute as pc
-        from . import docmeta as docmeta_mod
 
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         arr = dm.cols.get(col)
         if arr is None or len(dm.ids) == 0:
             return {}, 0
@@ -1922,7 +1688,7 @@ class ShardServer:
         return self._sig_walk(matched, min_df)
 
     def _sig_walk(self, matched: np.ndarray, min_df: int) -> tuple[dict, int]:
-        """Owned-vocabulary intersection counts over a sorted matched-id
+        """Slice-vocabulary intersection counts over a sorted matched-id
         array (the shared half of significant / significant_meta)."""
         counts: dict[str, int] = {}
         for part in self.parts.values():
@@ -1944,32 +1710,18 @@ class ShardServer:
                     counts[term] = c
         return counts, int(len(matched))
 
-    def phrase(self, ordered_terms: list[str], k: int, fetched_terms: list[str], *fetched, slop: int = 0):
-        """Exact phrase top-k (positional postings); same fetch protocol
-        as :meth:`score`."""
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p
-        for t in set(ordered_terms):
-            if t not in postings:
-                postings[t] = self._local(t)
+    def phrase(self, ordered_terms: list[str], k: int, slop: int = 0):
+        """Exact phrase top-k (positional postings) over this slice."""
+        postings = {t: self._local(t) for t in set(ordered_terms)}
         return _phrase_topk_live(ordered_terms, postings, self.stats, k, self.tombstones, slop=slop)
 
-    def phrase_prefix(
-        self, fixed: list[str], expansions: list[str], k: int,
-        fetched_terms: list[str] = (), *fetched
-    ):
+    def phrase_prefix(self, fixed: list[str], expansions: list[str], k: int):
         """ES match_phrase_prefix over this scope (see
-        cb.phrase.phrase_prefix_topk for the matching/scoring contract);
-        same fetch protocol as :meth:`score`.  Tombstones are dropped
-        from the FULL match set before ranking (no over-fetch needed —
-        prefix matching computes the whole set anyway)."""
-        postings = dict(zip(fetched_terms, fetched))
-        for t, p in postings.items():
-            self.cache[t] = p
-        for t in set(fixed) | set(expansions):
-            if t not in postings:
-                postings[t] = self._local(t)
+        cb.phrase.phrase_prefix_topk for the matching/scoring contract).
+        Tombstones are dropped from the FULL match set before ranking
+        (no over-fetch needed — prefix matching computes the whole set
+        anyway)."""
+        postings = {t: self._local(t) for t in set(fixed) | set(expansions)}
         return phrase_mod.phrase_prefix_topk(
             fixed, expansions, postings, self.stats, k, drop_ids=self.tombstones
         )
@@ -1979,15 +1731,15 @@ class ShardServer:
         requested doc THIS scope owns, every (term, tf, doc_len,
         positions) posting — bucket-pruned + candidate-block decode
         (see cb.termvectors).  Tombstoned docs return nothing (ES 404
-        on a deleted doc).  Doc mode: only the owning server emits, so
-        the engine concat is duplicate-free."""
+        on a deleted doc).  Only the owning server emits, so the engine
+        concat is duplicate-free."""
         import pyarrow.compute as pc_
 
         from . import termvectors
         from .build import ID_BITS
 
         shift = ID_BITS - self.range_bits
-        owned = set(self.buckets) if self.buckets is not None else None
+        owned = set(self.buckets)
         rows: list[tuple] = []
         for doc in doc_ids:
             doc = int(doc)
@@ -1996,7 +1748,7 @@ class ShardServer:
             )[0]:
                 continue
             b = doc >> shift
-            if owned is not None and b not in owned:
+            if b not in owned:
                 continue
             for part in self.parts.values():
                 if part.table is None:
@@ -2016,12 +1768,9 @@ class ShardServer:
         contract identical to :meth:`term_vectors`; the parity test
         between the two cross-proves the positional index against the
         analyzer."""
-        from . import docmeta as docmeta_mod
         from .build import ID_BITS
 
-        if self._docmeta is None:
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
-        dm = self._docmeta
+        dm = self._dm()
         if text_col not in dm.cols:
             raise ValueError(
                 f"doc-store term vectors need docmeta column {text_col!r} "
@@ -2029,10 +1778,9 @@ class ShardServer:
                 "the index path (term_vectors)"
             )
         shift = ID_BITS - self.range_bits
-        owned = set(self.buckets) if self.buckets is not None else None
         ids = np.array(sorted(set(int(d) for d in doc_ids)), dtype=np.int64)
-        if owned is not None and len(ids):
-            ids = ids[np.isin(ids >> shift, np.array(sorted(owned), dtype=np.int64))]
+        if len(ids):
+            ids = ids[np.isin(ids >> shift, np.array(sorted(self.buckets), dtype=np.int64))]
         if len(self.tombstones) and len(ids):
             ids = ids[_live_mask(ids, self.tombstones)]
         if len(ids) == 0:
@@ -2052,11 +1800,9 @@ class ShardServer:
         return rows
 
     def score_many(self, term_lists: list[list[str]], k: int, algo: str = "taat"):
-        """Batched scoring of pre-tokenized queries whose terms this
-        server already holds (warm path; one RPC amortizes round-trips)."""
-        return [
-            self.score(terms, k, [], algo=algo) for terms in term_lists
-        ]
+        """Batched scoring of pre-tokenized queries (one RPC amortizes
+        round-trips)."""
+        return [self.score(terms, k, algo=algo) for terms in term_lists]
 
     def get_dfs(self, terms: list[str]) -> dict[str, int]:
         """Corpus-global df per term from the partition ``_termdf``
@@ -2064,11 +1810,9 @@ class ShardServer:
         selection)."""
         out = {}
         for t in terms:
-            part = self.parts.get(term_partition(t, self.num_parts))
-            if part is not None:
-                df = part.global_df.get(t)
-                if df:
-                    out[t] = int(df)
+            df = self.parts[term_partition(t, self.num_parts)].global_df.get(t)
+            if df:
+                out[t] = int(df)
         return out
 
 
@@ -2221,31 +1965,20 @@ def _merge_topk(results: list[list[tuple[int, float]]], k: int) -> list[tuple[in
 
 
 class QueryEngine:
-    """Driver-side facade over the ShardServer pool.
+    """Driver-side facade over a doc-sharded ShardServer pool.
 
-    Two topologies (``mode``):
-
-    - ``"doc"`` (default): every server holds a doc-range BUCKET slice
-      of every term partition; a query fans out to all servers, each
-      scores its disjoint doc subset locally (per-query work ~1/S per
-      server — throughput scales by dividing work, and per-server
-      decode/cache memory shrinks with the pool), and the driver merges
-      by (score, doc_id).  This is partition re-assignment, not
-      replication: adding servers re-slices the doc ranges.  The analog
-      of ES's doc-sharded index with scatter-gather search.
-    - ``"term"``: each server owns whole term partitions
-      (p % num_servers); a query routes to the server owning most of
-      its terms, fetching the rest once via the object store.  Lower
-      fan-out per query; replica round-robin for warm term sets.
+    Every server holds a doc-range BUCKET slice of every term
+    partition; a request fans out to all servers, each answers over its
+    disjoint doc subset locally (per-query work ~1/S per server —
+    throughput scales by dividing work, and per-server decode/cache
+    memory shrinks with the pool), and the driver merges exactly (top-k
+    by (score, doc_id), aggregation partials by addition).  This is
+    partition re-assignment, not replication: adding servers re-slices
+    the doc ranges.  The analog of ES's doc-sharded index with
+    scatter-gather search.
     """
 
-    def __init__(
-        self,
-        index_dir: str,
-        num_servers: int = 2,
-        mode: str = "doc",
-        fed: str | None = None,
-    ):
+    def __init__(self, index_dir: str, num_servers: int = 2, fed: str | None = None):
         self.meta = IndexMeta(index_dir)
         self.index_dir = index_dir
         self._aliases: dict | None = None  # lazy `_aliases.json` load
@@ -2260,58 +1993,36 @@ class QueryEngine:
 
             with open(_fed_mod.fed_meta_path(fed)) as f:
                 self._n_docs = _json.load(f)["n_docs"]
-        self.num_servers = num_servers
-        self.mode = mode
-        if mode == "doc":
-            n_buckets = 1 << self.meta.range_bits
-            if num_servers > n_buckets:
-                raise ValueError(
-                    f"doc-sharded pool needs num_servers <= {n_buckets} "
-                    f"(2^range_bits doc-range buckets)"
-                )
-            all_parts = list(range(self.meta.num_parts))
-            # the bucket universe: enumerable for realistic range_bits;
-            # a sparse layout (huge range_bits over few live buckets)
-            # is discovered from the docstats listing instead — the
-            # ownership RULE (bucket % num_servers) is identical either
-            # way, so routing and parity are unchanged
-            if self.meta.range_bits <= 16:
-                universe = range(n_buckets)
-            else:
-                universe = sorted(
-                    int(os.path.basename(f)[len("bucket="):-len(".parquet")])
-                    for f in glob.glob(
-                        os.path.join(index_dir, "docstats", "bucket=*.parquet")
-                    )
-                )
-            assignments = [
-                [b for b in universe if b % num_servers == s]
-                for s in range(num_servers)
-            ]
-            # bucket-pruned layout: every server reads ONLY its assigned
-            # bucket files (disjoint), so the pool's total load I/O is
-            # one read of the index regardless of S, each server's share
-            # is ~1/S, and no file is ever decoded twice
-            self.servers = [
-                ShardServer.remote(index_dir, all_parts, buckets=assignments[s], fed=fed)
-                for s in range(num_servers)
-            ]
-        elif mode == "term":
-            assignments: dict[int, list[int]] = {s: [] for s in range(num_servers)}
-            for p in range(self.meta.num_parts):
-                assignments[p % num_servers].append(p)
-            self.servers = [
-                ShardServer.remote(index_dir, assignments[s], fed=fed)
-                for s in range(num_servers)
-            ]
+        n_buckets = 1 << self.meta.range_bits
+        if num_servers > n_buckets:
+            raise ValueError(
+                f"doc-sharded pool needs num_servers <= {n_buckets} "
+                f"(2^range_bits doc-range buckets)"
+            )
+        # the bucket universe: enumerable for realistic range_bits; a
+        # sparse layout (huge range_bits over few live buckets) is
+        # discovered from the docstats listing instead — the ownership
+        # RULE (bucket % num_servers) is identical either way
+        if self.meta.range_bits <= 16:
+            universe = range(n_buckets)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
-        # terms each server is known to hold decoded/fetched (cache map)
-        self.seen: list[set[str]] = [set() for _ in range(num_servers)]
-        self._rr = 0  # round-robin counter over warm replicas
+            universe = sorted(
+                int(os.path.basename(f)[len("bucket="):-len(".parquet")])
+                for f in glob.glob(os.path.join(index_dir, "docstats", "bucket=*.parquet"))
+            )
+        # bucket-pruned layout: every server reads ONLY its assigned
+        # bucket files (disjoint), so the pool's total load I/O is one
+        # read of the index regardless of S, each server's share is
+        # ~1/S, and no file is ever decoded twice
+        self.servers = [
+            ShardServer.remote(
+                index_dir, [b for b in universe if b % num_servers == s], fed=fed
+            )
+            for s in range(num_servers)
+        ]
         # driver-side merged-result LRU: the index is immutable for the
         # engine's lifetime, so repeat queries skip the scatter-gather
-        # fan-out entirely (doc mode pays S RPCs per distinct query)
+        # fan-out entirely (a distinct query pays S RPCs)
         from collections import OrderedDict
 
         self._results: "OrderedDict[tuple, list]" = OrderedDict()
@@ -2323,7 +2034,7 @@ class QueryEngine:
 
     def warm(self, min_df: int = 0) -> int:
         """Pre-decode hot postings on every server (blocks until done)."""
-        return sum(ray.get([s.warm.remote(min_df) for s in self.servers]))
+        return sum(self._gather("warm", min_df))
 
     def shutdown(self) -> None:
         """Kill the server actors (callers that create short-lived
@@ -2332,8 +2043,16 @@ class QueryEngine:
             ray.kill(s)
         self.servers = []
 
-    def _owner(self, term: str) -> int:
-        return term_partition(term, self.meta.num_parts) % self.num_servers
+    def _fanout(self, method: str, *args, **kwargs) -> list:
+        """Call ShardServer ``method`` on every server WITHOUT the final
+        ray.get: one ref per server, in pool order — the single dispatch
+        shape every request uses (federations collect these refs across
+        sub-indexes and block once)."""
+        return [getattr(s, method).remote(*args, **kwargs) for s in self.servers]
+
+    def _gather(self, method: str, *args, **kwargs) -> list:
+        """:meth:`_fanout` and wait: every server's partial, pool order."""
+        return ray.get(self._fanout(method, *args, **kwargs))
 
     def _dispatch(self, text: str, k: int, algo: str):
         return self._dispatch_terms(sorted(set(analyze.tokenize(text))), k, algo)
@@ -2341,33 +2060,7 @@ class QueryEngine:
     def _dispatch_terms(self, terms: list[str], k: int, algo: str):
         if not terms:
             return None
-        if self.mode == "doc":
-            # scatter-gather: every term is local to every server's slice
-            return [s.score.remote(terms, k, [], algo=algo) for s in self.servers]
-        owners = {t: self._owner(t) for t in terms}
-        # Routing: any server CAN score any query (it fetches and caches
-        # non-local postings), so servers act as replicas once warm.
-        # Round-robin across servers that have already seen every query
-        # term (throughput scales with the pool); for cold term sets,
-        # route to the server owning the most terms (fewest fetches) —
-        # a pure function of the term set, so retries of a cold query
-        # reuse the same server's cache instead of thrashing.
-        covered = [
-            s for s in range(self.num_servers)
-            if all(t in self.seen[s] for t in terms)
-        ]
-        if covered:
-            scorer = covered[self._rr % len(covered)]
-            self._rr += 1
-        else:
-            counts = np.bincount([owners[t] for t in terms], minlength=self.num_servers)
-            scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in terms if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(terms)
-        return self.servers[scorer].score.remote(terms, k, fetched_terms, *refs, algo=algo)
+        return self._fanout("score", terms, k, algo=algo)
 
     def _cache_put(self, key: tuple, res: list) -> list:
         if len(self._results) >= self._results_cap:
@@ -2393,19 +2086,13 @@ class QueryEngine:
         if fut is None:
             self.telemetry.record("query.total", _time.perf_counter() - t0)
             return []
-        if isinstance(fut, list):  # doc-sharded scatter-gather
-            scored = ray.get(fut)
-            t2 = _time.perf_counter()
-            self.telemetry.record("query.wait", t2 - t1)
-            res = self._cache_put(key, _merge_topk(scored, k))
-            t3 = _time.perf_counter()
-            self.telemetry.record("query.merge", t3 - t2)
-            self.telemetry.record("query.total", t3 - t0)
-            return res
-        res = self._cache_put(key, ray.get(fut))
+        scored = ray.get(fut)
         t2 = _time.perf_counter()
         self.telemetry.record("query.wait", t2 - t1)
-        self.telemetry.record("query.total", t2 - t0)
+        res = self._cache_put(key, _merge_topk(scored, k))
+        t3 = _time.perf_counter()
+        self.telemetry.record("query.merge", t3 - t2)
+        self.telemetry.record("query.total", t3 - t0)
         return res
 
     def metrics(self) -> dict:
@@ -2418,7 +2105,7 @@ class QueryEngine:
         its warm/score split stay visible next to the roll-up."""
         from .telemetry import merge_snapshots
 
-        per_server = ray.get([s.metrics.remote() for s in self.servers])
+        per_server = self._gather("metrics")
         return {
             "engine": self.telemetry.snapshot(),
             "servers": merge_snapshots(per_server),
@@ -2448,7 +2135,7 @@ class QueryEngine:
         written after it started), and this makes later deletes
         visible: every server re-reads `_tombstones.json` and drops
         its match cache.  Returns the tombstone count."""
-        counts = ray.get([s.reload_tombstones.remote() for s in self.servers])
+        counts = self._gather("reload_tombstones")
         self._results.clear()  # merged-result LRU embeds the old mask
         return int(max(counts, default=0))
 
@@ -2459,29 +2146,11 @@ class QueryEngine:
         return self._aliases
 
     def filtered_query(self, text: str, filters: dict, k: int = 10) -> list[tuple[int, float]]:
-        """Filtered BM25 via the pool (scatter-gather in doc mode,
-        ownership-routed in term mode)."""
+        """Filtered BM25 via the pool (scatter-gather, exact merge)."""
         terms = sorted(set(analyze.tokenize(text)))
         if not terms:
             return []
-        if self.mode == "doc":
-            futs = [
-                s.score_filtered.remote(terms, k, filters, []) for s in self.servers
-            ]
-            return _merge_topk(ray.get(futs), k)
-        owners = {t: self._owner(t) for t in terms}
-        counts = np.bincount([owners[t] for t in terms], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in terms if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(terms)
-        return ray.get(
-            self.servers[scorer].score_filtered.remote(
-                terms, k, filters, fetched_terms, *refs
-            )
-        )
+        return _merge_topk(self._gather("score_filtered", terms, k, filters), k)
 
     def _dispatch_phrase(self, text: str, k: int, slop: int = 0):
         """Phrase dispatch without the final ray.get (federation
@@ -2489,33 +2158,16 @@ class QueryEngine:
         ordered = analyze.tokenize(text)
         if not ordered:
             return None
-        if self.mode == "doc":
-            return [s.phrase.remote(ordered, k, [], slop=slop) for s in self.servers]
-        uniq = sorted(set(ordered))
-        owners = {t: self._owner(t) for t in uniq}
-        counts = np.bincount([owners[t] for t in uniq], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in uniq if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(uniq)
-        return self.servers[scorer].phrase.remote(
-            ordered, k, fetched_terms, *refs, slop=slop
-        )
+        return self._fanout("phrase", ordered, k, slop=slop)
 
     def phrase_query(
         self, text: str, k: int = 10, slop: int = 0
     ) -> list[tuple[int, float]]:
-        """Phrase top-k via the pool (scatter-gather in doc mode,
-        ownership-routed in term mode); ``slop`` = total extra gaps
-        allowed between the in-order terms (0 = exact adjacency)."""
+        """Phrase top-k via the pool (scatter-gather, exact merge);
+        ``slop`` = total extra gaps allowed between the in-order terms
+        (0 = exact adjacency)."""
         fut = self._dispatch_phrase(text, k, slop)
-        if fut is None:
-            return []
-        if isinstance(fut, list):
-            return _merge_topk(ray.get(fut), k)
-        return ray.get(fut)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def _dispatch_phrase_prefix(
         self, text: str, k: int, max_expansions: int | None
@@ -2531,22 +2183,7 @@ class QueryEngine:
             expansions = expansions[:max_expansions]
         if not expansions:
             return None
-        if self.mode == "doc":
-            return [
-                s.phrase_prefix.remote(fixed, expansions, k) for s in self.servers
-            ]
-        involved = sorted(set(fixed) | set(expansions))
-        owners = {t: self._owner(t) for t in involved}
-        counts = np.bincount([owners[t] for t in involved], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in involved if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(involved)
-        return self.servers[scorer].phrase_prefix.remote(
-            fixed, expansions, k, fetched_terms, *refs
-        )
+        return self._fanout("phrase_prefix", fixed, expansions, k)
 
     def phrase_prefix_query(
         self, text: str, k: int = 10, max_expansions: int | None = 50
@@ -2559,63 +2196,27 @@ class QueryEngine:
         immediately followed by any completion match, scored by BM25 of
         the fixed terms (cb.phrase.phrase_prefix_topk contract)."""
         fut = self._dispatch_phrase_prefix(text, k, max_expansions)
-        if fut is None:
-            return []
-        if isinstance(fut, list):
-            return _merge_topk(ray.get(fut), k)
-        return ray.get(fut)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def _dispatch_search(self, query_string: str, k: int, synonyms: dict | None = None):
-        """Query-string dispatch WITHOUT the final ray.get: returns a
-        list of per-server refs (doc mode) or one ref (term mode), or
-        None for an empty query — lets federations collect refs across
-        sub-indexes and block once."""
-        from . import querylang
-
-        parsed = querylang.parse(query_string)
-        if parsed.get("expands"):
-            if self._vocab is None:
-                self._vocab = load_vocab(self.meta)
-            parsed = querylang.expand(parsed, self._vocab)
-        if synonyms:
-            parsed = querylang.apply_synonyms(parsed, synonyms)
-        involved = sorted(
-            set(parsed.get("weights") or parsed["terms"])
-            | {t for p in parsed["phrases"] for t in p}
-            | set(parsed["excluded"])
-            # negated-phrase terms must ship too: a term-mode scorer
-            # missing one would silently skip the must_not clause
-            | {t for p in parsed.get("excluded_phrases", []) for t in p}
-        )
+        """Query-string dispatch WITHOUT the final ray.get: the
+        per-server refs, or None for an empty query — lets federations
+        collect refs across sub-indexes and block once."""
+        parsed, involved = self._parsed_and_involved(query_string, synonyms)
         if not involved:
             return None
-        if self.mode == "doc":
-            return [s.query_string.remote(parsed, k) for s in self.servers]
-        owners = {t: self._owner(t) for t in involved}
-        counts = np.bincount([owners[t] for t in involved], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in involved if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(involved)
-        return self.servers[scorer].query_string.remote(parsed, k, fetched_terms, *refs)
+        return self._fanout("query_string", parsed, k)
 
     def search(
         self, query_string: str, k: int = 10, synonyms: dict | None = None
     ) -> list[tuple[int, float]]:
-        """Lucene-lite query string via the pool (scatter-gather in doc
-        mode; ownership-routed with postings fetch in term mode).
-        Wildcard/fuzzy atoms are rewritten ONCE here against the
-        vocabulary summary; servers receive concrete terms.
+        """Lucene-lite query string via the pool (scatter-gather, exact
+        merge).  Wildcard/fuzzy atoms are rewritten ONCE here against
+        the vocabulary summary; servers receive concrete terms.
         ``synonyms`` applies the ES query-time synonym filter
         (querylang.apply_synonyms) to the scored term set."""
         fut = self._dispatch_search(query_string, k, synonyms=synonyms)
-        if fut is None:
-            return []
-        if isinstance(fut, list):
-            return _merge_topk(ray.get(fut), k)
-        return ray.get(fut)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def msearch(
         self, query_strings: list[str], k: int = 10,
@@ -2629,29 +2230,21 @@ class QueryEngine:
         the wait for query i.  Same kernels and merge as search() —
         results are bitwise identical to the sequential loop."""
         futs = [
-            self._dispatch_search(q, k, synonyms=synonyms)
+            self._dispatch_search(q, k, synonyms=synonyms) or []
             for q in query_strings
         ]
-        flat: list = []
-        for f in futs:
-            if f is None:
-                continue
-            flat.extend(f if isinstance(f, list) else [f])
-        got = ray.get(flat)
+        got = ray.get([r for f in futs for r in f])
         out: list[list[tuple[int, float]]] = []
         pos = 0
         for f in futs:
-            if f is None:
-                out.append([])
-            elif isinstance(f, list):
-                out.append(_merge_topk(got[pos:pos + len(f)], k))
-                pos += len(f)
-            else:
-                out.append(got[pos])
-                pos += 1
+            out.append(_merge_topk(got[pos:pos + len(f)], k) if f else [])
+            pos += len(f)
         return out
 
-    def _parsed_and_involved(self, query_string: str):
+    def _parsed_and_involved(self, query_string: str, synonyms: dict | None = None):
+        """Parse (and wildcard/fuzzy-expand, then synonym-rewrite) a
+        query string; ``involved`` is every term it touches — empty
+        means nothing can match, so callers skip the fan-out."""
         from . import querylang
 
         parsed = querylang.parse(query_string)
@@ -2659,6 +2252,8 @@ class QueryEngine:
             if self._vocab is None:
                 self._vocab = load_vocab(self.meta)
             parsed = querylang.expand(parsed, self._vocab)
+        if synonyms:
+            parsed = querylang.apply_synonyms(parsed, synonyms)
         involved = sorted(
             set(parsed.get("weights") or parsed["terms"])
             | {t for p in parsed["phrases"] for t in p}
@@ -2667,51 +2262,25 @@ class QueryEngine:
         )
         return parsed, involved
 
-    def _route_agg(self, method: str, parsed: dict, involved: list[str], *args):
-        """Aggregation dispatch without the final ray.get: list of
-        per-server refs (doc mode) or one ref (term mode).  ``method``
-        is the ShardServer method name; ``args`` its extra positional
-        args before the fetch protocol."""
-        if self.mode == "doc":
-            return [
-                getattr(s, method).remote(parsed, *args) for s in self.servers
-            ]
-        owners = {t: self._owner(t) for t in involved}
-        counts = np.bincount([owners[t] for t in involved], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in involved if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(involved)
-        return getattr(self.servers[scorer], method).remote(
-            parsed, *args, fetched_terms, *refs
-        )
-
     def _dispatch_facets(self, query_string: str, facet_cols, stats_cols):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg(
-            "facet_counts", parsed, involved, list(facet_cols), list(stats_cols)
-        )
+        return self._fanout("facet_counts", parsed, list(facet_cols), list(stats_cols))
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=()
     ) -> tuple[dict, dict]:
         """Pool facet aggregation over the query's FULL match set
-        (scatter-gather + exact merge in doc mode — each server counts
-        its disjoint slice, so work and memory are ~1/S per server;
-        ownership-routed in term mode)."""
+        (scatter-gather + exact merge — each server counts its disjoint
+        slice, so work and memory are ~1/S per server)."""
         fut = self._dispatch_facets(query_string, facet_cols, stats_cols)
         if fut is None:
             return (
                 {c: {} for c in facet_cols},
                 {c: (0, 0, None, None) for c in stats_cols},
             )
-        if isinstance(fut, list):
-            return _merge_facets(ray.get(fut))
-        return ray.get(fut)
+        return _merge_facets(ray.get(fut))
 
     def _dispatch_boosting(
         self, positive: str, negative: str, negative_boost: float, k: int
@@ -2719,11 +2288,8 @@ class QueryEngine:
         p_pos, inv_pos = self._parsed_and_involved(positive)
         if not inv_pos:
             return None
-        p_neg, inv_neg = self._parsed_and_involved(negative)
-        return self._route_agg(
-            "boosting", p_pos, sorted(set(inv_pos) | set(inv_neg)),
-            p_neg, float(negative_boost), k,
-        )
+        p_neg, _ = self._parsed_and_involved(negative)
+        return self._fanout("boosting", p_pos, p_neg, float(negative_boost), k)
 
     def boosting(
         self, positive: str, negative: str,
@@ -2735,16 +2301,13 @@ class QueryEngine:
         demotion is per-doc, so the doc-sharded merge is the exact
         global top-k."""
         fut = self._dispatch_boosting(positive, negative, negative_boost, k)
-        if fut is None:
-            return []
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
-        return _merge_topk(parts, k)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def _dispatch_stats_ext(self, query_string: str, cols):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg("stats_ext", parsed, involved, list(cols))
+        return self._fanout("stats_ext", parsed, list(cols))
 
     def extended_stats(self, query_string: str, cols=("n_chars",)) -> dict:
         """ES extended_stats aggregation over the query's FULL match
@@ -2755,9 +2318,7 @@ class QueryEngine:
         fut = self._dispatch_stats_ext(query_string, cols)
         if fut is None:
             return {c: (0, 0, 0, None, None) for c in cols}
-        if isinstance(fut, list):
-            return _merge_stats_ext(ray.get(fut))
-        return ray.get(fut)
+        return _merge_stats_ext(ray.get(fut))
 
     def matrix_stats(
         self, query_string: str, col: str = "n_chars"
@@ -2770,8 +2331,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return (0, 0, 0, 0, 0, 0)
-        fut = self._route_agg("matrix_stats", parsed, involved, col)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("matrix_stats", parsed, col)
         out = (0, 0, 0, 0, 0, 0)
         for p in parts:
             out = tuple(a + b for a, b in zip(out, p))
@@ -2779,31 +2339,17 @@ class QueryEngine:
 
     def term_dfs(self, terms: list[str]) -> dict[str, int]:
         """Corpus-global df per term via the tiny ``_termdf`` summaries
-        (no postings decode).  Doc mode: every server holds every
-        partition's summary — one RPC; term mode: terms batched to
-        their owners."""
+        (no postings decode).  Every server holds every partition's
+        summary, so one RPC answers."""
         terms = sorted(set(terms))
         if not terms:
             return {}
-        if self.mode == "doc":
-            return ray.get(self.servers[0].get_dfs.remote(terms))
-        by_owner: dict[int, list[str]] = {}
-        for t in terms:
-            by_owner.setdefault(self._owner(t), []).append(t)
-        futs = [self.servers[s].get_dfs.remote(ts) for s, ts in by_owner.items()]
-        out: dict[str, int] = {}
-        for d in ray.get(futs):
-            out.update(d)
-        return out
+        return ray.get(self.servers[0].get_dfs.remote(terms))
 
     def query_terms(self, terms: list[str], k: int = 10, algo: str = "taat"):
         """Top-k over an explicit (pre-analyzed) term set."""
         fut = self._dispatch_terms(sorted(set(terms)), k, algo)
-        if fut is None:
-            return []
-        if isinstance(fut, list):
-            return _merge_topk(ray.get(fut), k)
-        return ray.get(fut)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def regexp_query(
         self, pattern: str, k: int = 10, algo: str = "taat"
@@ -2938,9 +2484,8 @@ class QueryEngine:
                       : log10(discount * cf(w_i)/T) ]
 
         with cf = collection frequency and bigram counts read straight
-        off the positional postings by ONE routed lm_counts kernel
-        (doc mode: disjoint slices sum; term mode: the majority owner
-        answers with fetched postings) and T = the index's exact
+        off the positional postings by ONE lm_counts fan-out (disjoint
+        slices sum) and T = the index's exact
         total_tokens.  The broadcast evidence is candidate-set-sized.
         Returns (rank, phrase, score) top-k by (score desc, phrase
         asc); phrases whose words all vanished (cf 0) drop.  With
@@ -2990,8 +2535,7 @@ class QueryEngine:
         bigrams = sorted(
             {(p[i], p[i + 1]) for p in phrases for i in range(len(p) - 1)}
         )
-        fut = self._route_agg("lm_counts", unigrams, unigrams, bigrams)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("lm_counts", unigrams, bigrams)
         cf: dict[str, int] = {}
         bc: dict[tuple[str, str], int] = {}
         for pcf, pbc in parts:
@@ -3041,57 +2585,11 @@ class QueryEngine:
     ) -> tuple[dict[str, int], int]:
         """Per-term counts over the query's FULL match set + the match
         total — the shared half of significant_terms and its
-        background_filter variant.  Doc mode: per-server slice counts
-        add; term mode: per-server owned-vocab counts union (disjoint
-        terms), every server sees the same match total."""
-        from . import querylang
-
-        parsed = querylang.parse(query_string)
-        if parsed.get("expands"):
-            if self._vocab is None:
-                self._vocab = load_vocab(self.meta)
-            parsed = querylang.expand(parsed, self._vocab)
-        involved = sorted(
-            set(parsed.get("weights") or parsed["terms"])
-            | {t for p in parsed["phrases"] for t in p}
-            | set(parsed["excluded"])
-            | {t for p in parsed.get("excluded_phrases", []) for t in p}
-        )
+        background_filter variant: per-server slice counts add."""
+        parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {}, 0
-        if self.mode == "doc":
-            parts = ray.get(
-                [s.significant.remote(parsed, min_df) for s in self.servers]
-            )
-            fg: dict[str, int] = {}
-            for d, _ in parts:
-                for t, c in d.items():
-                    fg[t] = fg.get(t, 0) + c
-            m = sum(mm for _, mm in parts)
-        else:
-            owners = {t: self._owner(t) for t in involved}
-            futs = []
-            for s in range(self.num_servers):
-                fetched_terms = [
-                    t for t in involved
-                    if owners[t] != s and t not in self.seen[s]
-                ]
-                refs = [
-                    self.servers[owners[t]].get_postings.remote(t)
-                    for t in fetched_terms
-                ]
-                self.seen[s].update(involved)
-                futs.append(
-                    self.servers[s].significant.remote(
-                        parsed, min_df, fetched_terms, *refs
-                    )
-                )
-            parts = ray.get(futs)
-            fg = {}
-            for d, _ in parts:
-                fg.update(d)  # disjoint term ownership
-            m = max((mm for _, mm in parts), default=0)
-        return fg, m
+        return _merge_sig(self._gather("significant", parsed, min_df))
 
     def significant_terms_filtered(
         self, query_string: str, background_filter: str,
@@ -3118,22 +2616,8 @@ class QueryEngine:
         if not m:
             return []
         # pure-filter background: docmeta equality match (no scored
-        # terms to ride querylang.match).  Doc mode: disjoint slices
-        # add; term mode: docmeta is whole-corpus on every server, so
-        # counts union over disjoint owned vocab and nb is the max.
-        parts = ray.get(
-            [s.significant_meta.remote(col, val, min_df) for s in self.servers]
-        )
-        bg: dict[str, int] = {}
-        if self.mode == "doc":
-            for d, _ in parts:
-                for t, c in d.items():
-                    bg[t] = bg.get(t, 0) + c
-            nb = sum(mm for _, mm in parts)
-        else:
-            for d, _ in parts:
-                bg.update(d)
-            nb = max((mm for _, mm in parts), default=0)
+        # terms to ride querylang.match); disjoint slices add
+        bg, nb = _merge_sig(self._gather("significant_meta", col, val, min_df))
         if not nb:
             return []
         out = []
@@ -3154,9 +2638,7 @@ class QueryEngine:
         match set vs the corpus, scored by JLH
         ``(fg/m - df/N) * ((fg/m) / (df/N))`` — returns
         ``[(term, fg, df, score)]`` top_n by (score desc, term asc).
-        Doc mode: per-server slice counts add; term mode: per-server
-        owned-vocab counts union (disjoint terms), every server sees
-        the same match total."""
+        Per-server slice counts add."""
         fg, m = self._sig_counts(query_string, min_df)
         if not m:
             return []
@@ -3177,19 +2659,17 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg("histogram", parsed, involved, histos)
+        return self._fanout("histogram", parsed, histos)
 
     def histogram(self, query_string: str, histos: dict) -> dict:
         """ES histogram aggregation over the query's FULL match set:
-        ``{col: interval}`` -> ``{col: {bucket_lo: count}}`` (doc mode:
-        scatter-gather + exact additive merge; term mode:
-        ownership-routed, same protocol as facets)."""
+        ``{col: interval}`` -> ``{col: {bucket_lo: count}}``
+        (scatter-gather + exact additive merge, same protocol as
+        facets)."""
         fut = self._dispatch_histogram(query_string, histos)
         if fut is None:
             return {c: {} for c in histos}
-        if isinstance(fut, list):
-            return _merge_hists(ray.get(fut))
-        return ray.get(fut)
+        return _merge_hists(ray.get(fut))
 
     def histogram_zerofill(
         self, query_string: str, col: str, interval: int,
@@ -3212,20 +2692,17 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg("range_counts", parsed, involved, ranges)
+        return self._fanout("range_counts", parsed, ranges)
 
     def range_agg(self, query_string: str, ranges: dict) -> dict:
         """ES range aggregation over the query's FULL match set:
         ``{col: [(lo, hi), ...]}`` -> ``{col: [count, ...]}`` aligned
         with the input ranges (half-open ``[lo, hi)``, ``None`` =
-        unbounded).  Doc mode: scatter-gather + exact elementwise
-        addition; term mode: ownership-routed."""
+        unbounded).  Scatter-gather + exact elementwise addition."""
         fut = self._dispatch_range_agg(query_string, ranges)
         if fut is None:
             return {c: [0] * len(b) for c, b in ranges.items()}
-        if isinstance(fut, list):
-            return _merge_ranges(ray.get(fut))
-        return ray.get(fut)
+        return _merge_ranges(ray.get(fut))
 
     def collapse(
         self, text: str, group_col: str, k: int
@@ -3246,37 +2723,24 @@ class QueryEngine:
         set: for each value v, the fraction of matching docs (with a
         non-null ``col`` — nulls are outside the distribution, like
         SQL aggregate comparisons) whose ``col <= v`` (integer columns;
-        <=v is the half-open range [None, v+1)).  Rides entirely on the range-counts machinery —
-        one fan-out, exact integer addition, ONE division per value at
-        the driver, so the result is bit-identical to the SQL mirror's
-        ``count::DOUBLE / n::DOUBLE``.  None when the query matches
-        nothing."""
+        <=v is the half-open range [None, v+1)).  Rides entirely on
+        the range-counts machinery — one fan-out, exact integer
+        addition, ONE division per value at the driver, so the result
+        is bit-identical to the SQL mirror's ``count::DOUBLE /
+        n::DOUBLE``.  None when the query matches nothing."""
         ranges = [(None, int(v) + 1) for v in values] + [(None, None)]
         cnts = self.range_agg(query_string, {col: ranges})[col]
         return _pct_ranks_from_counts(cnts, values)
 
     def explain(self, text: str, doc_id: int) -> list[tuple[str, int, int, float]]:
         """ES explain via the pool: per-term (term, tf, doc_len,
-        contribution) for one doc — doc mode fans out (only the owning
-        slice emits), term mode routes terms to one scorer with the
-        standard fetch protocol."""
+        contribution) for one doc — fans out, only the owning slice
+        emits."""
         terms = sorted(set(analyze.tokenize(text)))
         if not terms:
             return []
-        if self.mode == "doc":
-            parts = ray.get([s.explain.remote(terms, doc_id, []) for s in self.servers])
-            return sorted((r for p in parts for r in p), key=lambda r: r[0])
-        owners = {t: self._owner(t) for t in terms}
-        counts = np.bincount([owners[t] for t in terms], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in terms if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(terms)
-        return ray.get(
-            self.servers[scorer].explain.remote(terms, doc_id, fetched_terms, *refs)
-        )
+        parts = self._gather("explain", terms, doc_id)
+        return sorted((r for p in parts for r in p), key=lambda r: r[0])
 
     def filters_agg(self, query_string: str, filters: dict) -> dict[str, int]:
         """ES ``filters`` aggregation: per named sub-query string, the
@@ -3287,15 +2751,8 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {name: 0 for name in filters}
-        named: dict[str, dict] = {}
-        sub_terms: set[str] = set()
-        for name, fq in filters.items():
-            sp, sterms = self._parsed_and_involved(fq)
-            named[name] = sp
-            sub_terms.update(sterms or ())
-        all_involved = sorted(set(involved) | sub_terms)
-        fut = self._route_agg("filter_counts", parsed, all_involved, named)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        named = {name: self._parsed_and_involved(fq)[0] for name, fq in filters.items()}
+        parts = self._gather("filter_counts", parsed, named)
         out: dict[str, int] = {name: 0 for name in filters}
         for p in parts:
             for name, c in p.items():
@@ -3316,15 +2773,8 @@ class QueryEngine:
         }
         if not involved:
             return zero
-        named: dict[str, dict] = {}
-        sub_terms: set[str] = set()
-        for name, fq in filters.items():
-            sp, sterms = self._parsed_and_involved(fq)
-            named[name] = sp
-            sub_terms.update(sterms or ())
-        all_involved = sorted(set(involved) | sub_terms)
-        fut = self._route_agg("adjacency_counts", parsed, all_involved, named)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        named = {name: self._parsed_and_involved(fq)[0] for name, fq in filters.items()}
+        parts = self._gather("adjacency_counts", parsed, named)
         out = dict(zero)
         for p in parts:
             for key, c in p.items():
@@ -3339,8 +2789,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        fut = self._route_agg("sample_hits", parsed, involved, k)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("sample_hits", parsed, k)
         merged = sorted(
             (p for part in parts for p in part), key=lambda r: (r[1], r[0])
         )[:k]
@@ -3359,8 +2808,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        fut = self._route_agg("diversified_hits", parsed, involved, col, k, max_per)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("diversified_hits", parsed, col, k, max_per)
         per_val: dict[str, list[tuple[int, int]]] = {}
         for part in parts:
             for d, h, v in part:
@@ -3386,8 +2834,7 @@ class QueryEngine:
         if not involved:
             return 0
         big = 1 << 62
-        fut = self._route_agg("match_first", parsed, involved, big)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("match_first", parsed, big)
         ids = sorted({d for part in parts for d in part})
         if not ids:
             return 0
@@ -3415,8 +2862,7 @@ class QueryEngine:
         if not involved:
             return 0
         big = 1 << 62
-        fut = self._route_agg("match_first", parsed, involved, big)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("match_first", parsed, big)
         ids = sorted({d for part in parts for d in part})
         if not ids:
             return 0
@@ -3425,15 +2871,10 @@ class QueryEngine:
         )
 
     def mget(self, doc_ids, cols=("lang", "source", "n_chars")) -> list[tuple]:
-        """ES ``_mget``: stored fields by id from the doc store.  Doc
-        mode: each server answers for its disjoint doc-range slice
-        (absent/tombstoned ids 404 away); term mode: docmeta is
-        whole-corpus on every server, so ONE server answers (the
-        term_vectors_store duplicate-free rule)."""
-        servers = self.servers if self.mode == "doc" else self.servers[:1]
-        parts = ray.get(
-            [s.get_docs.remote(list(doc_ids), list(cols)) for s in servers]
-        )
+        """ES ``_mget``: stored fields by id from the doc store.  Each
+        server answers for its disjoint doc-range slice
+        (absent/tombstoned ids 404 away)."""
+        parts = self._gather("get_docs", list(doc_ids), list(cols))
         return sorted(p for part in parts for p in part)
 
     def constant_score(
@@ -3448,8 +2889,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        fut = self._route_agg("match_first", parsed, involved, k)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("match_first", parsed, k)
         ids = sorted(d for part in parts for d in part)[:k]
         return [(d, float(boost)) for d in ids]
 
@@ -3481,14 +2921,12 @@ class QueryEngine:
         """ES ``span_first`` (single-term inner span): docs whose first
         occurrence of the analyzed term ends by position ``end``,
         with that 0-based position — filter-context (no scores; ES span
-        scoring is sloppy-freq, intentionally out of contract).  Doc
-        mode: disjoint slices concatenate; term mode: the term's owner
-        answers."""
+        scoring is sloppy-freq, intentionally out of contract).
+        Disjoint slices concatenate."""
         toks = analyze.tokenize(text)
         if len(toks) != 1:
             raise ValueError(f"span_first wants exactly one analyzed term, got {toks}")
-        fut = self._route_agg("span_first", toks[0], toks, end)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("span_first", toks[0], end)
         return sorted(p for part in parts for p in part)
 
     def terms_set(
@@ -3498,29 +2936,24 @@ class QueryEngine:
         per-doc minimum_should_match is read off a doc field —
         ``required = min(cap, 1 + col // div)`` (the
         minimum_should_match_field contract over an integer docmeta
-        column).  Doc mode: disjoint local top-k re-cut exactly; term
-        mode: the majority owner scores with fetched postings."""
+        column).  Disjoint local top-k re-cut exactly."""
         toks = sorted(set(analyze.tokenize(text)))
         if not toks:
             return []
-        fut = self._route_agg("terms_set", toks, toks, spec, k)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
-        return _merge_topk(parts, k)
+        return _merge_topk(self._gather("terms_set", toks, spec, k), k)
 
     def span_near(self, text: str, slop: int) -> list[tuple[int, int]]:
         """ES ``span_near`` with ``in_order: false`` over two
         single-term clauses: docs where the two analyzed terms co-occur
         within ``slop`` intervening tokens, with that minimum gap —
         filter-context (span scoring is out of contract, same as
-        span_first).  Doc mode: disjoint slices concatenate; term mode:
-        the majority owner scores with fetched postings."""
+        span_first).  Disjoint slices concatenate."""
         toks = analyze.tokenize(text)
         if len(toks) != 2 or toks[0] == toks[1]:
             raise ValueError(
                 f"span_near wants exactly two distinct analyzed terms, got {toks}"
             )
-        fut = self._route_agg("span_near", toks[0], toks, toks[1], int(slop))
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("span_near", toks[0], toks[1], int(slop))
         return sorted(p for part in parts for p in part)
 
     def _merged_parents(
@@ -3532,8 +2965,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {}
-        fut = self._route_agg("join_children", parsed, involved, parent_col)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("join_children", parsed, parent_col)
         merged: dict[object, tuple[float, int]] = {}
         for part in parts:
             for v, mx, n in part:
@@ -3572,18 +3004,12 @@ class QueryEngine:
         has_child kernel for the matched-parent score map; phase 2
         broadcasts that tiny map and each doc slice selects its members
         with one vectorized is_in over docmeta — exact local top-k
-        re-cuts at the driver.  Term mode: docmeta is whole-corpus on
-        every server, so ONE server answers phase 2 (the mget
-        duplicate-free rule)."""
+        re-cuts at the driver."""
         merged = self._merged_parents(parent_query, parent_col)
         if not merged:
             return []
         scores = {v: mx for v, (mx, n) in merged.items()}
-        servers = self.servers if self.mode == "doc" else self.servers[:1]
-        parts = ray.get(
-            [s.parent_docs.remote(scores, parent_col, k) for s in servers]
-        )
-        return _merge_topk(parts, k)
+        return _merge_topk(self._gather("parent_docs", scores, parent_col, k), k)
 
     def terms_orderby_metric(
         self, query_string: str, group_col: str, stat_col: str,
@@ -3601,8 +3027,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        fut = self._route_agg("terms_stats", parsed, involved, group_col, stat_col)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("terms_stats", parsed, group_col, stat_col)
         merged: dict[object, tuple[int, int]] = {}
         for part in parts:
             for v, c, sm in part:
@@ -3625,11 +3050,9 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {}
-        fut = self._route_agg(
-            "top_metrics", parsed, involved, group_col, sort_col,
-            list(metric_cols), k_per,
+        parts = self._gather(
+            "top_metrics", parsed, group_col, sort_col, list(metric_cols), k_per
         )
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
         return _merge_top_hits(parts, k_per)
 
     def match_bool_prefix(self, text: str, k: int = 10) -> list[tuple[int, float]]:
@@ -3638,9 +3061,7 @@ class QueryEngine:
         expanded once driver-side against the tiny _termdf vocabulary
         (the wildcard/fuzzy rewrite path) and contributing a constant
         1.0 (ES's constant_score prefix rewrite).  Union semantics —
-        prefix-only docs match.  Doc mode: disjoint local top-k re-cut
-        exactly; term mode: the majority owner scores with fetched
-        postings."""
+        prefix-only docs match.  Disjoint local top-k re-cut exactly."""
         toks = analyze.tokenize(text)
         if not toks:
             return []
@@ -3648,27 +3069,20 @@ class QueryEngine:
         if self._vocab is None:
             self._vocab = load_vocab(self.meta)
         expansions = sorted(t for t in self._vocab if t.startswith(prefix))
-        involved = sorted(set(complete) | set(expansions))
-        if not involved:
+        if not (complete or expansions):
             return []
-        fut = self._route_agg(
-            "bool_prefix", sorted(set(complete)), involved, expansions, k
-        )
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("bool_prefix", sorted(set(complete)), expansions, k)
         return _merge_topk(parts, k)
 
     def span_or_first(self, text: str, end: int) -> list[tuple[int, int]]:
         """ES ``span_first`` whose match clause is a ``span_or`` over
         the analyzed terms of ``text``: docs where the earliest
         occurrence of ANY term ends by ``end``, with that position —
-        filter-context like span_first.  Doc mode: disjoint slices
-        concatenate; term mode: the majority owner answers with
-        fetched postings."""
+        filter-context like span_first.  Disjoint slices concatenate."""
         toks = sorted(set(analyze.tokenize(text)))
         if not toks:
             return []
-        fut = self._route_agg("span_or_first", toks, toks, end)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("span_or_first", toks, end)
         return sorted(p for part in parts for p in part)
 
     def span_not(self, text: str, slop: int) -> list[tuple[int, int]]:
@@ -3682,8 +3096,7 @@ class QueryEngine:
             raise ValueError(
                 f"span_not wants exactly two distinct analyzed terms, got {toks}"
             )
-        fut = self._route_agg("span_not", toks[0], toks, toks[1], int(slop))
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("span_not", toks[0], toks[1], int(slop))
         return sorted(p for part in parts for p in part)
 
     def intervals(
@@ -3695,37 +3108,29 @@ class QueryEngine:
         when ``ordered``), spans at most ``max_gaps`` intervening
         positions, with that minimal gap count — filter-context like
         the span family (ES interval scoring is sloppy-freq,
-        intentionally out of contract).  Doc mode: disjoint slices
-        concatenate; term mode: the majority owner answers with
-        fetched postings."""
+        intentionally out of contract).  Disjoint slices concatenate."""
         toks = analyze.tokenize(text)
         if len(toks) < 2 or len(set(toks)) != len(toks):
             raise ValueError(
                 f"intervals wants >=2 distinct analyzed terms, got {toks}"
             )
-        fut = self._route_agg(
-            "intervals_q", toks, sorted(set(toks)), int(max_gaps), bool(ordered)
-        )
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
+        parts = self._gather("intervals_q", toks, int(max_gaps), bool(ordered))
         return sorted(p for part in parts for p in part)
 
     def count(self, query_string: str) -> int:
         """ES ``_count``: the match-set size for a query string —
         scoring-free, ids never leave the servers (each disjoint slice
-        reports its count, the driver sums; term mode asks the one
-        scorer holding the full match)."""
+        reports its count, the driver sums)."""
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return 0
-        fut = self._route_agg("match_count", parsed, involved)
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
-        return int(sum(parts))
+        return int(sum(self._gather("match_count", parsed)))
 
     def _dispatch_function_score(self, query_string: str, spec: dict, k: int):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg("function_score", parsed, involved, spec, k)
+        return self._fanout("function_score", parsed, spec, k)
 
     def function_score(
         self, query_string: str, spec: dict, k: int = 10
@@ -3734,24 +3139,15 @@ class QueryEngine:
         docmeta-feature function (see ShardServer.function_score for the
         spec kinds), exact global top-k from disjoint per-server cuts."""
         fut = self._dispatch_function_score(query_string, spec, k)
-        if fut is None:
-            return []
-        parts = ray.get(fut) if isinstance(fut, list) else [ray.get(fut)]
-        return _merge_topk(parts, k)
+        return [] if fut is None else _merge_topk(ray.get(fut), k)
 
     def _dispatch_term_vectors(
         self, doc_ids: list[int], source: str = "index", text_col: str = "text"
     ) -> list:
         if source == "store":
-            # doc mode: each server re-analyzes its own docmeta slice;
-            # term mode: docmeta is whole-corpus on every server, so ONE
-            # server answers (no duplicate rows)
-            servers = self.servers if self.mode == "doc" else self.servers[:1]
-            return [
-                s.term_vectors_store.remote(list(doc_ids), text_col)
-                for s in servers
-            ]
-        return [s.term_vectors.remote(list(doc_ids)) for s in self.servers]
+            # each server re-analyzes its own docmeta slice
+            return self._fanout("term_vectors_store", list(doc_ids), text_col)
+        return self._fanout("term_vectors", list(doc_ids))
 
     def term_vectors(
         self, doc_ids: list[int], source: str = "index", text_col: str = "text"
@@ -3772,7 +3168,7 @@ class QueryEngine:
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return None
-        return self._route_agg("composite_counts", parsed, involved, list(cols))
+        return self._fanout("composite_counts", parsed, list(cols))
 
     def composite(
         self, query_string: str, cols: list[str], size: int, after: tuple | None = None
@@ -3788,94 +3184,35 @@ class QueryEngine:
         fut = self._dispatch_composite(query_string, cols)
         if fut is None:
             return [], None
-        merged = _merge_composite(ray.get(fut)) if isinstance(fut, list) else ray.get(fut)
-        return _page_composite(merged, size, after)
+        return _page_composite(_merge_composite(ray.get(fut)), size, after)
 
     def _dispatch_top_hits(self, text: str, group_col: str, k_per: int):
         terms = sorted(set(analyze.tokenize(text)))
         if not terms:
             return None
-        if self.mode == "doc":
-            return [s.top_hits.remote(terms, k_per, group_col, []) for s in self.servers]
-        owners = {t: self._owner(t) for t in terms}
-        counts = np.bincount([owners[t] for t in terms], minlength=self.num_servers)
-        scorer = int(np.argmax(counts))
-        fetched_terms = [
-            t for t in terms if owners[t] != scorer and t not in self.seen[scorer]
-        ]
-        refs = [self.servers[owners[t]].get_postings.remote(t) for t in fetched_terms]
-        self.seen[scorer].update(terms)
-        return self.servers[scorer].top_hits.remote(
-            terms, k_per, group_col, fetched_terms, *refs
-        )
+        return self._fanout("top_hits", terms, k_per, group_col)
 
     def top_hits(self, text: str, group_col: str, k_per: int) -> dict:
         """ES top_hits-inside-terms-agg via the pool: per group value of
         ``group_col``, the exact top ``k_per`` matching docs by BM25
-        (score desc, doc_id asc) over the query's FULL match set.  Doc
-        mode: each server returns its local per-value top k_per, the
-        driver re-cut is exact; term mode: ownership-routed."""
+        (score desc, doc_id asc) over the query's FULL match set.  Each
+        server returns its local per-value top k_per, the driver re-cut
+        is exact."""
         fut = self._dispatch_top_hits(text, group_col, k_per)
-        if fut is None:
-            return {}
-        if isinstance(fut, list):
-            return _merge_top_hits(ray.get(fut), k_per)
-        return ray.get(fut)
+        return {} if fut is None else _merge_top_hits(ray.get(fut), k_per)
 
     def query_many(self, texts: list[str], k: int = 10, algo: str = "taat"):
-        """Batched fan-out: queries are tokenized on the driver, chunked
-        round-robin over the pool, and shipped as ONE score_many RPC per
-        server — per-query RPC round-trips were the throughput ceiling
-        for small queries.  Cold term sets still go through the
-        ownership-routed single-query path first (fetch + cache)."""
+        """Batched fan-out: queries are tokenized on the driver and
+        shipped as ONE score_many RPC per server covering every query —
+        per-query RPC round-trips were the throughput ceiling for small
+        queries.  Each server scores its doc slice; the driver merges
+        per query."""
         term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
-        results: list = [None] * len(texts)
-        if self.mode == "doc":
-            # one score_many RPC per server covering every query; each
-            # server scores its doc slice, driver merges per query
-            live_idx = [i for i, terms in enumerate(term_lists) if terms]
-            futs = [
-                s.score_many.remote([term_lists[i] for i in live_idx], k, algo=algo)
-                for s in self.servers
-            ]
-            per_server = ray.get(futs)
-            for i, terms in enumerate(term_lists):
-                if not terms:
-                    results[i] = []
-            for j, i in enumerate(live_idx):
-                results[i] = _merge_topk([per_server[s][j] for s in range(self.num_servers)], k)
-            return results
-        cold_futs: dict[int, object] = {}
-        warm_idx: list[int] = []
-        for i, terms in enumerate(term_lists):
-            if not terms:
-                results[i] = []
-            elif any(
-                all(t in self.seen[s] for t in terms)
-                for s in range(self.num_servers)
-            ):
-                warm_idx.append(i)
-            else:
-                cold_futs[i] = self._dispatch(texts[i], k, algo)
-        # warm queries: round-robin batches, one RPC per server
-        batches: list[list[int]] = [[] for _ in range(self.num_servers)]
-        for j, i in enumerate(warm_idx):
-            # only servers that hold every term of this query qualify
-            covered = [
-                s for s in range(self.num_servers)
-                if all(t in self.seen[s] for t in term_lists[i])
-            ]
-            batches[covered[j % len(covered)]].append(i)
-        batch_futs = []
-        for s, idxs in enumerate(batches):
-            if idxs:
-                batch_futs.append(
-                    (idxs, self.servers[s].score_many.remote(
-                        [term_lists[i] for i in idxs], k, algo=algo))
-                )
-        for i, f in cold_futs.items():
-            results[i] = [] if f is None else ray.get(f)
-        for idxs, f in batch_futs:
-            for i, res in zip(idxs, ray.get(f)):
-                results[i] = res
+        live_idx = [i for i, terms in enumerate(term_lists) if terms]
+        per_server = self._gather(
+            "score_many", [term_lists[i] for i in live_idx], k, algo=algo
+        )
+        results: list = [[] for _ in texts]
+        for j, i in enumerate(live_idx):
+            results[i] = _merge_topk([ps[j] for ps in per_server], k)
         return results

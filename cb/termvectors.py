@@ -11,7 +11,7 @@ layout (no extra storage):
 
 1. **Bucket prune** — the doc-range-bucketed partition files mean only
    rows of the doc's own bucket (``1/2^range_bits`` of each partition)
-   can contain it; servers already hold exactly those rows in doc mode.
+   can contain it; each server already holds exactly those rows.
 2. **Block prune** — each posting row's ``block_last_id`` array locates
    the ONE <=128-posting block that could hold the doc, and the
    candidate blocks of ALL rows are gathered into a single buffer and

@@ -334,18 +334,17 @@ def test_function_score_reorders_vs_bm25(built, tmp_path):
 
 
 def test_count_api_all_query_shapes(built):
-    """ES _count: match-set sizes across the query-string surface,
-    identical in both pool modes, ids never shipped."""
-    for mode in ("doc", "term"):
-        engine = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            assert engine.count("hash join") == 6, mode       # OR match
-            assert engine.count('"hash join"') == 3, mode     # phrase
-            assert engine.count("join -deprecated") == 5, mode
-            assert engine.count("join lang:en") == 3, mode    # filter
-            assert engine.count("zzznope") == 0, mode
-        finally:
-            engine.shutdown()
+    """ES _count: match-set sizes across the query-string surface, ids
+    never shipped."""
+    engine = QueryEngine(built, num_servers=2)
+    try:
+        assert engine.count("hash join") == 6       # OR match
+        assert engine.count('"hash join"') == 3     # phrase
+        assert engine.count("join -deprecated") == 5
+        assert engine.count("join lang:en") == 3    # filter
+        assert engine.count("zzznope") == 0
+    finally:
+        engine.shutdown()
 
 
 def test_count_respects_tombstones(tmp_path):
@@ -365,38 +364,38 @@ def test_count_respects_tombstones(tmp_path):
 def test_regexp_query_whole_terms_re2(built):
     """ES regexp semantics: anchored on whole vocabulary terms (never
     substrings), expansion == scoring_boolean BM25 over matched terms."""
-    for mode in ("doc", "term"):
-        engine = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            # 'jo.n' matches whole term 'join' but NOT 'joined' substrings
-            want = engine.query_terms(["join"], k=10)
-            assert engine.regexp_query("jo.n", k=10) == want, mode
-            # alternation expands to a multi-term set
-            want2 = engine.query_terms(["merge", "sort"], k=10)
-            assert engine.regexp_query("(merge|sort)", k=10) == want2, mode
-            # unanchored fragment must NOT match ('as' inside 'hash')
-            assert engine.regexp_query("as", k=10) == [], mode
-        finally:
-            engine.shutdown()
+    engine = QueryEngine(built, num_servers=2)
+    try:
+        # 'jo.n' matches whole term 'join' but NOT 'joined' substrings
+        want = engine.query_terms(["join"], k=10)
+        assert engine.regexp_query("jo.n", k=10) == want
+        # alternation expands to a multi-term set
+        want2 = engine.query_terms(["merge", "sort"], k=10)
+        assert engine.regexp_query("(merge|sort)", k=10) == want2
+        # unanchored fragment must NOT match ('as' inside 'hash')
+        assert engine.regexp_query("as", k=10) == []
+    finally:
+        engine.shutdown()
 
 
 def test_significant_bg_modes(built):
-    """significant_terms_filtered: doc/term topology parity + the
-    fg-subset-of-bg invariant."""
+    """significant_terms_filtered: a 2-server pool equals the 1-server
+    pool (whole index, trivial merge), so fg/bg counts merge exactly
+    across slices; plus the fg-subset-of-bg invariant."""
     from cb.shard import QueryEngine
 
     res = {}
-    for mode, ns in (("doc", 2), ("term", 2)):
-        eng = QueryEngine(built, num_servers=ns, mode=mode)
+    for ns in (1, 2):
+        eng = QueryEngine(built, num_servers=ns)
         try:
-            res[mode] = eng.significant_terms_filtered(
+            res[ns] = eng.significant_terms_filtered(
                 "join", "lang:en", top_n=5, min_df=1
             )
         finally:
             eng.shutdown()
-    assert res["doc"] == res["term"]
-    assert res["doc"], "expected suggestions"
-    for t, fg, bg, s in res["doc"]:
+    assert res[2] == res[1]
+    assert res[2], "expected suggestions"
+    for t, fg, bg, s in res[2]:
         assert 1 <= fg <= bg
 
 
@@ -428,8 +427,8 @@ def test_alias_api(built):
 
 
 def test_terms_orderby_metric_modes_and_exactness(built):
-    """Metric-ordered terms agg: doc/term topology parity and the
-    brute-force exact ordering (sums reduce BEFORE the cut)."""
+    """Metric-ordered terms agg: the brute-force exact ordering (sums
+    reduce BEFORE the cut)."""
     from cb import analyze
     from cb.shard import QueryEngine
 
@@ -445,13 +444,12 @@ def test_terms_orderby_metric_modes_and_exactness(built):
         ((v, c, sm / c) for v, (c, sm) in agg.items()),
         key=lambda r: (-r[2], r[0]),
     )[:5]
-    for mode, ns in (("doc", 2), ("term", 2)):
-        eng = QueryEngine(built, num_servers=ns, mode=mode)
-        try:
-            got = eng.terms_orderby_metric("join", "source", "n_chars", 5)
-        finally:
-            eng.shutdown()
-        assert got == want, mode
+    eng = QueryEngine(built, num_servers=2)
+    try:
+        got = eng.terms_orderby_metric("join", "source", "n_chars", 5)
+    finally:
+        eng.shutdown()
+    assert got == want
 
 
 def test_histogram_zerofill_axis(built):

@@ -99,7 +99,9 @@ def test_doc_sharded_pool_on_pruned_files_bitwise(built, tmp_path):
     servers read disjoint file sets by construction; parity vs the
     in-process searcher proves no server needed foreign buckets."""
     full = LocalSearcher(built)
-    eng = QueryEngine(built, num_servers=2, mode="doc")
+    with pytest.raises(TypeError):
+        QueryEngine(built, 2, mode="term")  # one serving topology
+    eng = QueryEngine(built, num_servers=2)
     try:
         for q in ("join merge", "w1 w2 w3", "join w5", "zzz absent"):
             assert eng.query(q, k=10) == full.query(q, k=10, algo="taat")
@@ -124,9 +126,9 @@ def test_pruned_load_reads_fraction_of_bytes(built):
     assert subset / total < 0.75  # ~half the buckets -> well under all
 
 
-def _server(idx, parts, buckets=None, fed=None):
+def _server(idx, buckets, fed=None):
     """A ShardServer instance in this process (no actor)."""
-    return ShardServer.__ray_metadata__.modified_class(idx, parts, buckets=buckets, fed=fed)
+    return ShardServer.__ray_metadata__.modified_class(idx, buckets, fed=fed)
 
 
 def _per_term_decoded(srv, min_df):
@@ -151,15 +153,16 @@ def _assert_bitwise(got: dict, want: dict):
         assert g_u.tobytes() == u.tobytes(), t
 
 
-@pytest.mark.parametrize("case", ["doc_slice", "term_parts", "missing_part", "fed"])
+@pytest.mark.parametrize("case", ["doc_slice", "all_buckets", "missing_part", "fed"])
 def test_columnar_warm_matches_per_term_decode(built, tmp_path, case):
     """warm's one-pass-per-partition decode stores bitwise what a
     per-term decode would, returns the number of terms it warmed, and
     warms nothing on a second call."""
     meta = IndexMeta(built)
-    idx, parts, buckets, fed = built, list(range(meta.num_parts)), [0, 2], None
-    if case == "term_parts":
-        parts, buckets = [1, 3], None
+    idx, buckets, fed = built, [0, 2], None
+    if case == "all_buckets":
+        # a 1-server pool's slice: every bucket, so whole partitions
+        buckets = list(range(1 << meta.range_bits))
     elif case == "missing_part":
         # part 0 has no file in this server's slice (table is None)
         idx = str(tmp_path / "idx")
@@ -172,19 +175,19 @@ def test_columnar_warm_matches_per_term_decode(built, tmp_path, case):
         os.makedirs(os.path.join(fed, "feddf"))
         with open(os.path.join(fed, "fed.json"), "w") as f:
             json.dump({"n_docs": 3 * meta.n_docs, "avgdl": 1.7 * meta.avgdl}, f)
-        for p in parts:
+        for p in range(meta.num_parts):
             t = pq.read_table(os.path.join(meta.part_dir(p), "_termdf.parquet"))
             pq.write_table(
                 t.set_column(t.schema.get_field_index("df"), "df", pc.multiply(t["df"], 3)),
                 os.path.join(fed, "feddf", f"part={p}.parquet"),
             )
-    probe = _server(idx, parts, buckets, fed)
+    probe = _server(idx, buckets, fed)
     if case == "missing_part":
         assert probe.parts[0].table is None
         assert any(part.table is not None for part in probe.parts.values())
     gdfs = sorted(part.get(t).gdf for part in probe.parts.values() for t in part.offsets)
     for min_df in (0, gdfs[len(gdfs) // 2], gdfs[-1] + 1):
-        srv = _server(idx, parts, buckets, fed)
+        srv = _server(idx, buckets, fed)
         want = _per_term_decoded(srv, min_df)
         assert srv.warm(min_df) == len(want)
         _assert_bitwise(srv.decoded, want)
@@ -199,8 +202,7 @@ def test_columnar_warm_matches_per_term_decode(built, tmp_path, case):
 def test_taat_miss_caches_what_warm_stores(built):
     """A decoded-cache miss in taat_scores fills the cache with exactly
     the (ids, u) warm would have stored, and scores identically."""
-    parts = list(range(IndexMeta(built).num_parts))
-    warm, cold = _server(built, parts, [1, 3]), _server(built, parts, [1, 3])
+    warm, cold = _server(built, [1, 3]), _server(built, [1, 3])
     warm.warm(0)
     terms = sorted(warm.decoded)[::3]
     postings = {t: cold._local(t) for t in terms}

@@ -84,28 +84,27 @@ def test_filtered_query_via_engine(built):
 
 
 def test_doc_vs_term_topology_bitwise_parity(built):
-    """Doc-sharded scatter-gather and term-sharded routing must both be
-    bitwise-identical to the in-process searcher — scores included
-    (global df drives idf even on a doc-range slice)."""
+    """The doc-sharded pool at 1-3 servers must be bitwise-identical to
+    the in-process searcher — scores included (global df drives idf
+    even on a doc-range slice)."""
     idx, rows = built
     s = LocalSearcher(idx)
     queries = ["join merge", "alpha table scan", "window", "zebra", "join window merge scan"]
-    for mode in ("doc", "term"):
-        for ns, min_df in ((1, 0), (2, 2), (3, 1)):
-            engine = QueryEngine(idx, num_servers=ns, mode=mode)
-            try:
-                engine.warm(min_df=min_df)  # pre-decode must not change results
-                for q in queries:
-                    assert engine.query(q, k=10) == s.query(q, k=10, algo="taat"), (mode, ns, q)
-                    assert engine.query(q, k=10, algo="wand") == \
-                        s.query(q, k=10, algo="wand"), (mode, ns, q, "wand")
-                    assert engine.phrase_query(q, k=10) == s.phrase_query(q, k=10), (mode, ns, q)
-                    assert engine.filtered_query(q, {"lang": "en"}, k=10) == \
-                        s.filtered_query(q, {"lang": "en"}, k=10), (mode, ns, q)
-                many = engine.query_many(queries, k=10)
-                assert many == [s.query(q, k=10, algo="taat") for q in queries], (mode, ns)
-            finally:
-                engine.shutdown()
+    for ns, min_df in ((1, 0), (2, 2), (3, 1)):
+        engine = QueryEngine(idx, num_servers=ns)
+        try:
+            engine.warm(min_df=min_df)  # pre-decode must not change results
+            for q in queries:
+                assert engine.query(q, k=10) == s.query(q, k=10, algo="taat"), (ns, q)
+                assert engine.query(q, k=10, algo="wand") == \
+                    s.query(q, k=10, algo="wand"), (ns, q, "wand")
+                assert engine.phrase_query(q, k=10) == s.phrase_query(q, k=10), (ns, q)
+                assert engine.filtered_query(q, {"lang": "en"}, k=10) == \
+                    s.filtered_query(q, {"lang": "en"}, k=10), (ns, q)
+            many = engine.query_many(queries, k=10)
+            assert many == [s.query(q, k=10, algo="taat") for q in queries], ns
+        finally:
+            engine.shutdown()
 
 
 def test_build_from_mapping(built, tmp_path):

@@ -127,7 +127,7 @@ def test_local_fed_scoring_matches_monolithic(fed_built):
 def test_engine_matches_monolithic_and_prunes(fed_built):
     src, mono, fed_dir, meta = fed_built
     mono_ls = LocalSearcher(mono)
-    eng = federated.FederatedEngine(fed_dir, num_servers=2, mode="doc")
+    eng = federated.FederatedEngine(fed_dir, num_servers=2)
     try:
         for q in QUERIES:
             assert eng.query(q, k=10) == mono_ls.query(q, k=10, algo="taat"), q
@@ -176,7 +176,7 @@ def test_query_many_batched_parity(fed_built):
     """Batched score_many fan-out == per-query dispatch, with and
     without day pruning."""
     src, mono, fed_dir, meta = fed_built
-    eng = federated.FederatedEngine(fed_dir, num_servers=2, mode="doc")
+    eng = federated.FederatedEngine(fed_dir, num_servers=2)
     try:
         batched = eng.query_many(QUERIES, k=10)
         singles = [eng.query(q, k=10) for q in QUERIES]
@@ -496,7 +496,7 @@ def test_fed_cli(tmp_path):
 def test_phrase_across_federation(fed_built):
     src, mono, fed_dir, meta = fed_built
     mono_ls = LocalSearcher(mono)
-    eng = federated.FederatedEngine(fed_dir, num_servers=2, mode="doc")
+    eng = federated.FederatedEngine(fed_dir, num_servers=2)
     try:
         for q in ["merge join", "index scan", "hash index"]:
             assert eng.phrase_query(q, k=10) == mono_ls.phrase_query(q, k=10), q

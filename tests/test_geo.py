@@ -192,3 +192,19 @@ def test_antimeridian_and_pole_clamp():
     assert yt.max() <= 15 and yt.min() >= 0
     # lon=180 folds into the last column, lon=-180 is the first
     assert xt[0] == 15 and xt[1] == 0
+
+
+def test_nearest_topk_breaks_distance_ties_by_key():
+    """Keys one coordinate period apart share a location, so they tie on
+    the rounded distance.  With the tie group straddling the k-th place
+    inside ONE batch, the per-batch cut must keep the smallest keys."""
+    period = 612000  # lcm of the lat (17000) and lon (36000) grid periods
+    keys = np.array([5 + 3 * period, 7, 5 + period, 11, 5 + 2 * period, 5, 13])
+    lat, lon = geo.derive_coords(keys)
+    assert len({(a, b) for a, b in zip(lat[[0, 2, 4, 5]], lon[[0, 2, 4, 5]])}) == 1
+    ds = ray.data.from_arrow(pa.table({"doc_id": pa.array(keys, pa.int64())}))
+    for k in (1, 2, 3):
+        got = geo.nearest_topk(
+            ds, "doc_id", lat0=float(lat[0]) + 0.5, lon0=float(lon[0]) + 0.5, k=k
+        )
+        assert got["doc_id"].to_pylist() == [5 + i * period for i in range(k)]

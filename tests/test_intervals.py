@@ -1,5 +1,5 @@
 """intervals query: brute-force parity (ordered + unordered),
-doc/term topology parity, and tombstone masking.  (DuckDB value-parity
+parity at two pool sizes, and tombstone masking.  (DuckDB value-parity
 for the packaged entry lives in test_oracle_parity.)"""
 
 from itertools import product
@@ -77,13 +77,13 @@ def test_intervals_brute_and_modes(built):
     for text, g, ordered in CASES:
         terms = analyze.tokenize(text)
         want = _brute(terms, g, ordered)
-        for mode, ns in (("doc", 3), ("term", 2)):
-            eng = QueryEngine(built, num_servers=ns, mode=mode)
+        for ns in (2, 3):
+            eng = QueryEngine(built, num_servers=ns)
             try:
                 got = eng.intervals(text, g, ordered)
             finally:
                 eng.shutdown()
-            assert got == want, (text, g, ordered, mode, got, want)
+            assert got == want, (text, g, ordered, ns, got, want)
 
 
 def test_intervals_validation(built):
@@ -103,7 +103,7 @@ def test_intervals_tombstones(built):
     want_full = _brute(analyze.tokenize(text), g, ordered)
     assert any(d == 2 for d, _ in want_full)
     delete_docs(built, [2])  # last test in the module: no restore needed
-    eng = QueryEngine(built, num_servers=2, mode="doc")
+    eng = QueryEngine(built, num_servers=2)
     try:
         got = eng.intervals(text, g, ordered)
     finally:

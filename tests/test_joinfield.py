@@ -1,5 +1,5 @@
 """ES join-field (has_child / has_parent) semantics: brute-force
-parity, doc/term topology parity, min_children, and tombstone masking.
+parity at several pool sizes, min_children, and tombstone masking.
 (DuckDB value-parity for the packaged entries lives in
 test_oracle_parity.)"""
 
@@ -61,13 +61,13 @@ def _brute_parents(idx, query, min_children):
 
 def test_has_child_brute_parity_and_topologies(built):
     want = _brute_parents(built, "hash join", min_children=1)
-    for mode, ns in (("doc", 1), ("doc", 4), ("term", 3)):
-        eng = QueryEngine(built, num_servers=ns, mode=mode)
+    for ns in (1, 3, 4):
+        eng = QueryEngine(built, num_servers=ns)
         try:
             got = eng.has_child("hash join", "source", k=10, min_children=1)
         finally:
             eng.shutdown()
-        assert got == want, (mode, ns, got, want)
+        assert got == want, (ns, got, want)
 
 
 def test_has_child_min_children_drops_thin_parents(built):

@@ -49,14 +49,14 @@ def built(tmp_path_factory):
 
 
 def test_msearch_matches_sequential_both_modes(built):
-    for mode, ns in (("doc", 3), ("term", 2)):
-        eng = QueryEngine(built, num_servers=ns, mode=mode)
+    for ns in (2, 3):
+        eng = QueryEngine(built, num_servers=ns)
         try:
             want = [eng.search(q, k=5) for q in QUERIES]
             got = eng.msearch(QUERIES, k=5)
         finally:
             eng.shutdown()
-        assert got == want, mode
+        assert got == want, ns
         assert got[4] == []  # the empty query keeps its slot
 
 

@@ -197,20 +197,19 @@ def test_phrase_prefix_expansion_cap_and_term_mode(built):
         if len(toks) >= 2:
             q = f"{toks[0]} {toks[1][:1]}"  # 1-char prefix: many completions
             break
-    for mode in ("doc", "term"):
-        engine = sm.QueryEngine(idx, num_servers=3, mode=mode)
-        try:
-            full = engine.phrase_prefix_query(q, k=50, max_expansions=None)
-            assert [d for d, _ in full] == [
-                d for d, _ in _brute_phrase_prefix(oracle, q, 50)
-            ], mode
-            capped = engine.phrase_prefix_query(q, k=50, max_expansions=1)
-            want = _brute_phrase_prefix(oracle, q, 50, max_expansions=1)
-            assert [d for d, _ in capped] == [d for d, _ in want], mode
-            # the cap can only shrink the match set
-            assert {d for d, _ in capped} <= {d for d, _ in full}
-        finally:
-            engine.shutdown()
+    engine = sm.QueryEngine(idx, num_servers=3)
+    try:
+        full = engine.phrase_prefix_query(q, k=50, max_expansions=None)
+        assert [d for d, _ in full] == [
+            d for d, _ in _brute_phrase_prefix(oracle, q, 50)
+        ]
+        capped = engine.phrase_prefix_query(q, k=50, max_expansions=1)
+        want = _brute_phrase_prefix(oracle, q, 50, max_expansions=1)
+        assert [d for d, _ in capped] == [d for d, _ in want]
+        # the cap can only shrink the match set
+        assert {d for d, _ in capped} <= {d for d, _ in full}
+    finally:
+        engine.shutdown()
 
 
 def test_phrase_prefix_tombstones(built, tmp_path):
@@ -274,18 +273,17 @@ def test_span_near_modes_match_brute_force(built):
     specs = [(a, b, s) for a, b in pairs for s in (0, 3, 50)]
     specs.append((pairs[0][0], "zebraqq", 5))
     n_hits = 0
-    for mode in ("doc", "term"):
-        engine = sm.QueryEngine(idx, num_servers=3, mode=mode)
-        try:
-            for ta, tb, slop in specs:
-                if ta == "zebraqq" or tb == "zebraqq":
-                    continue
-                got = engine.span_near(f"{ta} {tb}", slop)
-                want = _brute_span_near(oracle, ta, tb, slop)
-                assert got == want, (mode, ta, tb, slop)
-                n_hits += len(got)
-        finally:
-            engine.shutdown()
+    engine = sm.QueryEngine(idx, num_servers=3)
+    try:
+        for ta, tb, slop in specs:
+            if ta == "zebraqq" or tb == "zebraqq":
+                continue
+            got = engine.span_near(f"{ta} {tb}", slop)
+            want = _brute_span_near(oracle, ta, tb, slop)
+            assert got == want, (ta, tb, slop)
+            n_hits += len(got)
+    finally:
+        engine.shutdown()
     assert n_hits > 0
 
 

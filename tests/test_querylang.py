@@ -119,14 +119,13 @@ QUERIES = [
 
 def test_engine_parity_both_modes(built):
     s = LocalSearcher(built)
-    for mode in ("doc", "term"):
-        for ns in (1, 2, 3):
-            engine = QueryEngine(built, num_servers=ns, mode=mode)
-            try:
-                for q in QUERIES:
-                    assert engine.search(q, k=10) == s.search(q, k=10), (mode, ns, q)
-            finally:
-                engine.shutdown()
+    for ns in (1, 2, 3):
+        engine = QueryEngine(built, num_servers=ns)
+        try:
+            for q in QUERIES:
+                assert engine.search(q, k=10) == s.search(q, k=10), (ns, q)
+        finally:
+            engine.shutdown()
 
 
 # ---------------------------------------------------------------- v2 syntax
@@ -265,13 +264,12 @@ def test_engine_v2_parity_both_modes(built):
         'mer* -deprecated lang:fr',
     ]
     local = LocalSearcher(built)
-    for mode in ("doc", "term"):
-        eng = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            for q in queries:
-                assert eng.search(q, k=10) == local.search(q, k=10), (mode, q)
-        finally:
-            eng.shutdown()
+    eng = QueryEngine(built, num_servers=2)
+    try:
+        for q in queries:
+            assert eng.search(q, k=10) == local.search(q, k=10), q
+    finally:
+        eng.shutdown()
 
 
 def test_facets_local(built):
@@ -304,15 +302,14 @@ def test_facets_stats_and_no_match(tmp_path):
 def test_facets_engine_parity_both_modes(built):
     local = LocalSearcher(built)
     queries = ["hash join", '"hash join"', "mer* -deprecated", "+join lang:en"]
-    for mode in ("doc", "term"):
-        eng = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            for q in queries:
-                got = eng.facets(q, facet_cols=["lang", "source"])
-                want = local.facets(q, facet_cols=["lang", "source"])
-                assert got == want, (mode, q)
-        finally:
-            eng.shutdown()
+    eng = QueryEngine(built, num_servers=2)
+    try:
+        for q in queries:
+            got = eng.facets(q, facet_cols=["lang", "source"])
+            want = local.facets(q, facet_cols=["lang", "source"])
+            assert got == want, q
+    finally:
+        eng.shutdown()
 
 
 def test_facets_respect_tombstones(built, tmp_path):
@@ -340,12 +337,13 @@ def test_histogram_modes_agree_and_sum_matches_stats(tmp_path):
     dm.ensure_docmeta(idx, src, ["lang", "n"])
     queries = ["common", "common n:[20 TO 50]", "nosuchterm"]
     results = {}
-    for mode in ("doc", "term"):
-        eng = QueryEngine(idx, num_servers=2, mode=mode)
+    # 1 server = whole index (trivial merge); 2 servers must merge to it
+    for ns in (1, 2):
+        eng = QueryEngine(idx, num_servers=ns)
         try:
-            results[mode] = [eng.histogram(q, {"n": 25}) for q in queries]
-            if mode == "doc":
-                for q, h in zip(queries, results[mode]):
+            results[ns] = [eng.histogram(q, {"n": 25}) for q in queries]
+            if ns == 2:
+                for q, h in zip(queries, results[ns]):
                     _, stats = eng.facets(q, stats_cols=["n"])
                     # total histogram mass == the stats agg's count,
                     # buckets interval-aligned
@@ -353,27 +351,30 @@ def test_histogram_modes_agree_and_sum_matches_stats(tmp_path):
                     assert all(b % 25 == 0 for b in h["n"]), q
         finally:
             eng.shutdown()
-    assert results["doc"] == results["term"]
+    assert results[2] == results[1]
     # n = 10..60, interval 25 -> buckets 0 (10,20), 25 (30,40), 50 (50,60)
-    assert results["doc"][0] == {"n": {0: 2, 25: 2, 50: 2}}
-    assert results["doc"][2] == {"n": {}}  # no match -> empty histogram
+    assert results[2][0] == {"n": {0: 2, 25: 2, 50: 2}}
+    assert results[2][2] == {"n": {}}  # no match -> empty histogram
 
 
 def test_significant_terms_modes_agree(built):
+    """A 2-server pool's significant_terms equal the 1-server pool's
+    (whole index, trivial merge): per-slice counts merge exactly."""
+    results = {}
+    for ns in (1, 2):
+        eng = QueryEngine(built, num_servers=ns)
+        try:
+            for q in ["hash join", "mer* -deprecated"]:
+                results[ns, q] = eng.significant_terms(q, top_n=5, min_df=1)
+        finally:
+            eng.shutdown()
     for q in ["hash join", "mer* -deprecated"]:
-        results = {}
-        for mode in ("doc", "term"):
-            eng = QueryEngine(built, num_servers=2, mode=mode)
-            try:
-                results[mode] = eng.significant_terms(q, top_n=5, min_df=1)
-            finally:
-                eng.shutdown()
-        assert results["doc"] == results["term"], q
-        assert results["doc"], q  # non-vacuous
+        assert results[2, q] == results[1, q], q
+        assert results[2, q], q  # non-vacuous
         # scores descend; fg <= df always
-        scores = [s for _, _, _, s in results["doc"]]
+        scores = [s for _, _, _, s in results[2, q]]
         assert scores == sorted(scores, reverse=True)
-        assert all(fg <= df for _, fg, df, _ in results["doc"])
+        assert all(fg <= df for _, fg, df, _ in results[2, q])
 
 
 def test_minimum_should_match(built):
@@ -432,10 +433,9 @@ def test_synonym_search_engine(built):
     assert s.search("sort", k=10, synonyms={"sort": ["warpdrive"]}) == \
         s.search("sort", k=10)
     # pool == in-process searcher with the same synonym map
-    for mode in ("doc", "term"):
-        eng = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            assert eng.search("sort merge", k=10, synonyms={"sort": ["hash"]}) == \
-                s.search("sort merge", k=10, synonyms={"sort": ["hash"]}), mode
-        finally:
-            eng.shutdown()
+    eng = QueryEngine(built, num_servers=2)
+    try:
+        assert eng.search("sort merge", k=10, synonyms={"sort": ["hash"]}) == \
+            s.search("sort merge", k=10, synonyms={"sort": ["hash"]})
+    finally:
+        eng.shutdown()

@@ -62,7 +62,7 @@ def test_wide_pool_beyond_16_servers(corpus, ray_session):
         src, idx, text_col="text", id_col="doc_id", num_parts=4, range_bits=5
     )
     s = shard.LocalSearcher(idx)
-    eng = shard.QueryEngine(idx, num_servers=20, mode="doc")
+    eng = shard.QueryEngine(idx, num_servers=20)
     try:
         for q in ("tok1 tok2", "tok10", "tok3 tok40 tok55", "absent"):
             assert eng.query(q, k=10) == s.query(q, k=10, algo="taat"), q
@@ -70,7 +70,7 @@ def test_wide_pool_beyond_16_servers(corpus, ray_session):
         eng.shutdown()
     # the old ceiling still guards misconfiguration
     with pytest.raises(ValueError, match="num_servers"):
-        shard.QueryEngine(idx, num_servers=33, mode="doc")
+        shard.QueryEngine(idx, num_servers=33)
 
 
 def test_auto_num_parts_thresholds():
@@ -121,7 +121,7 @@ def test_32_server_doc_sharded_parity(tmp_path, ray_session):
     idx = str(tmp_path / "idx6")
     build.build_index(src, idx, text_col="text", id_col="doc_id", num_parts=4, range_bits=6)
     s = shard.LocalSearcher(idx)
-    eng = shard.QueryEngine(idx, num_servers=32, mode="doc")
+    eng = shard.QueryEngine(idx, num_servers=32)
     try:
         for q in ("tok1 tok2", "tok10", "tok3 tok40 tok55", "tok7 tok8 tok9"):
             assert eng.query(q, k=10) == s.query(q, k=10, algo="taat"), q

@@ -330,3 +330,43 @@ def test_cli_termvectors_and_percolate(tmp_path):
     out = json.loads(r.stdout.strip().splitlines()[-1])
     pairs = {(p["query_id"], p["doc_id"]) for p in out["pairs"]}
     assert pairs == {(0, 1), (1, 2)}
+
+
+def test_cli_search_stats_delete_suggest(tmp_path):
+    """Smoke test for the single-index subcommands without one of their
+    own: each exits 0 and prints parseable JSON."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rows = [
+        {"doc_id": 1, "text": "hash join over the big table"},
+        {"doc_id": 2, "text": "merge sort window frame"},
+        {"doc_id": 3, "text": "table scan then merge"},
+    ]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src)
+    idx = str(tmp_path / "idx")
+
+    def cli(*argv):
+        r = subprocess.run(
+            [sys.executable, "-m", "cb.cli", *argv],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0, r.stderr[-2000:]
+        return json.loads(r.stdout.strip().splitlines()[-1])
+
+    cli("build", "--input", src, "--index", idx, "--num-parts", "2",
+        "--text-col", "text", "--id-col", "doc_id")
+
+    stats = cli("stats", "--index", idx)
+    assert stats["n_docs"] == 3
+
+    assert cli("delete", "--index", idx, "3") == {"index": idx, "tombstones": 1}
+
+    out = cli("search", "--index", idx, "--query", "merge", "-k", "5")
+    assert [d["doc_id"] for d in out["results"]] == [2]  # doc 3 tombstoned
+
+    sugg = cli("suggest", "term", "--index", idx, "--text", "mrege")
+    assert [(s["token"], s["suggestion"], s["dist"]) for s in sugg][:1] == [
+        ("mrege", "merge", 1)
+    ]

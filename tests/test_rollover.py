@@ -105,3 +105,15 @@ def test_open_generation_rebuilds_on_growth(tmp_path):
     assert n1 >= n0
     lay = rollover.layout(root).to_pylist()
     assert [g["n_docs"] for g in lay] == [6, 4]
+
+
+def test_init_rejects_conflicting_config(tmp_path):
+    root = str(tmp_path / "ro")
+    st = rollover.init(root, "docs", max_docs=4)
+    # identical arguments: idempotent, returns the stored state
+    assert rollover.init(root, "docs", max_docs=4) == st
+    with pytest.raises(ValueError, match="max_docs"):
+        rollover.init(root, "docs", max_docs=8)
+    with pytest.raises(ValueError, match="alias"):
+        rollover.init(root, "logs", max_docs=4)
+    assert rollover.init(root, "docs", max_docs=4) == st

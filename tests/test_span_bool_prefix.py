@@ -1,5 +1,5 @@
 """span_or_first / span_not / match_bool_prefix / top_metrics:
-brute-force parity, doc/term topology parity, and tombstone masking.
+brute-force parity at two pool sizes, and tombstone masking.
 (DuckDB value-parity for the packaged entries lives in
 test_oracle_parity.)"""
 
@@ -67,13 +67,13 @@ def test_span_or_first_brute_and_modes(built):
     for text, end in cases:
         terms = sorted(set(analyze.tokenize(text)))
         want = _brute_span_or_first(terms, end)
-        for mode, ns in (("doc", 3), ("term", 2)):
-            eng = QueryEngine(built, num_servers=ns, mode=mode)
+        for ns in (2, 3):
+            eng = QueryEngine(built, num_servers=ns)
             try:
                 got = eng.span_or_first(text, end)
             finally:
                 eng.shutdown()
-            assert got == want, (text, end, mode, got, want)
+            assert got == want, (text, end, ns, got, want)
 
 
 def test_span_not_brute_and_modes(built):
@@ -81,13 +81,13 @@ def test_span_not_brute_and_modes(built):
     for text, slop in cases:
         ta, tb = analyze.tokenize(text)
         want = _brute_span_not(ta, tb, slop)
-        for mode, ns in (("doc", 3), ("term", 2)):
-            eng = QueryEngine(built, num_servers=ns, mode=mode)
+        for ns in (2, 3):
+            eng = QueryEngine(built, num_servers=ns)
             try:
                 got = eng.span_not(text, slop)
             finally:
                 eng.shutdown()
-            assert got == want, (text, slop, mode, got, want)
+            assert got == want, (text, slop, ns, got, want)
 
 
 def test_span_not_exclude_absent_everywhere(built):

@@ -93,8 +93,7 @@ def test_fuzzy_exact_term_ranks_first(built):
 
 def test_engine_suggest_term_gates(tmp_path):
     """QueryEngine.suggest_term: analyzer + missing-mode + length +
-    prefix-length gates, (dist, df desc, term) ranking, both pool
-    modes."""
+    prefix-length gates, (dist, df desc, term) ranking."""
     import pyarrow as pa
 
     from cb.shard import QueryEngine
@@ -112,20 +111,19 @@ def test_engine_suggest_term_gates(tmp_path):
 
     text = "windoow mrge table sprk zz vindow the"
     # tokens (stopword 'the' dropped): windoow mrge table sprk zz vindow
-    for mode in ("doc", "term"):
-        engine = QueryEngine(idx, num_servers=2, mode=mode)
-        try:
-            got = engine.suggest_term(text, k=2)
-            assert got == [
-                (1, "windoow", 1, "window", 1, 3),
-                (2, "mrge", 1, "merge", 1, 3),
-                # pos 3 'table' skipped: in vocab (suggest_mode=missing)
-                (4, "sprk", 1, "spark", 1, 1),
-                # pos 5 'zz' skipped: shorter than min_word_length
-                # pos 6 'vindow' no rows: prefix_length=1 bars 'window'
-            ], mode
-            always = engine.suggest_term(text, k=2, suggest_mode="always")
-            assert (3, "table", 1, "tables", 1, 1) in always, mode
-            assert [r for r in always if r[0] != 3] == got, mode
-        finally:
-            engine.shutdown()
+    engine = QueryEngine(idx, num_servers=2)
+    try:
+        got = engine.suggest_term(text, k=2)
+        assert got == [
+            (1, "windoow", 1, "window", 1, 3),
+            (2, "mrge", 1, "merge", 1, 3),
+            # pos 3 'table' skipped: in vocab (suggest_mode=missing)
+            (4, "sprk", 1, "spark", 1, 1),
+            # pos 5 'zz' skipped: shorter than min_word_length
+            # pos 6 'vindow' no rows: prefix_length=1 bars 'window'
+        ]
+        always = engine.suggest_term(text, k=2, suggest_mode="always")
+        assert (3, "table", 1, "tables", 1, 1) in always
+        assert [r for r in always if r[0] != 3] == got
+    finally:
+        engine.shutdown()

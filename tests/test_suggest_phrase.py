@@ -1,5 +1,5 @@
 """Phrase suggester: Stupid-Backoff math vs a hand brute force,
-doc/term mode parity, backoff-branch coverage, tombstone liveness.
+pool parity, backoff-branch coverage, tombstone liveness.
 (DuckDB value-parity for the packaged entry lives in
 test_oracle_parity.)"""
 
@@ -95,13 +95,12 @@ CASES = ["hsh jion", "merge sort windw", "tble scan", "sort hash"]
 def test_suggest_phrase_brute_and_modes(built):
     for text in CASES:
         want = _brute(text)
-        for mode, ns in (("doc", 2), ("term", 2)):
-            eng = QueryEngine(built, num_servers=ns, mode=mode)
-            try:
-                got = eng.suggest_phrase(text, k=3)
-            finally:
-                eng.shutdown()
-            assert got == want, (text, mode, got, want)
+        eng = QueryEngine(built, num_servers=2)
+        try:
+            got = eng.suggest_phrase(text, k=3)
+        finally:
+            eng.shutdown()
+        assert got == want, (text, got, want)
         assert want, text  # every case must produce suggestions
 
 

@@ -39,7 +39,7 @@ def test_query_engine_metrics_populate(tmp_path, ray_session):
     idx = str(tmp_path / "idx")
     build_index(src, idx, text_col="text", id_col="doc_id", num_parts=4)
 
-    eng = shard.QueryEngine(idx, num_servers=2, mode="doc")
+    eng = shard.QueryEngine(idx, num_servers=2)
     try:
         warmed = eng.warm(min_df=0)
         assert warmed > 0

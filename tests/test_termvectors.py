@@ -1,5 +1,5 @@
 """Term vectors from the positional index: brute parity vs the
-analyzer, pool/topology invariance, tombstones, no-positions guard."""
+analyzer, pool-size invariance, tombstones, no-positions guard."""
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -38,17 +38,13 @@ def test_term_vectors_brute_parity_and_topologies(built):
     ids = sorted(texts)
     sel = [ids[0], ids[100], ids[-1]]
     want = [r for d in sel for r in _brute(texts, d)]
-    for mode in ("doc", "term"):
-        for ns in (1, 4):
-            eng = sm.QueryEngine(idx, num_servers=ns, mode=mode)
-            try:
-                got = eng.term_vectors(sel)
-            finally:
-                eng.shutdown()
-            assert [(d, t, tf, dl, list(p)) for d, t, tf, dl, p in got] == want, (
-                mode,
-                ns,
-            )
+    for ns in (1, 4):
+        eng = sm.QueryEngine(idx, num_servers=ns)
+        try:
+            got = eng.term_vectors(sel)
+        finally:
+            eng.shutdown()
+        assert [(d, t, tf, dl, list(p)) for d, t, tf, dl, p in got] == want, ns
 
 
 def test_term_vectors_unknown_and_tombstoned(built, tmp_path):
@@ -94,7 +90,7 @@ def test_term_vectors_requires_positions(built):
 def test_term_vectors_store_path_matches_index_path(built, tmp_path):
     """Doc-store term vectors (re-analyze stored text) == index-path
     term vectors — cross-proving the positional index against the
-    analyzer — in both topologies; missing text column raises."""
+    analyzer; missing text column raises."""
     import pyarrow as pa
     import pyarrow.parquet as pq2
 
@@ -108,14 +104,13 @@ def test_term_vectors_store_path_matches_index_path(built, tmp_path):
     dm.ensure_docmeta(idx, src, ["text"])
     ids = sorted(texts)
     sel = [ids[0], ids[50], ids[-1], 424242]  # incl. an absent id
-    for mode in ("doc", "term"):
-        eng = sm.QueryEngine(idx, num_servers=3, mode=mode)
-        try:
-            via_index = eng.term_vectors(sel)
-            via_store = eng.term_vectors(sel, source="store")
-            assert [(d, t, tf, dl, list(p)) for d, t, tf, dl, p in via_index] == [
-                (d, t, tf, dl, list(p)) for d, t, tf, dl, p in via_store
-            ], mode
-            assert via_store
-        finally:
-            eng.shutdown()
+    eng = sm.QueryEngine(idx, num_servers=3)
+    try:
+        via_index = eng.term_vectors(sel)
+        via_store = eng.term_vectors(sel, source="store")
+        assert [(d, t, tf, dl, list(p)) for d, t, tf, dl, p in via_index] == [
+            (d, t, tf, dl, list(p)) for d, t, tf, dl, p in via_store
+        ]
+        assert via_store
+    finally:
+        eng.shutdown()

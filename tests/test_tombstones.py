@@ -56,17 +56,16 @@ def test_delete_masks_every_query_path(built):
 def test_delete_engine_parity_both_modes(built):
     delete_docs(built, [1])
     s = LocalSearcher(built)
-    for mode in ("doc", "term"):
-        engine = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            for q in ("hash join", "merge window", "zebra"):
-                assert engine.query(q, k=10) == s.query(q, k=10, algo="taat"), (mode, q)
-            assert engine.phrase_query("hash join", k=10) == s.phrase_query("hash join", k=10)
-            assert engine.search('"hash join"', k=10) == s.search('"hash join"', k=10)
-            assert engine.filtered_query("join", {"lang": "en"}, k=10) == \
-                s.filtered_query("join", {"lang": "en"}, k=10)
-        finally:
-            engine.shutdown()
+    engine = QueryEngine(built, num_servers=2)
+    try:
+        for q in ("hash join", "merge window", "zebra"):
+            assert engine.query(q, k=10) == s.query(q, k=10, algo="taat"), q
+        assert engine.phrase_query("hash join", k=10) == s.phrase_query("hash join", k=10)
+        assert engine.search('"hash join"', k=10) == s.search('"hash join"', k=10)
+        assert engine.filtered_query("join", {"lang": "en"}, k=10) == \
+            s.filtered_query("join", {"lang": "en"}, k=10)
+    finally:
+        engine.shutdown()
 
 
 def test_delete_idempotent_and_cumulative(built):
@@ -76,31 +75,26 @@ def test_delete_idempotent_and_cumulative(built):
 
 
 def test_delete_by_query_counts_and_serving(built):
-    for mode in ("doc", "term"):
-        engine = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            # no-match query tombstones nothing
-            assert engine.delete_by_query("zebraquantum") == 0
-            # "deprecated" matches exactly doc 2
-            assert engine.delete_by_query("deprecated") == 1
-            # idempotent: matched docs already tombstoned
-            assert engine.delete_by_query("deprecated") == 0
-            # boolean queries work: phrase restricts the match set
-            assert engine.delete_by_query('"merge sort"') == 1  # doc 3
-        finally:
-            engine.shutdown()
-        # the DELETING engine keeps serving its start-time tombstones…
-        # …a NEW engine observes them (the delete_docs contract)
-        fresh = QueryEngine(built, num_servers=2, mode=mode)
-        try:
-            assert {d for d, _ in fresh.query("hash join", k=10)} == {1, 4, 5}
-            assert fresh.query("sort", k=10) == []
-        finally:
-            fresh.shutdown()
-        # reset tombstones for the second mode's pass
-        import os
-
-        os.remove(os.path.join(built, "_tombstones.json"))
+    engine = QueryEngine(built, num_servers=2)
+    try:
+        # no-match query tombstones nothing
+        assert engine.delete_by_query("zebraquantum") == 0
+        # "deprecated" matches exactly doc 2
+        assert engine.delete_by_query("deprecated") == 1
+        # idempotent: matched docs already tombstoned
+        assert engine.delete_by_query("deprecated") == 0
+        # boolean queries work: phrase restricts the match set
+        assert engine.delete_by_query('"merge sort"') == 1  # doc 3
+    finally:
+        engine.shutdown()
+    # the DELETING engine keeps serving its start-time tombstones…
+    # …a NEW engine observes them (the delete_docs contract)
+    fresh = QueryEngine(built, num_servers=2)
+    try:
+        assert {d for d, _ in fresh.query("hash join", k=10)} == {1, 4, 5}
+        assert fresh.query("sort", k=10) == []
+    finally:
+        fresh.shutdown()
 
 
 def test_compaction_byte_identical_to_fresh_survivor_build(tmp_path):
