@@ -50,7 +50,11 @@ import ray
 from . import build as build_mod
 from . import manifest
 from .build import DEFAULT_NUM_PARTS, DEFAULT_RANGE_BITS
-from .shard import QueryEngine, _merge_topk
+from .aggs import (
+    AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
+    _pct_ranges, _pct_ranks_from_counts,
+)
+from .shard import QueryEngine, _merge_topk, _terms_clause
 
 KEY_COL = "_fed_key"
 
@@ -836,7 +840,7 @@ def compact_federation(fed_dir: str) -> dict:
     return fed
 
 
-class FederatedEngine:
+class FederatedEngine(AggRoute):
     """Cross-index search over a federation — the engine analog of one
     ES query spanning ``logstash-*``-style day indexes.
 
@@ -847,7 +851,13 @@ class FederatedEngine:
     monolithic index (dfs_query_then_fetch semantics).
 
     ``names=`` / day-range args prune the fan-out to the sub-indexes a
-    time-bounded query can match (GetIndexNames read path)."""
+    time-bounded query can match (GetIndexNames read path).
+
+    Aggregations (:mod:`cb.aggs`) collect every selected member's
+    server refs in :meth:`_agg_parts`; they read docmeta columns built
+    by :func:`ensure_fed_docmeta`, and scored ones (top_hits,
+    function_score) score with the feddf overlay, so each merge is
+    bitwise the monolithic pool's."""
 
     def __init__(self, fed_dir: str, num_servers: int = 2):
         self.meta = load_fed_meta(fed_dir)
@@ -1026,26 +1036,20 @@ class FederatedEngine:
             pos += len(refs)
         return out
 
+    def _agg_parts(self, query: str | dict, name: str, spec, **sel) -> list:
+        """The aggregation route: every selected member engine's server
+        refs (each member parses and expands against its own
+        vocabulary), drained by ONE ray.get."""
+        refs = [
+            r for n in self._select(**sel)
+            for r in self.engines[n]._agg_refs(query, name, spec)
+        ]
+        return ray.get(refs)
+
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=(), **sel
     ) -> tuple[dict, dict]:
-        """ES-style aggregations over the federation-wide match set:
-        per-server partials collected across every selected engine, one
-        ray.get, one exact additive fold — counts add, sums add,
-        min/max fold across disjoint doc sets."""
-        from .shard import _merge_facets
-
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_facets(query_string, facet_cols, stats_cols)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return {c: {} for c in facet_cols}, {
-                c: (0, 0, None, None) for c in stats_cols
-            }
-        return _merge_facets(ray.get(futs))
+        return self._agg(query_string, "facets", (list(facet_cols), list(stats_cols)), **sel)
 
     def more_like_this(
         self,
@@ -1102,116 +1106,37 @@ class FederatedEngine:
         )
 
     def histogram(self, query_string: str, histos: dict, **sel) -> dict:
-        """Histogram aggregation across the federation (per-server
-        partials, one ray.get, exact additive fold)."""
-        from .shard import _merge_hists
-
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_histogram(query_string, histos)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return {c: {} for c in histos}
-        return _merge_hists(ray.get(futs))
+        return self._agg(query_string, "histogram", histos, **sel)
 
     def range_agg(self, query_string: str, ranges: dict, **sel) -> dict:
-        """ES range aggregation across the federation (per-server range
-        counts, one ray.get, exact elementwise fold across disjoint doc
-        sets)."""
-        from .shard import _merge_ranges
-
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_range_agg(query_string, ranges)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        return _merge_ranges(ray.get(futs))
+        return self._agg(query_string, "range", ranges, **sel)
 
     def composite(
         self, query_string: str, cols: list[str], size: int,
         after: tuple | None = None, **sel,
     ) -> tuple[list[tuple[tuple, int]], tuple | None]:
-        """ES composite aggregation across the federation: per-server
-        bucket dicts (one row per distinct key tuple) from every
-        selected sub-index, one ray.get, exact additive fold, then the
-        same key-ordered size/after paging as QueryEngine.composite —
-        bitwise the monolithic pool's pages."""
-        from .shard import _merge_composite
-
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_composite(query_string, cols)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return [], None
-        from .shard import _page_composite
-
-        return _page_composite(_merge_composite(ray.get(futs)), size, after)
+        return _page_composite(
+            self._agg(query_string, "composite", list(cols), **sel), size, after
+        )
 
     def top_hits(self, text: str, group_col: str, k_per: int, **sel) -> dict:
-        """Federated top_hits-inside-terms-agg: every selected
-        sub-index's servers return their local per-group top k_per
-        (scored with the feddf overlay, so idf is federation-global),
-        one ray.get, exact re-cut per group value — disjoint doc sets
-        make the merge bitwise the monolithic pool's."""
-        from .shard import _merge_top_hits
-
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_top_hits(text, group_col, k_per)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return {}
-        return _merge_top_hits(ray.get(futs), k_per)
+        return self._agg(_terms_clause(text), "top_hits", (group_col, k_per), **sel)
 
     def collapse(
         self, text: str, group_col: str, k: int, **sel
     ) -> list[tuple[int, float, object]]:
-        """Federated field collapsing: top_hits(k_per=1) across the
-        federation, flattened and re-cut — same driver math as
-        QueryEngine.collapse, bitwise the monolithic result."""
-        from .shard import _collapse_from_top_hits
-
         return _collapse_from_top_hits(self.top_hits(text, group_col, 1, **sel), k)
 
     def percentile_ranks(
         self, query_string: str, col: str, values: list[int], **sel
     ) -> dict[int, float] | None:
-        """Federated percentile_ranks: integer range counts fold
-        exactly across members, ONE division per value at the driver
-        (same math as QueryEngine.percentile_ranks)."""
-        from .shard import _pct_ranks_from_counts
-
-        ranges = [(None, int(v) + 1) for v in values] + [(None, None)]
-        cnts = self.range_agg(query_string, {col: ranges}, **sel)[col]
+        cnts = self.range_agg(query_string, {col: _pct_ranges(values)}, **sel)[col]
         return _pct_ranks_from_counts(cnts, values)
 
     def function_score(
         self, query_string: str, spec: dict, k: int = 10, **sel
     ) -> list[tuple[int, float]]:
-        """Federated function_score: each member combines its fed-
-        overlaid BM25 scores (fed-global N/avgdl/df) with the docmeta
-        feature locally; member doc sets are disjoint so the driver
-        re-cut is exact.  Needs ensure_fed_docmeta for the feature
-        column."""
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_function_score(query_string, spec, k)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return []
-        return _merge_topk(ray.get(futs), k)
+        return self._agg(query_string, "function_score", (spec, k), **sel)
 
     def phrase_prefix_query(
         self, text: str, k: int = 10, max_expansions: int | None = None, **sel
@@ -1312,20 +1237,8 @@ class _MultiFieldFedMember:
     ) -> list[tuple[int, float]]:
         return self.searcher.search(query, k, mode=mode, tie_breaker=tie_breaker)
 
-    def facet_counts(self, query: str, facet_cols, stats_cols):
-        return self.searcher.facet_counts(query, facet_cols, stats_cols)
-
-    def histogram(self, query: str, histos: dict) -> dict:
-        return self.searcher.histogram(query, histos)
-
-    def range_counts(self, query: str, ranges: dict) -> dict:
-        return self.searcher.range_counts(query, ranges)
-
-    def composite_counts(self, query: str, cols: list[str]) -> dict:
-        return self.searcher.composite_counts(query, cols)
-
-    def top_hits(self, query: str, group_col: str, k_per: int) -> dict:
-        return self.searcher.top_hits(query, group_col, k_per)
+    def agg(self, query: str, name: str, spec):
+        return self.searcher.agg(query, name, spec)
 
     def mlt(self, doc_fields: dict, k: int, max_terms: int):
         """Member MLT WITHOUT source-doc exclusion: term selection uses
@@ -1334,9 +1247,6 @@ class _MultiFieldFedMember:
         keeping the result bitwise the monolithic MLT."""
         return self.searcher.more_like_this(doc_fields, k, max_terms)
 
-    def function_score(self, query: str, spec: dict, k: int):
-        return self.searcher.function_score(query, spec, k)
-
     def significant_counts(self, query: str, field: str, min_df: int):
         return self.searcher.significant_counts(query, field, min_df)
 
@@ -1344,13 +1254,15 @@ class _MultiFieldFedMember:
         return self.searcher.term_dfs(field, terms)
 
 
-class FederatedMultiFieldEngine:
+class FederatedMultiFieldEngine(AggRoute):
     """Cross-index MULTIFIELD search (mapping JSON -> analyzed fields
     -> per-day sub-indexes -> one query spanning them): each member
     scores every field with federation-global per-field stats
     (``field_stats`` + per-field feddf overlays), so the merged top-k
     is bitwise the monolithic multifield result — the multifield
-    closure of the single-field FederatedEngine contract."""
+    closure of the single-field FederatedEngine contract.  The
+    aggregation methods are MultiFieldEngine's, over every selected
+    member's disjoint doc set."""
 
     def __init__(self, fed_dir: str):
         self.meta = load_fed_meta(fed_dir)
@@ -1442,110 +1354,43 @@ class FederatedMultiFieldEngine:
             parts.append([(d, s * w) for d, s in res] if w != 1.0 else res)
         return _merge_topk(parts, k)
 
+    def _agg_parts(self, query: str, name: str, spec, **sel) -> list:
+        """The aggregation route: every selected member's partial, ONE
+        ray.get.  Membership is stats-independent and per-member vocab
+        expansion is scoring_boolean-safe, so the merge equals the
+        monolithic multifield aggregation."""
+        return ray.get(
+            [self.members[n].agg.remote(query, name, spec) for n in self._select(**sel)]
+        )
+
     def facets(
         self, query: str, facet_cols=(), stats_cols=(), **sel
     ) -> tuple[dict, dict]:
-        """ES aggregations over the federation-wide multifield match
-        set: per-member partials (each member's full-match aggregation
-        over its disjoint doc set), ONE ray.get, exact additive fold —
-        membership is stats-independent and vocab expansion per member
-        is scoring_boolean-safe, so this equals the monolithic
-        multifield aggregation exactly."""
-        from .shard import _merge_facets
-
-        futs = [
-            self.members[n].facet_counts.remote(
-                query, list(facet_cols), list(stats_cols)
-            )
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return {c: {} for c in facet_cols}, {
-                c: (0, 0, None, None) for c in stats_cols
-            }
-        return _merge_facets(ray.get(futs))
+        return self._agg(query, "facets", (list(facet_cols), list(stats_cols)), **sel)
 
     def histogram(self, query: str, histos: dict, **sel) -> dict:
-        """Fixed-interval histogram over the federation-wide multifield
-        match set (exact additive member fold)."""
-        from .shard import _merge_hists
-
-        futs = [
-            self.members[n].histogram.remote(query, histos)
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return {c: {} for c in histos}
-        return _merge_hists(ray.get(futs))
+        return self._agg(query, "histogram", histos, **sel)
 
     def range_agg(self, query: str, ranges: dict, **sel) -> dict:
-        """Range aggregation over the federation-wide multifield match
-        set (exact elementwise member fold)."""
-        from .shard import _merge_ranges
-
-        futs = [
-            self.members[n].range_counts.remote(query, ranges)
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        return _merge_ranges(ray.get(futs))
+        return self._agg(query, "range", ranges, **sel)
 
     def composite(
         self, query: str, cols: list[str], size: int,
         after: tuple | None = None, **sel,
     ) -> tuple[list[tuple[tuple, int]], tuple | None]:
-        """Composite aggregation over the federation-wide multifield
-        match set: additive member fold + the shared key-ordered
-        size/after paging — bitwise the monolithic multifield pages."""
-        from .shard import _merge_composite
-
-        futs = [
-            self.members[n].composite_counts.remote(query, list(cols))
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return [], None
-        from .shard import _page_composite
-
-        return _page_composite(_merge_composite(ray.get(futs)), size, after)
+        return _page_composite(self._agg(query, "composite", list(cols), **sel), size, after)
 
     def top_hits(self, query: str, group_col: str, k_per: int, **sel) -> dict:
-        """Federated multifield top_hits: members score with fed-global
-        per-field stats, so per-group candidates merge bitwise to the
-        monolithic multifield per-group top-k."""
-        from .shard import _merge_top_hits
-
-        futs = [
-            self.members[n].top_hits.remote(query, group_col, k_per)
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return {}
-        return _merge_top_hits(ray.get(futs), k_per)
+        return self._agg(query, "top_hits", (group_col, k_per), **sel)
 
     def function_score(
         self, query: str, spec: dict, k: int = 10, **sel
     ) -> list[tuple[int, float]]:
-        """Federated multifield function_score: members combine their
-        fed-global most_fields scores with the docmeta feature locally;
-        disjoint member doc sets -> exact driver re-cut (bitwise the
-        monolithic multifield function_score)."""
-        futs = [
-            self.members[n].function_score.remote(query, spec, k)
-            for n in self._select(**sel)
-        ]
-        if not futs:
-            return []
-        return _merge_topk(ray.get(futs), k)
+        return self._agg(query, "function_score", (spec, k), **sel)
 
     def collapse(
         self, query: str, group_col: str, k: int, **sel
     ) -> list[tuple[int, float, object]]:
-        """Federated multifield field collapsing (top_hits k_per=1,
-        flatten + re-cut — bitwise the monolithic result)."""
-        from .shard import _collapse_from_top_hits
-
         return _collapse_from_top_hits(self.top_hits(query, group_col, 1, **sel), k)
 
     def more_like_this(
@@ -1585,8 +1430,6 @@ class FederatedMultiFieldEngine:
         """Federation-wide significant_terms of ``field``: per-member
         fg counts add (disjoint docs), match totals add, JLH at the
         driver with fed-global df and N."""
-        from .multifield import _fold_sig, _jlh_rank
-
         names = self._select(**sel)
         parts = ray.get(
             [
@@ -1594,7 +1437,7 @@ class FederatedMultiFieldEngine:
                 for n in names
             ]
         )
-        fg, m = _fold_sig(parts)
+        fg, m = _merge_sig(parts)
         if not fg or not names:
             return []
         dfs = ray.get(self.members[names[0]].get_dfs.remote(field, sorted(fg)))

@@ -24,6 +24,9 @@ or let the default search span fields.  The engine analog:
   partitions, computes the cross-field sum locally over its disjoint
   doc subset (bucket-pruned reads), and the driver merges by
   (score, doc_id) exactly as the single-field engine does.
+- Aggregations follow the one protocol of :mod:`cb.aggs`: the searcher
+  and each server compute a registry entry's partial with ``agg`` over
+  the routed query's full match set, and the pool merges the partials.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ import ray
 import ray.data
 
 from . import analyze, manifest, scoring, wand
+from .aggs import (
+    AGGS, AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
+)
 from .build import IndexMeta, term_partition
 from .query import page_after as _page_after, rank_topk
 from .shard import GlobalStats, ShardPartition, _live_mask, _merge_topk, load_tombstones
@@ -809,33 +815,6 @@ def _fg_counts(matched: np.ndarray, parts: dict, min_df: int) -> dict[str, int]:
     return counts
 
 
-def _fold_sig(parts: list) -> tuple[dict, int]:
-    """Additive fold of per-scope (fg counts, match total) pairs
-    (disjoint doc sets, exact addition)."""
-    fg: dict[str, int] = {}
-    for d, _ in parts:
-        for t, c in d.items():
-            fg[t] = fg.get(t, 0) + c
-    return fg, sum(mm for _, mm in parts)
-
-
-def _jlh_rank(fg: dict, m: int, dfs: dict, n: int, top_n: int):
-    """JLH fold shared by every significant_terms surface:
-    ``(fg/m - df/N) * ((fg/m)/(df/N))``, top_n by (score desc, term
-    asc)."""
-    if not m:
-        return []
-    out = []
-    for t, c in fg.items():
-        df = dfs.get(t)
-        if not df:
-            continue
-        fgp, bgp = c / m, df / n
-        out.append((t, c, df, (fgp - bgp) * (fgp / bgp)))
-    out.sort(key=lambda r: (-r[3], r[0]))
-    return out[:top_n]
-
-
 def _load_docmeta(index_dir: str, fields: list[str], buckets: list[int] | None):
     """The docmeta side table of a multi-field index lives under the
     FIRST field's sub-index (build_from_mapping convention — every field
@@ -849,6 +828,25 @@ def _load_docmeta(index_dir: str, fields: list[str], buckets: list[int] | None):
         return None
 
 
+def _routed_agg(scope, routed: dict, name: str, spec):
+    """One scope's partial of registry aggregation ``name`` over a
+    routed query's full match set; ``scope`` is a MultiFieldSearcher or
+    a MultiFieldServer.  The most_fields sum is slice-independent
+    (fixed field order), so scored entries merge exactly too."""
+    entry = AGGS[name]
+    dm = scope._dm()
+    if dm is None:
+        raise ValueError(f"{name} needs a docmeta table (cb.docmeta)")
+    m = _match_fields(
+        routed, scope._get, scope.stats, scope.fields, scope.tombstones,
+        docmeta=dm,
+    )
+    if m is None:
+        return entry.empty(spec)
+    all_ids, total, keep = m
+    return entry.partial(all_ids[keep], total[keep], dm, spec)
+
+
 class MultiFieldSearcher:
     """In-process multi-field searcher (tests / tiny corpora).
 
@@ -860,7 +858,10 @@ class MultiFieldSearcher:
     single-field ShardServer/LocalSearcher fed override implements).
     Fed members force ``algo="wand"`` to TAAT — the stored block-max
     umax used each sub-index's build avgdl, which the fed overlay can
-    exceed, invalidating WAND's bounds."""
+    exceed, invalidating WAND's bounds.
+
+    ``facet_counts`` ... ``function_score`` are :meth:`agg` over the
+    whole index as one scope: the reference the pool engines match."""
 
     def __init__(self, index_dir: str, fed: str | None = None):
         self._fed_override = fed is not None
@@ -901,19 +902,26 @@ class MultiFieldSearcher:
                             zip(t["term"].to_pylist(), t["df"].to_pylist())
                         )
         self.tombstones = load_tombstones(index_dir)
-        self._dm = None
-        self._dm_loaded = False
+        self.buckets = None  # the whole index: every doc-range bucket
+        self._docmeta = None  # lazy, see _dm
         self._vocabs: dict[str, list[str]] | None = None  # lazy (wildcard/fuzzy)
 
     def _get(self, field: str, term: str):
         meta = self.metas[field]
         return self.parts[field][term_partition(term, meta.num_parts)].get(term)
 
-    def _docmeta(self):
-        if not self._dm_loaded:
-            self._dm = _load_docmeta(self.index_dir, self.fields, None)
-            self._dm_loaded = True
-        return self._dm
+    def _dm(self):
+        """The docmeta table of this scope's buckets, loaded on first
+        use; None while it is not built."""
+        if self._docmeta is None:
+            self._docmeta = _load_docmeta(self.index_dir, self.fields, self.buckets)
+        return self._docmeta
+
+    def _routed(self, query: str) -> dict:
+        routed = route_query(query, self.fields)
+        if routed.get("expands"):
+            routed = expand_routed(routed, self._field_vocabs())
+        return routed
 
     def _field_vocabs(self) -> dict[str, list[str]]:
         from .shard import load_vocab
@@ -933,27 +941,21 @@ class MultiFieldSearcher:
         # selective/disk path, rank-identical by construction and test
         if algo == "wand" and self._fed_override:
             algo = "taat"  # stored umax bounds are sub-index-avgdl-based
-        routed = route_query(query, self.fields)
-        if routed.get("expands"):
-            routed = expand_routed(routed, self._field_vocabs())
+        routed = self._routed(query)
         if synonyms:
             routed = apply_synonyms_routed(routed, synonyms)
         routed = with_mode(routed, mode, tie_breaker)
-        dm = self._docmeta() if routed["filters"] else None
+        dm = self._dm() if routed["filters"] else None
         return _score_fields(
             routed, self._get, self.stats, self.fields, k, self.tombstones,
             docmeta=dm, algo=algo, dfs_of=self.term_dfs,
         )
 
-    def _match_scored(self, query: str):
-        """(matched doc ids, their most_fields scores, docmeta) over the
-        FULL match set of a multifield query (not top-k) — the shared
-        core of every full-match aggregation; top_hits consumes the
-        scores, count aggregations ignore them."""
-        routed = route_query(query, self.fields)
-        if routed.get("expands"):
-            routed = expand_routed(routed, self._field_vocabs())
-        dm = self._docmeta()
+    def _match(self, query: str):
+        """(matched doc ids, docmeta) over the FULL match set of a
+        multifield query (not top-k)."""
+        routed = self._routed(query)
+        dm = self._dm()
         if routed["filters"] and dm is None:
             raise ValueError(
                 f"filter fields {sorted(routed['filters'])} need a docmeta "
@@ -964,99 +966,33 @@ class MultiFieldSearcher:
             docmeta=dm,
         )
         if m is None:
-            return None, None, dm
-        all_ids, total, keep = m
-        return all_ids[keep], total[keep], dm
+            return None, dm
+        all_ids, _, keep = m
+        return all_ids[keep], dm
 
-    def _match(self, query: str):
-        """(matched doc ids, docmeta) for count-only aggregations."""
-        ids, _, dm = self._match_scored(query)
-        return ids, dm
+    def agg(self, query: str, name: str, spec):
+        """Registry aggregation ``name`` (:mod:`cb.aggs`) over the
+        query's full multifield match set — this searcher is one scope,
+        so its partial is the whole result."""
+        return _routed_agg(self, self._routed(query), name, spec)
 
     def facet_counts(self, query: str, facet_cols=(), stats_cols=()):
-        """ES aggregations (terms facets + numeric stats from docmeta)
-        over the query's full multifield match set — the multifield
-        analog of LocalSearcher.facets."""
-        from .shard import _facets_over
-
-        ids, dm = self._match(query)
-        if dm is None:
-            raise ValueError("facets need a docmeta table (cb.docmeta)")
-        if ids is None:
-            return (
-                {c: {} for c in facet_cols},
-                {c: (0, 0, None, None) for c in stats_cols},
-            )
-        return _facets_over(ids, dm, list(facet_cols), list(stats_cols))
+        return self.agg(query, "facets", (list(facet_cols), list(stats_cols)))
 
     def histogram(self, query: str, histos: dict) -> dict:
-        """ES fixed-interval histogram over the full multifield match
-        set (col -> {floor(v/interval)*interval: count})."""
-        from .shard import _histos_over
-
-        ids, dm = self._match(query)
-        if dm is None:
-            raise ValueError("histogram needs a docmeta table (cb.docmeta)")
-        if ids is None:
-            return {c: {} for c in histos}
-        return _histos_over(ids, dm, histos)
+        return self.agg(query, "histogram", histos)
 
     def range_counts(self, query: str, ranges: dict) -> dict:
-        """ES range aggregation over the full multifield match set
-        (``{col: [(lo, hi), ...]}`` -> counts aligned with the input
-        ranges; ``None`` = unbounded)."""
-        from .shard import _ranges_over
-
-        ids, dm = self._match(query)
-        if dm is None:
-            raise ValueError("range aggregation needs a docmeta table (cb.docmeta)")
-        if ids is None:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        return _ranges_over(ids, dm, ranges)
+        return self.agg(query, "range", ranges)
 
     def composite_counts(self, query: str, cols: list[str]) -> dict:
-        """ES composite-aggregation bucket counts over the full
-        multifield match set: ``(v1, v2, ...) -> count`` per distinct
-        key tuple (the caller pages)."""
-        from .shard import _composite_over
-
-        ids, dm = self._match(query)
-        if dm is None:
-            raise ValueError("composite needs a docmeta table (cb.docmeta)")
-        if ids is None:
-            return {}
-        return _composite_over(ids, dm, list(cols))
+        return self.agg(query, "composite", list(cols))
 
     def top_hits(self, query: str, group_col: str, k_per: int) -> dict:
-        """ES top_hits-inside-terms-agg over the full multifield match
-        set: per group value, the exact top ``k_per`` docs by the
-        most_fields sum (score desc, doc_id asc)."""
-        from .shard import _top_hits_over
-
-        ids, scores, dm = self._match_scored(query)
-        if dm is None:
-            raise ValueError("top_hits needs a docmeta table (cb.docmeta)")
-        if ids is None:
-            return {}
-        return _top_hits_over(ids, scores, dm, group_col, k_per)
+        return self.agg(query, "top_hits", (group_col, k_per))
 
     def function_score(self, query: str, spec: dict, k: int = 10):
-        """ES function_score over the full multifield match set: the
-        most_fields sum of every matching doc combines with the docmeta
-        feature BEFORE the top-k cut (cb.shard._combine_function_score
-        kernel — bitwise the SQL mirror)."""
-        import numpy as np
-
-        from .query import rank_topk
-        from .shard import _combine_function_score, _fscore_feature
-
-        ids, scores, dm = self._match_scored(query)
-        if dm is None:
-            raise ValueError("function_score needs a docmeta table (cb.docmeta)")
-        if ids is None or len(ids) == 0:
-            return []
-        x = _fscore_feature(ids, dm, spec)
-        return rank_topk(ids, _combine_function_score(scores, x, spec), k)
+        return self.agg(query, "function_score", (spec, k))
 
     def term_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
         """Corpus-global df per term for one field from its partition
@@ -1136,8 +1072,7 @@ class MultiFieldServer:
             for f, meta in self.metas.items()
         }
         self.tombstones = load_tombstones(index_dir)
-        self._dm = None
-        self._dm_loaded = False
+        self._docmeta = None  # lazy, see _dm
         from .telemetry import Telemetry
 
         self.telemetry = Telemetry()
@@ -1149,13 +1084,13 @@ class MultiFieldServer:
         meta = self.metas[field]
         return self.parts[field][term_partition(term, meta.num_parts)].get(term)
 
-    def _ensure_dm(self):
-        if not self._dm_loaded:
-            # the docmeta table shards WITH the postings: this server
-            # loads only its own doc-range buckets
-            self._dm = _load_docmeta(self.index_dir, self.fields, self.buckets)
-            self._dm_loaded = True
-        return self._dm
+    def _dm(self):
+        """This slice's docmeta (it shards WITH the postings: only this
+        server's doc-range buckets), loaded on first use; None while it
+        is not built."""
+        if self._docmeta is None:
+            self._docmeta = _load_docmeta(self.index_dir, self.fields, self.buckets)
+        return self._docmeta
 
     def score(self, routed: dict, k: int, algo: str = "taat"):
         self.telemetry.incr("server.scores")
@@ -1163,125 +1098,16 @@ class MultiFieldServer:
             "server.terms",
             sum(len(ts) for ts in routed.get("field_terms", {}).values()),
         )
-        dm = self._ensure_dm() if routed.get("filters") else None
+        dm = self._dm() if routed.get("filters") else None
         return _score_fields(
             routed, self._get, self.stats, self.fields, k, self.tombstones,
             docmeta=dm, algo=algo, dfs_of=self.get_dfs,
         )
 
-    def facet_counts(self, routed: dict, facet_cols=(), stats_cols=()):
-        """Aggregations over THIS doc-range slice's full match set —
-        slices are disjoint, so the driver merge is exact addition
-        (same contract as the single-field ShardServer.facet_counts)."""
-        from .shard import _facets_over
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("facets need a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return (
-                {c: {} for c in facet_cols},
-                {c: (0, 0, None, None) for c in stats_cols},
-            )
-        all_ids, _, keep = m
-        return _facets_over(all_ids[keep], dm, list(facet_cols), list(stats_cols))
-
-    def histogram(self, routed: dict, histos: dict) -> dict:
-        """Histogram over THIS slice's full match set (additive merge)."""
-        from .shard import _histos_over
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("histogram needs a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return {c: {} for c in histos}
-        all_ids, _, keep = m
-        return _histos_over(all_ids[keep], dm, histos)
-
-    def range_counts(self, routed: dict, ranges: dict) -> dict:
-        """Range counts over THIS slice's full match set (driver merge
-        is exact elementwise addition across disjoint slices)."""
-        from .shard import _ranges_over
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("range aggregation needs a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        all_ids, _, keep = m
-        return _ranges_over(all_ids[keep], dm, ranges)
-
-    def composite_counts(self, routed: dict, cols: list[str]) -> dict:
-        """Composite bucket counts over THIS slice (additive merge; one
-        row per distinct key tuple, never per doc)."""
-        from .shard import _composite_over
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("composite needs a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return {}
-        all_ids, _, keep = m
-        return _composite_over(all_ids[keep], dm, list(cols))
-
-    def top_hits(self, routed: dict, group_col: str, k_per: int) -> dict:
-        """Per-group local top ``k_per`` of THIS slice's scored match
-        set — the most_fields sum is slice-independent (fixed field
-        order), so the driver re-cut per group value is exact."""
-        from .shard import _top_hits_over
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("top_hits needs a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return {}
-        all_ids, total, keep = m
-        return _top_hits_over(all_ids[keep], total[keep], dm, group_col, k_per)
-
-    def function_score(self, routed: dict, spec: dict, k: int):
-        """function_score over THIS slice's scored match set; the
-        most_fields sum is slice-independent, so the driver's
-        _merge_topk re-cut over disjoint slices is exact."""
-        import numpy as np
-
-        from .query import rank_topk
-        from .shard import _combine_function_score, _fscore_feature
-
-        dm = self._ensure_dm()
-        if dm is None:
-            raise ValueError("function_score needs a docmeta table (cb.docmeta)")
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return []
-        all_ids, total, keep = m
-        ids, sc = all_ids[keep], total[keep]
-        if len(ids) == 0:
-            return []
-        x = _fscore_feature(ids, dm, spec)
-        return rank_topk(ids, _combine_function_score(sc, x, spec), k)
+    def agg(self, routed: dict, name: str, spec):
+        """This slice's partial of registry aggregation ``name``
+        (:mod:`cb.aggs`) over the routed query's full match set."""
+        return _routed_agg(self, routed, name, spec)
 
     def _field_docstats(self, field: str):
         """Per-field doc_id -> doc_len lookup for THIS slice's buckets
@@ -1339,7 +1165,7 @@ class MultiFieldServer:
         owned term of ``field`` with corpus df >= min_df — slices are
         disjoint, so the driver merge is exact addition (the multifield
         analog of ShardServer.significant)."""
-        dm = self._ensure_dm() if routed.get("filters") else None
+        dm = self._dm() if routed.get("filters") else None
         m = _match_fields(
             routed, self._get, self.stats, self.fields, self.tombstones,
             docmeta=dm,
@@ -1353,10 +1179,12 @@ class MultiFieldServer:
         return _fg_counts(matched, self.parts[field], min_df), int(len(matched))
 
 
-class MultiFieldEngine:
+class MultiFieldEngine(AggRoute):
     """Driver facade: doc-sharded scatter-gather over MultiFieldServer
     actors, merged by (score, doc_id) — per-query work ~1/S per server,
-    same topology maths as the single-field QueryEngine."""
+    same topology maths as the single-field QueryEngine.  The
+    aggregation methods are QueryEngine's over the multifield match
+    set."""
 
     def __init__(self, index_dir: str, num_servers: int = 2):
         m = load_multifield_meta(index_dir)
@@ -1478,75 +1306,35 @@ class MultiFieldEngine:
             routed = expand_routed(routed, self._vocabs)
         return routed
 
-    def facets(self, query: str, facet_cols=(), stats_cols=()):
-        """ES aggregations over the query's FULL multifield match set,
-        fanned out to the doc-sharded pool: each server aggregates its
-        disjoint doc slice, the driver merge is exact addition (same
-        contract as the single-field QueryEngine.facets)."""
-        from .shard import _merge_facets
-
+    def _agg_parts(self, query: str, name: str, spec) -> list:
+        """The aggregation route: route once, then every server's
+        partial over its doc-range slice."""
         routed = self._routed(query)
-        futs = [
-            s.facet_counts.remote(routed, list(facet_cols), list(stats_cols))
-            for s in self.servers
-        ]
-        return _merge_facets(ray.get(futs))
+        return ray.get([s.agg.remote(routed, name, spec) for s in self.servers])
+
+    def facets(self, query: str, facet_cols=(), stats_cols=()):
+        return self._agg(query, "facets", (list(facet_cols), list(stats_cols)))
 
     def histogram(self, query: str, histos: dict) -> dict:
-        """Histogram aggregation over the full multifield match set
-        (additive pool merge)."""
-        from .shard import _merge_hists
-
-        routed = self._routed(query)
-        futs = [s.histogram.remote(routed, histos) for s in self.servers]
-        return _merge_hists(ray.get(futs))
+        return self._agg(query, "histogram", histos)
 
     def range_agg(self, query: str, ranges: dict) -> dict:
-        """ES range aggregation over the full multifield match set
-        (exact elementwise pool merge)."""
-        from .shard import _merge_ranges
-
-        routed = self._routed(query)
-        futs = [s.range_counts.remote(routed, ranges) for s in self.servers]
-        return _merge_ranges(ray.get(futs))
+        return self._agg(query, "range", ranges)
 
     def composite(
         self, query: str, cols: list[str], size: int, after: tuple | None = None
     ) -> tuple[list[tuple[tuple, int]], tuple | None]:
-        """ES composite aggregation over the full multifield match set:
-        additive pool merge, then the same key-ordered size/after
-        paging as the single-field QueryEngine.composite."""
-        from .shard import _merge_composite, _page_composite
-
-        routed = self._routed(query)
-        futs = [s.composite_counts.remote(routed, list(cols)) for s in self.servers]
-        return _page_composite(_merge_composite(ray.get(futs)), size, after)
+        return _page_composite(self._agg(query, "composite", list(cols)), size, after)
 
     def function_score(self, query: str, spec: dict, k: int = 10):
-        """ES function_score over the full multifield match set: exact
-        pool merge of per-slice combined top-k lists (the most_fields
-        sum is slice-independent, the feature is per-doc)."""
-        routed = self._routed(query)
-        futs = [s.function_score.remote(routed, spec, k) for s in self.servers]
-        return _merge_topk(ray.get(futs), k)
+        return self._agg(query, "function_score", (spec, k))
 
     def top_hits(self, query: str, group_col: str, k_per: int) -> dict:
-        """ES top_hits-inside-terms-agg over the full multifield match
-        set (per-server local per-group top k_per, exact re-cut)."""
-        from .shard import _merge_top_hits
-
-        routed = self._routed(query)
-        futs = [s.top_hits.remote(routed, group_col, k_per) for s in self.servers]
-        return _merge_top_hits(ray.get(futs), k_per)
+        return self._agg(query, "top_hits", (group_col, k_per))
 
     def collapse(
         self, query: str, group_col: str, k: int
     ) -> list[tuple[int, float, object]]:
-        """ES field collapsing on the multifield match set: top_hits at
-        k_per=1, flattened and re-cut (same exactness argument as the
-        single-field QueryEngine.collapse)."""
-        from .shard import _collapse_from_top_hits
-
         return _collapse_from_top_hits(self.top_hits(query, group_col, 1), k)
 
     def term_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
@@ -1603,7 +1391,7 @@ class MultiFieldEngine:
         parts = ray.get(
             [s.significant.remote(routed, field, min_df) for s in self.servers]
         )
-        fg, m = _fold_sig(parts)
+        fg, m = _merge_sig(parts)
         dfs = self.term_dfs(field, sorted(fg))
         n = self._field_stats()[field].n_docs
         return _jlh_rank(fg, m, dfs, n, top_n)

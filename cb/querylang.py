@@ -30,6 +30,8 @@ Semantics (ES-aligned):
   docmeta column is numeric, lexicographically on strings;
 - ``-term`` drops every doc containing the term (bool.must_not);
 - ``+term`` additionally REQUIRES the term (and scores it);
+- there is no boolean grammar: a bare ``AND``/``OR``/``NOT``/``&&``/``||``
+  or a parenthesis outside a phrase or bracket range raises ValueError;
 - each scored atom carries a boost (default 1); a term's scoring
   weight is the SUM of the boosts of the atoms that match it, in atom
   order (``merge mer*^2`` weights ``merge`` at 3) — Lucene scores each
@@ -78,6 +80,7 @@ _FUZZY_RE = re.compile(r"^(.*?)~([0-2]?)$")
 _RANGE_RE = re.compile(r"^([\[{])\s*(\S+)\s+TO\s+(\S+)\s*([\]}])$", re.IGNORECASE)
 _CMP_RE = re.compile(r"^(>=|<=|>|<)(.+)$")
 _WILD_CHARS = re.compile(r"[*?]")
+_BOOL_OPS = frozenset(("AND", "OR", "NOT", "&&", "||"))
 _WILD_VALID = re.compile(r"^[a-z0-9*?]+$")
 
 
@@ -91,13 +94,6 @@ class Range:
         self.lo, self.hi = lo, hi
         self.lo_incl, self.hi_incl = lo_incl, hi_incl
 
-    def __repr__(self):
-        # value-stable (no object id): the server-side request cache
-        # keys on repr(parsed), so range filters must repr by value
-        return (
-            f"Range({self.lo!r}, {self.hi!r}, {self.lo_incl!r}, {self.hi_incl!r})"
-        )
-
     def __eq__(self, other):
         return isinstance(other, Range) and (
             (self.lo, self.hi, self.lo_incl, self.hi_incl)
@@ -108,6 +104,8 @@ class Range:
         return hash((self.lo, self.hi, self.lo_incl, self.hi_incl))
 
     def __repr__(self):
+        # value-stable (no object id): the server-side request cache
+        # keys on repr(parsed), so range filters must repr by value
         lb = "[" if self.lo_incl else "{"
         rb = "]" if self.hi_incl else "}"
         return f"Range({lb}{self.lo} TO {self.hi}{rb})"
@@ -264,6 +262,11 @@ def parse(q: str) -> dict:
                 for t in sorted(set(toks)):
                     add_weight(t, w)
             continue
+        if word in _BOOL_OPS or "(" in word or ")" in word:
+            # no boolean grammar: reject rather than score the operands
+            # as free terms (a different query than the one written)
+            what = f"operator {word!r}" if word in _BOOL_OPS else f"parentheses in {word!r}"
+            raise ValueError(f"unsupported boolean query syntax: {what}")
         if word.startswith("-") and len(word) > 1:
             excluded.extend(analyze.tokenize(word[1:]))
             continue

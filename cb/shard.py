@@ -14,8 +14,11 @@ owns buckets ``b % num_servers == s`` of EVERY partition and reads only
 those files, so load I/O and memory are ~1/S of the index per server.
 Every request fans out to every server, each answers over its disjoint
 doc range (exact TAAT for top-k, block-max WAND selectable), and the
-driver merges exactly — top-k by (score desc, doc_id asc), aggregation
-partials by addition.  idf stays corpus-exact on a slice: per-term
+driver merges exactly — top-k by (score desc, doc_id asc).
+Aggregations follow the one protocol of :mod:`cb.aggs`:
+:meth:`ShardServer.agg` computes a registry entry's partial over its
+slice's match set, ``QueryEngine._agg_refs`` is the route, and the
+driver merges the partials.  idf stays corpus-exact on a slice: per-term
 global df comes from each partition's ``_termdf.parquet`` summary.
 Scoring needs no side tables — per-posting doc lengths ride in the
 postings (cb.compress) — so the only corpus-global serving state is
@@ -46,6 +49,10 @@ import pyarrow.parquet as pq
 import ray
 
 from . import analyze, compress, phrase as phrase_mod, scoring, wand
+from .aggs import (
+    AGGS, AggRoute, _collapse_from_top_hits, _facets_over, _jlh_rank, _merge_sig,
+    _merge_topk, _page_composite, _pct_ranges, _pct_ranks_from_counts,
+)
 from .build import IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
 
@@ -330,357 +337,6 @@ class GlobalStats:
         self.avgdl = avgdl
 
 
-def _facets_over(ids, dm, facet_cols, stats_cols):
-    """Facet aggregation over one scope's matched doc ids: ES-style
-    terms aggs (value -> count) and numeric stats aggs (n/sum/min/max)
-    from the docmeta side table.  Vectorized (value_counts / sum) —
-    returns tiny dicts, so driver merges stay O(distinct values)."""
-    import pyarrow.compute as pc_
-
-    facets: dict[str, dict] = {}
-    for c in facet_cols:
-        vals = dm.gather(ids, c).drop_null()
-        vc = pc_.value_counts(vals)
-        facets[c] = {
-            row["values"]: int(row["counts"]) for row in vc.to_pylist()
-        }
-    stats: dict[str, tuple] = {}
-    for c in stats_cols:
-        vals = dm.gather(ids, c).drop_null()
-        if len(vals) == 0:
-            stats[c] = (0, 0, None, None)
-        else:
-            stats[c] = (
-                len(vals),
-                pc_.sum(vals).as_py(),
-                pc_.min(vals).as_py(),
-                pc_.max(vals).as_py(),
-            )
-    return facets, stats
-
-
-def _stats_ext_over(ids, dm, cols) -> dict:
-    """ES extended_stats partials over one scope's matched doc ids:
-    ``col -> (n, sum, sumsq, min, max)``.  Values are cast to int64
-    first so the sums are EXACT integers (overflow-checked); disjoint
-    doc slices therefore add exactly and the driver finishes
-    avg/variance/std with one division per moment — bitwise equal to
-    the SQL mirror's ``sum::DOUBLE / n`` arithmetic because every
-    integer involved is exactly representable as a double."""
-    import pyarrow.compute as pc_
-
-    out: dict[str, tuple] = {}
-    for c in cols:
-        vals = dm.gather(ids, c).drop_null()
-        if len(vals) == 0:
-            out[c] = (0, 0, 0, None, None)
-            continue
-        v64 = vals.cast(pa.int64())
-        mx = pc_.max(v64).as_py()
-        mn = pc_.min(v64).as_py()
-        bound = max(abs(mx), abs(mn))
-        if len(v64) * bound * bound < (1 << 62):
-            # whole sum provably fits: vectorized (the multiply is
-            # overflow-CHECKED; this bound makes the SUM safe too —
-            # Arrow's sum wraps silently)
-            sq = pc_.sum(pc_.multiply_checked(v64, v64)).as_py()
-        else:
-            # exact Python-int fold (unbounded precision) for slices
-            # where n * max^2 could wrap int64
-            sq = sum(int(x) * int(x) for x in v64.to_pylist())
-        out[c] = (len(v64), pc_.sum(v64).as_py(), sq, mn, mx)
-    return out
-
-
-def _merge_stats_ext(parts) -> dict:
-    """Fold per-server extended-stats partials (exact integer adds,
-    min/max folds — disjoint doc slices)."""
-    out: dict[str, tuple] = {}
-    for s in parts:
-        for c, (n, sm, sq, mn, mx) in s.items():
-            if c not in out:
-                out[c] = (n, sm, sq, mn, mx)
-            elif n:
-                N, S, Q, MN, MX = out[c]
-                out[c] = (
-                    N + n,
-                    S + sm,
-                    Q + sq,
-                    mn if MN is None else (MN if mn is None else min(MN, mn)),
-                    mx if MX is None else (MX if mx is None else max(MX, mx)),
-                )
-    return out
-
-
-def _histos_over(ids, dm, histos: dict) -> dict:
-    """ES histogram aggregation over one scope's matched ids:
-    ``col -> {floor(value/interval)*interval: count}`` (int buckets) —
-    the fixed-interval histogram Kibana's date_histogram specializes."""
-    import pyarrow.compute as pc_
-
-    out: dict[str, dict] = {}
-    for c, interval in histos.items():
-        vals = dm.gather(ids, c).drop_null()
-        if len(vals) == 0:
-            out[c] = {}
-            continue
-        b = pc_.cast(
-            pc_.multiply(
-                pc_.floor(pc_.divide(pc_.cast(vals, pa.float64()), float(interval))),
-                float(interval),
-            ),
-            pa.int64(),
-        )
-        out[c] = {
-            int(row["values"]): int(row["counts"])
-            for row in pc_.value_counts(b).to_pylist()
-        }
-    return out
-
-
-def _merge_hists(parts: list[dict]) -> dict:
-    """Additive fold of per-scope histogram dicts (disjoint doc sets)."""
-    out: dict[str, dict] = {}
-    for h in parts:
-        for c, d in h.items():
-            acc = out.setdefault(c, {})
-            for v, n in d.items():
-                acc[v] = acc.get(v, 0) + n
-    return out
-
-
-def _merge_sig(parts) -> tuple[dict, int]:
-    """Fold per-server significant_terms partials ``(term -> count,
-    match total)``: disjoint doc slices, so both add exactly."""
-    counts: dict[str, int] = {}
-    for d, _ in parts:
-        for t, c in d.items():
-            counts[t] = counts.get(t, 0) + c
-    return counts, sum(m for _, m in parts)
-
-
-def _merge_facets(parts):
-    """Merge per-server (facets, stats) pairs: counts add, sums add,
-    min/max fold (disjoint doc slices, so addition is exact)."""
-    facets: dict[str, dict] = {}
-    stats: dict[str, tuple] = {}
-    for f, s in parts:
-        for c, d in f.items():
-            acc = facets.setdefault(c, {})
-            for v, n in d.items():
-                acc[v] = acc.get(v, 0) + n
-        for c, (n, sm, mn, mx) in s.items():
-            if c not in stats:
-                stats[c] = (n, sm, mn, mx)
-            elif n:
-                N, S, MN, MX = stats[c]
-                stats[c] = (
-                    N + n,
-                    S + sm,
-                    mn if MN is None else (MN if mn is None else min(MN, mn)),
-                    mx if MX is None else (MX if mx is None else max(MX, mx)),
-                )
-    return facets, stats
-
-
-def _ranges_over(ids, dm, ranges: dict) -> dict:
-    """ES range aggregation over one scope's matched doc ids:
-    ``col -> [count per (lo, hi) range]`` with half-open ``[lo, hi)``
-    semantics and ``None`` = unbounded — counts align positionally with
-    the caller's range list so the driver merge is elementwise
-    addition.  Nulls never match any range (mirrors SQL comparison
-    semantics)."""
-    out: dict[str, list[int]] = {}
-    for c, bounds in ranges.items():
-        vals = dm.gather(ids, c).drop_null()
-        v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-        cnts = []
-        for lo, hi in bounds:
-            m = np.ones(len(v), dtype=bool)
-            if lo is not None:
-                m &= v >= lo
-            if hi is not None:
-                m &= v < hi
-            cnts.append(int(m.sum()))
-        out[c] = cnts
-    return out
-
-
-def _merge_ranges(parts: list[dict]) -> dict:
-    """Elementwise fold of per-scope range-count lists (disjoint doc
-    slices -> exact addition)."""
-    out: dict[str, list[int]] = {}
-    for p in parts:
-        for c, cnts in p.items():
-            if c not in out:
-                out[c] = list(cnts)
-            else:
-                out[c] = [a + b for a, b in zip(out[c], cnts)]
-    return out
-
-
-def _composite_over(ids, dm, cols: list[str]) -> dict:
-    """Composite-aggregation bucket counts over one scope's matched doc
-    ids: ``(v1, v2, ...) -> count`` via one vectorized Arrow group_by
-    over the gathered key columns (tiny output: one row per distinct
-    key tuple, never per doc)."""
-    tbl = pa.table({c: dm.gather(ids, c) for c in cols})
-    tbl = tbl.drop_null()  # null key values drop (mirrors SQL GROUP BY
-    # join semantics and keeps the driver's key sort total-orderable)
-    agg = tbl.group_by(cols).aggregate([([], "count_all")])
-    keys = [agg[c].to_pylist() for c in cols]
-    cnts = agg["count_all"].to_pylist()
-    return {tuple(k[i] for k in keys): int(cnts[i]) for i in range(len(cnts))}
-
-
-def _merge_composite(parts: list[dict]) -> dict:
-    """Additive fold of per-scope composite bucket dicts."""
-    out: dict[tuple, int] = {}
-    for p in parts:
-        for k, n in p.items():
-            out[k] = out.get(k, 0) + n
-    return out
-
-
-def _page_composite(
-    merged: dict, size: int, after: tuple | None
-) -> tuple[list[tuple[tuple, int]], tuple | None]:
-    """Key-ordered size/after paging over a merged composite bucket
-    dict — THE paging definition every engine (single-field, multifield,
-    both federations) shares, so a fix lands once."""
-    keys = sorted(merged)
-    if after is not None:
-        keys = [k for k in keys if k > after]
-    page = keys[:size]
-    after_key = page[-1] if len(keys) > size else None
-    return [(k, merged[k]) for k in page], after_key
-
-
-def _collapse_from_top_hits(hits: dict, k: int) -> list[tuple[int, float, object]]:
-    """Field collapsing from a per-group top_hits(k_per=1) result:
-    flatten the champions and re-cut by (score desc, doc_id asc)."""
-    flat = [(d, s, v) for v, lst in hits.items() for d, s in lst]
-    flat.sort(key=lambda r: (-r[1], r[0]))
-    return flat[:k]
-
-
-def _pct_ranks_from_counts(cnts: list[int], values) -> dict[int, float] | None:
-    """percentile_ranks driver math over the range-counts fan-out
-    output: the last count is the (non-null) match total, one IEEE
-    division per probe value (bit-identical to SQL's c::DOUBLE/n::DOUBLE)."""
-    n = cnts[-1]
-    if n == 0:
-        return None
-    return {int(v): c / n for v, c in zip(values, cnts[:-1])}
-
-
-def _top_hits_over(ids, scores, dm, group_col: str, k_per: int) -> dict:
-    """Per-bucket top hits over one scope's scored match set:
-    ``group value -> [(doc_id, score), ...]`` cut to ``k_per`` by
-    (score desc, doc_id asc).  Vectorized: dictionary-encode the group
-    column, one lexsort, slice the first ``k_per`` of each group run.
-    Scopes are disjoint doc slices, so the driver merge (concat +
-    re-cut per value) is exact."""
-    if len(ids) == 0:
-        return {}
-    arr = dm.gather(ids, group_col)
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    enc = arr.dictionary_encode()
-    codes = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((ids, -scores, codes))
-    sc, sids, sscores = codes[order], ids[order], scores[order]
-    out: dict = {}
-    starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
-    ends = np.append(starts[1:], len(sc))
-    dictionary = enc.dictionary.to_pylist()
-    for s, e in zip(starts, ends):
-        if sc[s] < 0:
-            continue  # null group values drop (mirrors SQL GROUP BY join)
-        cut = min(e, s + k_per)
-        out[dictionary[sc[s]]] = [
-            (int(d), float(x)) for d, x in zip(sids[s:cut], sscores[s:cut])
-        ]
-    return out
-
-
-def _merge_top_hits(parts: list[dict], k_per: int) -> dict:
-    """Fold per-scope top-hit lists: concat per group value, re-sort by
-    (score desc, doc_id asc), cut to k_per — exact because each scope
-    already kept its local top k_per and scopes are disjoint."""
-    out: dict = {}
-    for p in parts:
-        for v, hits in p.items():
-            out.setdefault(v, []).extend(hits)
-    for v in out:
-        out[v] = sorted(out[v], key=lambda h: (-h[1], h[0]))[:k_per]
-    return out
-
-
-def _combine_function_score(sc: np.ndarray, x: np.ndarray, spec: dict) -> np.ndarray:
-    """function_score combine kernel, shared by the single-field and
-    multifield servers: ``saturation`` = score + w*x/(x+pivot) (ES
-    rank_feature), ``linear_decay`` = score * max(0,
-    scale-|x-origin|)/scale.  One division / one multiply per doc —
-    bitwise the SQL mirror (no transcendentals)."""
-    if spec["kind"] == "saturation":
-        w, pivot = float(spec["w"]), int(spec["pivot"])
-        return sc + w * (x.astype(np.float64) / (x + pivot).astype(np.float64))
-    if spec["kind"] == "linear_decay":
-        origin, scale = int(spec["origin"]), int(spec["scale"])
-        decay = np.maximum(scale - np.abs(x - origin), 0).astype(np.float64) / float(scale)
-        return sc * decay
-    if spec["kind"] == "distance_feature":
-        # ES distance_feature query: score + boost * pivot/(pivot+dist)
-        # with dist = |x - origin| — the close-to-origin analog of
-        # rank_feature's saturation (integer dist, one division, so the
-        # SQL mirror is bitwise).
-        w = float(spec["w"])
-        origin, pivot = int(spec["origin"]), int(spec["pivot"])
-        dist = np.abs(x - origin)
-        return sc + w * (float(pivot) / (dist + pivot).astype(np.float64))
-    if spec["kind"] == "field_value_factor":
-        # ES field_value_factor (combine: multiply): score * (factor *
-        # modifier(field)).  log1p is computed as ln(1 + x) — NOT
-        # numpy's log1p — so the DuckDB mirror ``ln(1 + x)`` is the
-        # identical float expression; sqrt is correctly rounded in
-        # both engines.
-        f = float(spec["factor"])
-        mod = spec.get("modifier", "none")
-        v = x.astype(np.float64)
-        if mod == "log1p":
-            v = np.log(1.0 + v)
-        elif mod == "sqrt":
-            v = np.sqrt(v)
-        elif mod != "none":
-            raise ValueError(f"unknown field_value_factor modifier {mod!r}")
-        return sc * (f * v)
-    if spec["kind"] == "random":
-        # ES random_score (seeded): deterministic per-doc hash blended
-        # into the score — here ``x`` IS the doc-id array (no docmeta
-        # gather).  r = md5_lower64(str(doc_id)) / 2^64: the uint64 ->
-        # double cast and the exact power-of-two scaling are both
-        # correctly rounded, so this mirrors DuckDB's
-        # ``md5_number_lower(doc_id::VARCHAR)::DOUBLE / 2^64`` bitwise.
-        import pyarrow.compute as pc_
-
-        from .hashing import md5_lower64
-
-        w = float(spec["w"])
-        h = md5_lower64(pc_.cast(pa.array(x.astype(np.int64)), pa.string()))
-        return sc + w * (h.astype(np.float64) / 18446744073709551616.0)
-    raise ValueError(f"unknown function_score kind {spec['kind']!r}")
-
-
-def _fscore_feature(ids: np.ndarray, dm, spec: dict) -> np.ndarray:
-    """The function_score feature vector: ``random`` keys off the doc
-    id itself (hashed in the kernel); every other kind gathers its
-    docmeta feature column."""
-    if spec["kind"] == "random":
-        return ids.astype(np.int64)
-    return dm.gather(ids, spec["col"]).to_numpy(zero_copy_only=False).astype(np.int64)
-
-
 def load_vocab(meta: IndexMeta) -> list[str]:
     """Index vocabulary: the union of the partitions' ``_termdf.parquet``
     term columns (vocabulary-sized, NOT corpus-sized — this is the same
@@ -953,26 +609,32 @@ class ShardServer:
             drop_ids=self.tombstones,
         )
 
-    def facet_counts(self, parsed: dict, facet_cols: list[str], stats_cols: list[str]):
-        """ES-style aggregations over THIS scope's full match set of a
-        query string (not just top-k): terms facets + numeric stats from
-        docmeta.  Each server aggregates its disjoint doc slice; the driver
-        merge is exact addition."""
-        dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None:
-            return {c: {} for c in facet_cols}, {c: (0, 0, None, None) for c in stats_cols}
-        return _facets_over(ids, dm, facet_cols, stats_cols)
+    def agg(self, parsed: dict, name: str, spec):
+        """This slice's partial of registry aggregation ``name``
+        (:mod:`cb.aggs`) over the parsed query's FULL match set.
+        Id-only entries share the request cache; scored ones take the
+        match pass's BM25 scores."""
+        from . import querylang
 
-    def stats_ext(self, parsed: dict, cols: list[str]) -> dict:
-        """ES extended_stats over THIS scope's full match set: the
-        stats agg plus an exact sum-of-squares, so the driver derives
-        avg/variance/std from additive integer partials."""
+        entry = AGGS[name]
         dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None:
-            return {c: (0, 0, 0, None, None) for c in cols}
-        return _stats_ext_over(ids, dm, cols)
+        if entry.scored:
+            universe, scores, keep = querylang.match(
+                parsed,
+                get_postings=self._local,
+                stats=self.stats,
+                docmeta=dm,
+                decoded_cache=self.decoded,
+                drop_ids=self.tombstones,
+            )
+            if universe is None:
+                return entry.empty(spec)
+            ids, scores = universe[keep], scores[keep]
+        else:
+            ids, scores = self._cached_match(parsed, dm), None
+            if ids is None:
+                return entry.empty(spec)
+        return entry.partial(ids, scores, dm, spec)
 
     def matrix_stats(self, parsed: dict, col: str) -> tuple[int, int, int, int, int, int]:
         """ES matrix_stats partials over THIS scope's full match set
@@ -1010,84 +672,6 @@ class ShardServer:
             sum(v * v for v in xi), sum(v * v for v in yi),
             sum(a * b for a, b in zip(xi, yi)),
         )
-
-    def histogram(self, parsed: dict, histos: dict) -> dict:
-        """Histogram aggregation over THIS scope's full match set of a
-        query string (same match plumbing as facet_counts)."""
-        dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None:
-            return {c: {} for c in histos}
-        return _histos_over(ids, dm, histos)
-
-    def range_counts(self, parsed: dict, ranges: dict) -> dict:
-        """ES range aggregation over THIS scope's full match set of a
-        query string: explicit ``[lo, hi)`` buckets per numeric docmeta
-        column (same match plumbing as facet_counts; driver merge is
-        exact elementwise addition)."""
-        dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        return _ranges_over(ids, dm, ranges)
-
-    def composite_counts(self, parsed: dict, cols: list[str]) -> dict:
-        """ES composite-aggregation source counts over THIS scope's
-        full match set: ``(v1, v2, ...) -> count`` per distinct key
-        tuple of the requested docmeta columns.  The driver merges
-        additively, orders by key, and applies size/after paging —
-        per-server output is one row per distinct key, never per doc."""
-        dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None:
-            return {}
-        return _composite_over(ids, dm, list(cols))
-
-    def top_hits(self, terms: list[str], k_per: int, group_col: str) -> dict:
-        """ES top_hits-inside-terms-agg over THIS scope: BM25 scores for
-        the full match set (exact TAAT), grouped by a docmeta column,
-        local top ``k_per`` per group value by (score desc, doc_id asc).
-        The driver re-cut per value is exact because scopes are
-        disjoint."""
-        live, idfs = self._live_idfs(terms)
-        if not live:
-            return {}
-        universe, acc = wand.taat_scores(live, idfs, self.stats, decoded_cache=self.decoded)
-        if universe is None:
-            return {}
-        keep = _live_mask(universe, self.tombstones)
-        dm = self._dm()
-        return _top_hits_over(universe[keep], acc[keep], dm, group_col, k_per)
-
-    def top_metrics(
-        self, parsed: dict, group_col: str, sort_col: str,
-        metric_cols: list[str], k_per: int,
-    ) -> dict:
-        """ES top_metrics-inside-terms-agg over THIS scope: the match
-        set grouped by ``group_col``, each group keeping the local top
-        ``k_per`` rows by (``sort_col`` desc, doc_id asc), with the
-        requested metric columns read off docmeta for the winners only.
-        Rides _top_hits_over with the numeric sort column in the score
-        slot — integer metric, so cross-slice re-cuts are exact."""
-        dm = self._dm()
-        ids = self._cached_match(parsed, dm)
-        if ids is None or len(ids) == 0:
-            return {}
-        import pyarrow.compute as pc_
-
-        sort_vals = pc_.fill_null(
-            dm.gather(ids, sort_col).cast(pa.float64()), float("-inf")
-        ).to_numpy(zero_copy_only=False)
-        hits = _top_hits_over(ids, sort_vals, dm, group_col, k_per)
-        out = {}
-        for v, rows in hits.items():
-            wids = np.array([d for d, _ in rows], dtype=np.int64)
-            metrics = {c: dm.gather(wids, c).to_pylist() for c in metric_cols}
-            out[v] = [
-                (int(d), float(s), tuple(metrics[c][i] for c in metric_cols))
-                for i, (d, s) in enumerate(rows)
-            ]
-        return out
 
     def match_first(self, parsed: dict, k: int) -> list[int]:
         """The first ``k`` matching doc ids (id order) of THIS scope —
@@ -1279,54 +863,6 @@ class ShardServer:
             self.results.clear()  # scored-result LRU embeds the old mask
         return int(len(self.tombstones))
 
-    def terms_stats(self, parsed: dict, group_col: str, stat_col: str) -> list[tuple]:
-        """ES terms agg with a metric sub-agg, kernel over THIS scope:
-        the query's FULL match set grouped by the ``group_col`` docmeta
-        value — ``(value, count, sum(stat_col))`` per value seen here.
-        Exact integers, so disjoint doc slices ADD at the driver (the
-        order-by-metric cut happens there, over complete sums — never
-        the shard-local approximation ES documents as a pitfall).
-        Vectorized: dictionary-encode + lexsort + add.reduceat; null
-        group keys drop (the GROUP-BY convention shared with
-        join_children)."""
-        from . import querylang
-
-        dm = self._dm()
-        universe, acc, keep = querylang.match(
-            parsed,
-            get_postings=self._local,
-            stats=self.stats,
-            docmeta=dm,
-            decoded_cache=self.decoded,
-            drop_ids=self.tombstones,
-        )
-        if universe is None:
-            return []
-        ids = universe[keep]
-        if len(ids) == 0:
-            return []
-        arr = dm.gather(ids, group_col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        x = (
-            dm.gather(ids, stat_col)
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        enc = arr.dictionary_encode()
-        codes = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, codes))
-        scodes, sx = codes[order], x[order]
-        starts = np.flatnonzero(np.r_[True, scodes[1:] != scodes[:-1]])
-        sums = np.add.reduceat(sx, starts)
-        counts = np.diff(np.append(starts, len(scodes)))
-        dictionary = enc.dictionary.to_pylist()
-        return [
-            (dictionary[scodes[s]], int(c), int(sm))
-            for s, c, sm in zip(starts, counts, sums)
-            if scodes[s] >= 0
-        ]
-
     def lm_counts(
         self, unigrams: list[str], bigrams: list[tuple[str, str]],
     ) -> tuple[dict, dict]:
@@ -1500,39 +1036,6 @@ class ShardServer:
             (int(d), int(x), dictionary[c])
             for d, x, c in zip(si[keep], sh[keep], sc[keep])
         ]
-
-    def function_score(self, parsed: dict, spec: dict, k: int) -> list[tuple[int, float]]:
-        """ES function_score over the query's FULL match set: the BM25
-        score of every matching doc in this scope is combined with a
-        docmeta-feature function BEFORE the top-k cut (unlike rescore,
-        which only re-ranks a first-pass window).  Disjoint doc slices
-        -> per-server local top-k re-cuts exactly at the driver.
-
-        ``spec`` kinds (both bitwise-mirrorable — one division / one
-        multiply per doc, no transcendentals):
-
-        - ``saturation`` (ES rank_feature): ``score + w * x/(x+pivot)``
-        - ``linear_decay``: ``score * max(0, scale-|x-origin|)/scale``
-        """
-        from . import querylang
-        from .query import rank_topk
-
-        dm = self._dm()
-        universe, acc, keep = querylang.match(
-            parsed,
-            get_postings=self._local,
-            stats=self.stats,
-            docmeta=dm,
-            decoded_cache=self.decoded,
-            drop_ids=self.tombstones,
-        )
-        if universe is None:
-            return []
-        ids, sc = universe[keep], acc[keep]
-        if len(ids) == 0:
-            return []
-        x = _fscore_feature(ids, dm, spec)
-        return rank_topk(ids, _combine_function_score(sc, x, spec), k)
 
     def boosting(
         self, parsed_pos: dict, parsed_neg: dict, negative_boost: float,
@@ -1954,17 +1457,17 @@ class LocalSearcher:
         return fn(postings, idfs, self.stats, k)
 
 
-def _merge_topk(results: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:
-    """Merge per-server top-k lists over DISJOINT doc sets -> global
-    top-k with the (score desc, doc_id asc) tie-break.  Exact: every
-    server returns its k best, and the global k best each live on some
-    server."""
-    allr = [t for r in results for t in r]
-    allr.sort(key=lambda t: (-t[1], t[0]))
-    return allr[:k]
+def _terms_clause(text: str) -> dict:
+    """A clause set of ``text``'s analyzed terms alone: each scored at
+    weight 1, no phrases, exclusions or filters (querylang.match
+    scores it exactly as TAAT over the terms)."""
+    return {
+        "terms": sorted(set(analyze.tokenize(text))),
+        "phrases": [], "excluded": [], "filters": {},
+    }
 
 
-class QueryEngine:
+class QueryEngine(AggRoute):
     """Driver-side facade over a doc-sharded ShardServer pool.
 
     Every server holds a doc-range BUCKET slice of every term
@@ -2262,25 +1765,26 @@ class QueryEngine:
         )
         return parsed, involved
 
-    def _dispatch_facets(self, query_string: str, facet_cols, stats_cols):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("facet_counts", parsed, list(facet_cols), list(stats_cols))
+    def _agg_refs(self, query: str | dict, name: str, spec) -> list:
+        """The aggregation route: one ref per server to aggregation
+        ``name``'s partial over the match set of ``query`` (a query
+        string, or an already-built clause set); none when the query
+        involves no term, so nothing can match."""
+        if isinstance(query, str):
+            parsed, involved = self._parsed_and_involved(query)
+        else:
+            parsed, involved = query, query["terms"]
+        return self._fanout("agg", parsed, name, spec) if involved else []
+
+    def _agg_parts(self, query: str | dict, name: str, spec) -> list:
+        return ray.get(self._agg_refs(query, name, spec))
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=()
     ) -> tuple[dict, dict]:
-        """Pool facet aggregation over the query's FULL match set
-        (scatter-gather + exact merge — each server counts its disjoint
-        slice, so work and memory are ~1/S per server)."""
-        fut = self._dispatch_facets(query_string, facet_cols, stats_cols)
-        if fut is None:
-            return (
-                {c: {} for c in facet_cols},
-                {c: (0, 0, None, None) for c in stats_cols},
-            )
-        return _merge_facets(ray.get(fut))
+        """ES facet aggregation over the query's FULL match set:
+        ``({col: {value: count}}, {col: (n, sum, min, max)})``."""
+        return self._agg(query_string, "facets", (list(facet_cols), list(stats_cols)))
 
     def _dispatch_boosting(
         self, positive: str, negative: str, negative_boost: float, k: int
@@ -2303,22 +1807,12 @@ class QueryEngine:
         fut = self._dispatch_boosting(positive, negative, negative_boost, k)
         return [] if fut is None else _merge_topk(ray.get(fut), k)
 
-    def _dispatch_stats_ext(self, query_string: str, cols):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("stats_ext", parsed, list(cols))
-
     def extended_stats(self, query_string: str, cols=("n_chars",)) -> dict:
         """ES extended_stats aggregation over the query's FULL match
-        set: ``col -> (n, sum, sumsq, min, max)`` — integer partials
-        per disjoint doc slice, exact additive merge; derive
-        avg / variance / std at the call site (one division per
-        moment keeps the result bitwise vs the SQL mirror)."""
-        fut = self._dispatch_stats_ext(query_string, cols)
-        if fut is None:
-            return {c: (0, 0, 0, None, None) for c in cols}
-        return _merge_stats_ext(ray.get(fut))
+        set: ``col -> (n, sum, sumsq, min, max)``; derive avg /
+        variance / std at the call site (one division per moment keeps
+        the result bitwise vs the SQL mirror)."""
+        return self._agg(query_string, "extended_stats", list(cols))
 
     def matrix_stats(
         self, query_string: str, col: str = "n_chars"
@@ -2620,16 +2114,7 @@ class QueryEngine:
         bg, nb = _merge_sig(self._gather("significant_meta", col, val, min_df))
         if not nb:
             return []
-        out = []
-        for t, c in fg.items():
-            bgc = bg.get(t, 0)
-            if not bgc:
-                continue
-            fgp = c / m
-            bgp = bgc / nb
-            out.append((t, c, bgc, (fgp - bgp) * (fgp / bgp)))
-        out.sort(key=lambda r: (-r[3], r[0]))
-        return out[:top_n]
+        return _jlh_rank(fg, m, bg, nb, top_n)
 
     def significant_terms(
         self, query_string: str, top_n: int = 10, min_df: int = 2
@@ -2642,34 +2127,12 @@ class QueryEngine:
         fg, m = self._sig_counts(query_string, min_df)
         if not m:
             return []
-        dfs = self.term_dfs(sorted(fg))
-        n = self._n_docs
-        out = []
-        for t, c in fg.items():
-            df = dfs.get(t)
-            if not df:
-                continue
-            fgp = c / m
-            bgp = df / n
-            out.append((t, c, df, (fgp - bgp) * (fgp / bgp)))
-        out.sort(key=lambda r: (-r[3], r[0]))
-        return out[:top_n]
-
-    def _dispatch_histogram(self, query_string: str, histos: dict):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("histogram", parsed, histos)
+        return _jlh_rank(fg, m, self.term_dfs(sorted(fg)), self._n_docs, top_n)
 
     def histogram(self, query_string: str, histos: dict) -> dict:
         """ES histogram aggregation over the query's FULL match set:
-        ``{col: interval}`` -> ``{col: {bucket_lo: count}}``
-        (scatter-gather + exact additive merge, same protocol as
-        facets)."""
-        fut = self._dispatch_histogram(query_string, histos)
-        if fut is None:
-            return {c: {} for c in histos}
-        return _merge_hists(ray.get(fut))
+        ``{col: interval}`` -> ``{col: {bucket_lo: count}}``."""
+        return self._agg(query_string, "histogram", histos)
 
     def histogram_zerofill(
         self, query_string: str, col: str, interval: int,
@@ -2688,32 +2151,19 @@ class QueryEngine:
         axis = set(range(lo, hi + interval, interval)) | set(h)
         return [(b, int(h.get(b, 0))) for b in sorted(axis)]
 
-    def _dispatch_range_agg(self, query_string: str, ranges: dict):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("range_counts", parsed, ranges)
-
     def range_agg(self, query_string: str, ranges: dict) -> dict:
         """ES range aggregation over the query's FULL match set:
         ``{col: [(lo, hi), ...]}`` -> ``{col: [count, ...]}`` aligned
         with the input ranges (half-open ``[lo, hi)``, ``None`` =
-        unbounded).  Scatter-gather + exact elementwise addition."""
-        fut = self._dispatch_range_agg(query_string, ranges)
-        if fut is None:
-            return {c: [0] * len(b) for c, b in ranges.items()}
-        return _merge_ranges(ray.get(fut))
+        unbounded)."""
+        return self._agg(query_string, "range", ranges)
 
     def collapse(
         self, text: str, group_col: str, k: int
     ) -> list[tuple[int, float, object]]:
         """ES field collapsing: the global top ``k`` hits keeping only
-        the single best doc per ``group_col`` value (score desc, doc_id
-        asc within a group and across the ranking).  Exactly the
-        top_hits fan-out with k_per=1, flattened and re-ranked — the
-        per-group champion from each disjoint slice is a superset of
-        the global champions, so the driver re-cut is exact.  Returns
-        ``(doc_id, score, group_value)`` triples."""
+        the single best doc per ``group_col`` value, as ``(doc_id,
+        score, group_value)`` triples — top_hits at k_per=1, re-cut."""
         return _collapse_from_top_hits(self.top_hits(text, group_col, 1), k)
 
     def percentile_ranks(
@@ -2722,14 +2172,10 @@ class QueryEngine:
         """ES percentile_ranks aggregation over the query's FULL match
         set: for each value v, the fraction of matching docs (with a
         non-null ``col`` — nulls are outside the distribution, like
-        SQL aggregate comparisons) whose ``col <= v`` (integer columns;
-        <=v is the half-open range [None, v+1)).  Rides entirely on
-        the range-counts machinery — one fan-out, exact integer
-        addition, ONE division per value at the driver, so the result
-        is bit-identical to the SQL mirror's ``count::DOUBLE /
-        n::DOUBLE``.  None when the query matches nothing."""
-        ranges = [(None, int(v) + 1) for v in values] + [(None, None)]
-        cnts = self.range_agg(query_string, {col: ranges})[col]
+        SQL aggregate comparisons) whose ``col <= v``.  Rides the range
+        aggregation, then ONE division per value.  None when the query
+        matches nothing."""
+        cnts = self.range_agg(query_string, {col: _pct_ranges(values)})[col]
         return _pct_ranks_from_counts(cnts, values)
 
     def explain(self, text: str, doc_id: int) -> list[tuple[str, int, int, float]]:
@@ -3017,25 +2463,11 @@ class QueryEngine:
     ) -> list[tuple[object, int, float]]:
         """ES terms aggregation ORDERED BY a metric sub-agg (``order:
         {avg_x: desc}``): buckets of ``group_col`` over the query's
-        FULL match set, each carrying count and avg(``stat_col``),
-        ranked (avg desc, value asc) and cut to ``top_n``.  Counts and
-        sums reduce as exact integers across the disjoint doc slices
-        BEFORE the cut, so the ordering is exact — not the per-shard
-        top-N merge ES warns about for metric-ordered terms aggs.  The
-        single float per bucket is one division of exact ints (bitwise
-        vs the SQL mirror)."""
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return []
-        parts = self._gather("terms_stats", parsed, group_col, stat_col)
-        merged: dict[object, tuple[int, int]] = {}
-        for part in parts:
-            for v, c, sm in part:
-                oc, os_ = merged.get(v, (0, 0))
-                merged[v] = (oc + c, os_ + sm)
-        rows = [(v, c, sm / c) for v, (c, sm) in merged.items()]
-        rows.sort(key=lambda r: (-r[2], r[0]))
-        return rows[:top_n]
+        FULL match set as ``(value, count, avg(stat_col))``, ranked
+        (avg desc, value asc) and cut to ``top_n`` after the counts and
+        sums are complete — not the per-shard top-N merge ES warns
+        about for metric-ordered terms aggs."""
+        return self._agg(query_string, "terms_stats", (group_col, stat_col, top_n))
 
     def top_metrics(
         self, query_string: str, group_col: str, sort_col: str,
@@ -3045,15 +2477,10 @@ class QueryEngine:
         value of the query's FULL match set, the metric column values
         at the top ``k_per`` rows by (``sort_col`` desc, doc_id asc) —
         the "value at the max" workload (e.g. the newest doc's fields
-        per group).  Per-scope winners carry their metrics with them,
-        so the driver re-cut never re-reads docmeta."""
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return {}
-        parts = self._gather(
-            "top_metrics", parsed, group_col, sort_col, list(metric_cols), k_per
+        per group)."""
+        return self._agg(
+            query_string, "top_metrics", (group_col, sort_col, list(metric_cols), k_per)
         )
-        return _merge_top_hits(parts, k_per)
 
     def match_bool_prefix(self, text: str, k: int = 10) -> list[tuple[int, float]]:
         """ES ``match_bool_prefix``: every analyzed term but the last
@@ -3126,20 +2553,13 @@ class QueryEngine:
             return 0
         return int(sum(self._gather("match_count", parsed)))
 
-    def _dispatch_function_score(self, query_string: str, spec: dict, k: int):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("function_score", parsed, spec, k)
-
     def function_score(
         self, query_string: str, spec: dict, k: int = 10
     ) -> list[tuple[int, float]]:
         """ES function_score: full-match-set BM25 combined with a
-        docmeta-feature function (see ShardServer.function_score for the
-        spec kinds), exact global top-k from disjoint per-server cuts."""
-        fut = self._dispatch_function_score(query_string, spec, k)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        docmeta-feature function before the top-k cut (spec kinds:
+        :func:`cb.aggs._combine_function_score`)."""
+        return self._agg(query_string, "function_score", (spec, k))
 
     def _dispatch_term_vectors(
         self, doc_ids: list[int], source: str = "index", text_col: str = "text"
@@ -3164,12 +2584,6 @@ class QueryEngine:
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
-    def _dispatch_composite(self, query_string: str, cols: list[str]):
-        parsed, involved = self._parsed_and_involved(query_string)
-        if not involved:
-            return None
-        return self._fanout("composite_counts", parsed, list(cols))
-
     def composite(
         self, query_string: str, cols: list[str], size: int, after: tuple | None = None
     ) -> tuple[list[tuple[tuple, int]], tuple | None]:
@@ -3177,29 +2591,15 @@ class QueryEngine:
         doc counts per distinct key tuple of ``cols``, key-ordered,
         paged ``size`` buckets at a time.  Returns ``(buckets,
         after_key)`` where ``buckets`` is ``[(key_tuple, count), ...]``
-        and ``after_key`` feeds the next page (None = exhausted).
-        Servers return one row per distinct key (tiny), the driver
-        merge is exact addition, and paging is a sort + slice over the
-        merged bucket dict — O(distinct keys), never O(docs)."""
-        fut = self._dispatch_composite(query_string, cols)
-        if fut is None:
-            return [], None
-        return _page_composite(_merge_composite(ray.get(fut)), size, after)
-
-    def _dispatch_top_hits(self, text: str, group_col: str, k_per: int):
-        terms = sorted(set(analyze.tokenize(text)))
-        if not terms:
-            return None
-        return self._fanout("top_hits", terms, k_per, group_col)
+        and ``after_key`` feeds the next page (None = exhausted)."""
+        return _page_composite(self._agg(query_string, "composite", list(cols)), size, after)
 
     def top_hits(self, text: str, group_col: str, k_per: int) -> dict:
-        """ES top_hits-inside-terms-agg via the pool: per group value of
-        ``group_col``, the exact top ``k_per`` matching docs by BM25
-        (score desc, doc_id asc) over the query's FULL match set.  Each
-        server returns its local per-value top k_per, the driver re-cut
-        is exact."""
-        fut = self._dispatch_top_hits(text, group_col, k_per)
-        return {} if fut is None else _merge_top_hits(ray.get(fut), k_per)
+        """ES top_hits-inside-terms-agg: per group value of
+        ``group_col``, the exact top ``k_per`` docs by the BM25 of
+        ``text``'s analyzed terms (score desc, doc_id asc) over their
+        FULL match set."""
+        return self._agg(_terms_clause(text), "top_hits", (group_col, k_per))
 
     def query_many(self, texts: list[str], k: int = 10, algo: str = "taat"):
         """Batched fan-out: queries are tokenized on the driver and

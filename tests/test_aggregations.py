@@ -469,3 +469,77 @@ def test_histogram_zerofill_axis(built):
     for b, c in plain.items():
         assert gm[b] == c
     assert sum(1 for _, c in got if c == 0) >= 1
+
+
+# every registry entry's spec over the DOCS columns
+PROTOCOL_SPECS = {
+    "facets": (["lang", "source"], ["n_chars"]),
+    "extended_stats": ["n_chars"],
+    "histogram": {"n_chars": 200},
+    "range": {"n_chars": RANGES},
+    "composite": ["lang", "source"],
+    "top_hits": ("lang", 2),
+    "top_metrics": ("lang", "n_chars", ["source"], 1),
+    "terms_stats": ("source", "n_chars", 5),
+    "function_score": ({"kind": "saturation", "col": "n_chars", "w": 2.0, "pivot": 200}, 5),
+}
+
+
+@pytest.fixture(scope="module")
+def pools(tmp_path_factory):
+    """Single-field and multifield 1- and 2-server pools over DOCS, plus
+    the in-process multifield searcher (title = the first two words).
+    Doc ids are spread one per doc-range bucket (bucket = id >> 59), so
+    both servers of a 2-server pool hold docs."""
+    from cb import multifield
+
+    d = tmp_path_factory.mktemp("protocol")
+    rows = [
+        {"doc_id": i << 59, "text": t, "title": " ".join(t.split()[:2]),
+         "body": " ".join(t.split()[2:]), "lang": lang, "source": src, "n_chars": n}
+        for i, t, lang, src, n in DOCS
+    ]
+    src_file = str(d / "docs.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src_file)
+    sf, mf = str(d / "sf"), str(d / "mf")
+    build_index(src_file, sf, text_col="text", id_col="doc_id", num_parts=4)
+    multifield.build_multifield(src_file, mf, ["title", "body"], id_col="doc_id", num_parts=4)
+    cols = ["lang", "source", "n_chars"]
+    dm.ensure_docmeta(sf, src_file, cols)
+    dm.ensure_docmeta(multifield.field_dir(mf, "title"), src_file, cols)
+    engines = {
+        "sf": [QueryEngine(sf, num_servers=n) for n in (2, 1)],
+        "mf": [multifield.MultiFieldEngine(mf, num_servers=n) for n in (2, 1)],
+    }
+    yield engines, multifield.MultiFieldSearcher(mf)
+    for e in engines["sf"] + engines["mf"]:
+        e.shutdown()
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_SPECS))
+def test_protocol_entry_pool_and_reference_parity(pools, name):
+    """Every registry entry, for a matching and a no-match query: the
+    2-server pool, the 1-server pool and the in-process reference agree
+    bitwise, on the single-field and the multifield engine; the
+    no-match result is the entry's ``empty``."""
+    from cb.aggs import AGGS
+    from cb.shard import _terms_clause
+
+    assert set(PROTOCOL_SPECS) == set(AGGS)
+    engines, searcher = pools
+    entry, spec = AGGS[name], PROTOCOL_SPECS[name]
+    for q in ("hash join", "absentterm"):
+        # single-field top_hits scores the bare analyzed terms
+        sq = _terms_clause(q) if name == "top_hits" else q
+        parts = ray.get(engines["sf"][0]._agg_refs(sq, name, spec))
+        if q != "absentterm":  # both slices take part in the merge
+            assert all(p != entry.empty(spec) for p in parts), name
+        two, one = (e._agg(sq, name, spec) for e in engines["sf"])
+        assert two == one, (name, q)
+        mtwo, mone = (e._agg(q, name, spec) for e in engines["mf"])
+        ref = entry.merge([searcher.agg(q, name, spec)], spec)
+        assert mtwo == mone == ref, (name, q)
+        if q == "absentterm":
+            assert two == mtwo == entry.empty(spec), name
+        else:
+            assert two != entry.empty(spec) and mtwo != entry.empty(spec), name

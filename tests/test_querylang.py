@@ -1,5 +1,7 @@
 """Lucene-lite query strings: parse + ES-aligned semantics + pool parity."""
 
+import re
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -166,6 +168,30 @@ def test_parse_range_variants():
         assert (r.lo_incl, r.hi_incl) == (li, hi_i), q
     with pytest.raises(ValueError):
         querylang.parse("x:[oops]")
+
+
+@pytest.mark.parametrize("q, construct", [
+    ("(hash OR join) AND merge", "parentheses"),
+    ("hash AND join", "'AND'"),
+    ("hash OR join", "'OR'"),
+    ("NOT hash", "'NOT'"),
+    ("hash && join", "'&&'"),
+    ("hash || join", "'||'"),
+    ("lang:(en)", "parentheses"),
+    ("-(hash)", "parentheses"),
+])
+def test_parse_rejects_boolean_syntax(q, construct):
+    """Boolean operators and grouping have no grammar here: they raise
+    instead of scoring the operands as free terms."""
+    with pytest.raises(ValueError, match="unsupported boolean query syntax.*" + re.escape(construct)):
+        querylang.parse(q)
+
+
+def test_parse_allows_parens_in_phrases_and_ranges():
+    p = querylang.parse('"hash (join)" x:[1 TO 5] and or not')
+    assert p["phrases"] == [["hash", "join"]]
+    assert "x" in p["filters"]
+    assert "not" in p["terms"]  # lowercase operator words are plain terms
 
 
 def test_parse_duplicate_terms_additive():

@@ -370,3 +370,55 @@ def test_cli_search_stats_delete_suggest(tmp_path):
     assert [(s["token"], s["suggestion"], s["dist"]) for s in sugg][:1] == [
         ("mrege", "merge", 1)
     ]
+
+
+def test_cli_watch_and_fed_lifecycle(tmp_path):
+    """Smoke test for ``watch`` and the ``fed`` actions without one of
+    their own (init, ingest, refresh, delete, compact), over one small
+    corpus: each exits 0 and prints parseable JSON."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rows = [
+        {"doc_id": i, "text": t, "kind": k}
+        for i, t, k in [
+            (1, "hash join over the big table", "code"),
+            (2, "merge sort window frame", "code"),
+            (3, "table scan then merge", "log"),
+            (4, "window frame over sorted rows", "log"),
+            (5, "hash table probe", "code"),
+            (6, "merge join of two tables", "log"),
+        ]
+    ]
+    shards, extra = tmp_path / "shards", tmp_path / "extra"
+    shards.mkdir()
+    extra.mkdir()
+    pq.write_table(pa.Table.from_pylist(rows[:4]), str(shards / "s0.parquet"))
+    pq.write_table(pa.Table.from_pylist(rows[4:]), str(extra / "s1.parquet"))
+    fed = str(tmp_path / "fed")
+
+    def cli(*argv):
+        r = subprocess.run(
+            [sys.executable, "-m", "cb.cli", *argv],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert r.returncode == 0, r.stderr[-2000:]
+        return [json.loads(line) for line in r.stdout.strip().splitlines()]
+
+    ticks = cli("watch", "--input", str(shards), "--index", str(tmp_path / "idx"),
+                "--max-ticks", "1", "--interval", "0", "--text-col", "text",
+                "--id-col", "doc_id", "--num-parts", "2")
+    assert [t["n_docs"] for t in ticks] == [4]
+
+    assert cli("fed", "init", "--fed", fed, "--text-col", "text", "--id-col",
+               "doc_id", "--route-col", "kind", "--num-parts", "2") == [
+        {"fed": fed, "indexes": []}
+    ]
+    [out] = cli("fed", "ingest", "--fed", fed, "--input", str(shards))
+    assert out["changed"] == ["code", "log"]
+    [out] = cli("fed", "refresh", "--fed", fed, "--input", str(extra))
+    assert out["changed"] == ["code", "log"]
+    [out] = cli("fed", "delete", "2", "--fed", fed)  # ids follow the action
+    assert sum(out["tombstoned"].values()) == 1
+    [out] = cli("fed", "compact", "--fed", fed)
+    assert out["n_docs"] == 5
