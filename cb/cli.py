@@ -472,14 +472,13 @@ def main(argv=None) -> int:
     dl.add_argument("doc_ids", nargs="+", help="doc ids to tombstone")
     dl.set_defaults(fn=cmd_delete)
 
-    fd = sub.add_parser(
+    fed_actions = sub.add_parser(
         "fed",
         help="federated per-day/per-type indexes: build/init/refresh/ingest/search/delete/compact",
-    )
-    fd.add_argument("action", choices=[
-        "build", "init", "refresh", "ingest", "search", "delete", "compact",
-        "expire",
-    ])
+    ).add_subparsers(dest="action", required=True)
+    # every action takes the same options; each action is its own
+    # parser so delete's doc ids may come before or after them
+    fd = argparse.ArgumentParser(add_help=False)
     fd.add_argument("--before-day", dest="before_day", default=None,
                     help="expire: drop members with day < YYYYMMDD")
     fd.add_argument("--fed", required=True, help="federation dir")
@@ -521,8 +520,13 @@ def main(argv=None) -> int:
                     default=0.0, help="best_fields tie_breaker in [0, 1]")
     fd.add_argument("--start-day", default=None, help="prune: first day YYYYMMDD")
     fd.add_argument("--end-day", default=None, help="prune: last day YYYYMMDD")
-    fd.add_argument("doc_ids", nargs="*", help="doc ids (delete)")
-    fd.set_defaults(fn=cmd_fed)
+    for action in (
+        "build", "init", "refresh", "ingest", "search", "delete", "compact", "expire",
+    ):
+        act = fed_actions.add_parser(action, parents=[fd])
+        if action == "delete":
+            act.add_argument("doc_ids", nargs="+", help="doc ids to tombstone")
+        act.set_defaults(fn=cmd_fed)
 
     sn = sub.add_parser(
         "snapshot",

@@ -31,9 +31,9 @@ native:
 
 Scale: each sub-index build is an independent distributed job over only
 its partition's staging files; the staging write is the only full pass.
-Query fan-out collects score ObjectRefs from every selected engine and
-``ray.get``s ONCE — cross-index parallelism equals in-index
-scatter-gather parallelism.
+Query fan-out sends to every server of every selected engine, then
+waits ONCE (:func:`cb.rpc.get`) — cross-index parallelism equals
+in-index scatter-gather parallelism.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import pyarrow.parquet as pq
 import ray
 
 from . import build as build_mod
-from . import manifest
+from . import manifest, rpc
 from .build import DEFAULT_NUM_PARTS, DEFAULT_RANGE_BITS
 from .aggs import (
     AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
@@ -854,7 +854,7 @@ class FederatedEngine(AggRoute):
     time-bounded query can match (GetIndexNames read path).
 
     Aggregations (:mod:`cb.aggs`) collect every selected member's
-    server refs in :meth:`_agg_parts`; they read docmeta columns built
+    server replies in :meth:`_agg_parts`; they read docmeta columns built
     by :func:`ensure_fed_docmeta`, and scored ones (top_hits,
     function_score) score with the feddf overlay, so each merge is
     bitwise the monolithic pool's."""
@@ -903,8 +903,8 @@ class FederatedEngine(AggRoute):
         start_day: str | None = None,
         end_day: str | None = None,
     ) -> list[tuple[int, float]]:
-        """Fan out to the selected sub-indexes, ONE ``ray.get`` over
-        every server's score ref, exact merge."""
+        """Fan out to the selected sub-indexes, ONE wait over every
+        server's score reply, exact merge."""
         import time as _time
 
         t0 = _time.perf_counter()
@@ -919,7 +919,7 @@ class FederatedEngine(AggRoute):
         if not futs:
             self.telemetry.record("query.total", _time.perf_counter() - t0)
             return []
-        scored = ray.get(futs)
+        scored = rpc.get(futs)
         t2 = _time.perf_counter()
         self.telemetry.record("query.wait", t2 - t1)
         res = _merge_topk(scored, k)
@@ -959,7 +959,7 @@ class FederatedEngine(AggRoute):
             member_futs.append((w, f))
         if not member_futs:
             return []
-        got = ray.get([r for _, fs in member_futs for r in fs])
+        got = rpc.get([r for _, fs in member_futs for r in fs])
         scored, i = [], 0
         for w, fs in member_futs:
             for _ in fs:
@@ -973,8 +973,8 @@ class FederatedEngine(AggRoute):
     def phrase_query(
         self, text: str, k: int = 10, slop: int = 0, **sel
     ) -> list[tuple[int, float]]:
-        """Phrase fan-out: refs collected across every selected engine,
-        ONE ray.get (cross-index latency = max, not sum)."""
+        """Phrase fan-out: replies collected across every selected
+        engine, ONE wait (cross-index latency = max, not sum)."""
         futs = []
         for n in self._select(**sel):
             f = self.engines[n]._dispatch_phrase(text, k, slop)
@@ -983,7 +983,7 @@ class FederatedEngine(AggRoute):
             futs.extend(f)
         if not futs:
             return []
-        return _merge_topk(ray.get(futs), k)
+        return _merge_topk(rpc.get(futs), k)
 
     def search(self, query_string: str, k: int = 10, **sel) -> list[tuple[int, float]]:
         """Query-string search across the federation.  Exactness notes:
@@ -994,8 +994,8 @@ class FederatedEngine(AggRoute):
         of per-index expansions scores bitwise like one monolithic
         expansion; +required/-negated/phrase clauses are per-doc.
         Metadata filters need docmeta built per sub-index
-        (:func:`ensure_fed_docmeta`).  Refs are collected from every
-        selected engine before ONE ray.get — cross-index latency is
+        (:func:`ensure_fed_docmeta`).  Replies are collected from every
+        selected engine before ONE wait — cross-index latency is
         max(sub-index), not sum."""
         futs = []
         for n in self._select(**sel):
@@ -1005,15 +1005,15 @@ class FederatedEngine(AggRoute):
             futs.extend(f)
         if not futs:
             return []
-        return _merge_topk(ray.get(futs), k)
+        return _merge_topk(rpc.get(futs), k)
 
     def msearch(
         self, query_strings: list[str], k: int = 10, **sel
     ) -> list[list[tuple[int, float]]]:
-        """ES ``_msearch`` across the federation: EVERY query's refs
-        across EVERY selected sub-index are in flight before any result
-        is awaited — one ray.get drains query_count x member_count x
-        servers refs, so the wall clock is max over all cells, not the
+        """ES ``_msearch`` across the federation: EVERY query's requests
+        across EVERY selected sub-index are in flight before any reply
+        is awaited — one wait drains query_count x member_count x
+        servers replies, so the wall clock is max over all cells, not the
         sequential sum.  Bitwise identical to a search() loop (same
         kernels, same per-query merge)."""
         names = list(self._select(**sel))
@@ -1028,7 +1028,7 @@ class FederatedEngine(AggRoute):
                 refs.extend(f)
             per_q.append(refs)
             flat.extend(refs)
-        got = ray.get(flat)
+        got = rpc.get(flat)
         out: list[list[tuple[int, float]]] = []
         pos = 0
         for refs in per_q:
@@ -1038,13 +1038,13 @@ class FederatedEngine(AggRoute):
 
     def _agg_parts(self, query: str | dict, name: str, spec, **sel) -> list:
         """The aggregation route: every selected member engine's server
-        refs (each member parses and expands against its own
-        vocabulary), drained by ONE ray.get."""
+        replies (each member parses and expands against its own
+        vocabulary), drained by ONE wait."""
         refs = [
             r for n in self._select(**sel)
             for r in self.engines[n]._agg_refs(query, name, spec)
         ]
-        return ray.get(refs)
+        return rpc.get(refs)
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=(), **sel
@@ -1156,16 +1156,16 @@ class FederatedEngine(AggRoute):
             futs.extend(f)
         if not futs:
             return []
-        return _merge_topk(ray.get(futs), k)
+        return _merge_topk(rpc.get(futs), k)
 
     def term_vectors(self, doc_ids: list[int], **sel) -> list[tuple]:
         """Federated _termvectors: fan out to every selected member
         (content-derived doc ids are federation-unique, so concat is
-        duplicate-free), one ray.get."""
+        duplicate-free), one wait."""
         futs = []
         for n in self._select(**sel):
             futs.extend(self.engines[n]._dispatch_term_vectors(list(doc_ids)))
-        rows = [r for part in ray.get(futs) for r in part]
+        rows = [r for part in rpc.get(futs) for r in part]
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
@@ -1180,14 +1180,11 @@ class FederatedEngine(AggRoute):
         sel = self._select(**sel_kwargs)
         term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
         live = [i for i, terms in enumerate(term_lists) if terms]
-        servers = [s for n in sel for s in self.engines[n].servers]
-        if not servers:
+        conns = [c for n in sel for c in self.engines[n]._conns]
+        if not conns:
             return [[] for _ in texts]
-        futs = [
-            s.score_many.remote([term_lists[i] for i in live], k, algo=algo)
-            for s in servers
-        ]
-        per_server = ray.get(futs)
+        batch = [term_lists[i] for i in live]
+        per_server = rpc.get([c.call("score_many", batch, k, algo=algo) for c in conns])
         results: list = [[] for _ in texts]
         for j, i in enumerate(live):
             results[i] = _merge_topk([ps[j] for ps in per_server], k)
@@ -1218,11 +1215,11 @@ class FederatedEngine(AggRoute):
 
 
 @ray.remote
-class _MultiFieldFedMember:
+class _MultiFieldFedMember(rpc.Server):
     """One sub-index of a MULTIFIELD federation as an actor: holds a
     fed-overridden :class:`cb.multifield.MultiFieldSearcher` (state
     loaded once here) so the cross-index fan-out runs member-parallel
-    with ONE driver-side ``ray.get``.  Scale note: a member that
+    with ONE driver-side wait.  Scale note: a member that
     outgrows one actor swaps in a doc-sharded MultiFieldEngine pool —
     same exact-merge contract, the bucket slices stay disjoint."""
 
@@ -1275,6 +1272,11 @@ class FederatedMultiFieldEngine(AggRoute):
             e["name"]: _MultiFieldFedMember.remote(e["dir"], fed_dir)
             for e in self.meta["indexes"]
         }
+        self._conns = dict(zip(self.members, rpc.connect(list(self.members.values()))))
+
+    def _gather(self, names: list[str], method: str, *args) -> list:
+        """Send ``method`` to the named members, then wait: name order."""
+        return rpc.get([self._conns[n].call(method, *args) for n in names])
 
     # day/name pruning: identical selection semantics to FederatedEngine
     def _select(
@@ -1302,24 +1304,21 @@ class FederatedMultiFieldEngine(AggRoute):
         """Touch every member once (actor construction is lazy-ish under
         Ray; a trivial query forces state load) — the serving-startup
         cost lands here instead of the first user query."""
-        return len(ray.get([m.search.remote("", 1) for m in self.members.values()]))
+        return len(self._gather(list(self.members), "search", "", 1))
 
     def search(
         self, query: str, k: int = 10,
         mode: str = "most_fields", tie_breaker: float = 0.0, **sel,
     ) -> list[tuple[int, float]]:
-        """Fan out the multifield query string, ONE ray.get, exact
+        """Fan out the multifield query string, ONE wait, exact
         merge by (score desc, doc_id asc) — members hold disjoint doc
         sets, so the merge is the global top-k.  ``mode="best_fields"``
         (dis_max) combines per doc, so the disjoint-member merge stays
         bitwise the monolithic result, exactly like most_fields."""
-        futs = [
-            self.members[n].search.remote(query, k, mode, tie_breaker)
-            for n in self._select(**sel)
-        ]
-        if not futs:
+        names = self._select(**sel)
+        if not names:
             return []
-        return _merge_topk(ray.get(futs), k)
+        return _merge_topk(self._gather(names, "search", query, k, mode, tie_breaker), k)
 
     def search_boosted(
         self,
@@ -1342,26 +1341,21 @@ class FederatedMultiFieldEngine(AggRoute):
                     f"indices_boost[{n!r}] = {w}: boosts must be > 0"
                 )
         names = self._select(**sel)
-        futs = [
-            self.members[n].search.remote(query, k, mode, tie_breaker)
-            for n in names
-        ]
-        if not futs:
+        if not names:
             return []
         parts = []
-        for n, res in zip(names, ray.get(futs)):
+        got = self._gather(names, "search", query, k, mode, tie_breaker)
+        for n, res in zip(names, got):
             w = float(ib.get(n, 1.0))
             parts.append([(d, s * w) for d, s in res] if w != 1.0 else res)
         return _merge_topk(parts, k)
 
     def _agg_parts(self, query: str, name: str, spec, **sel) -> list:
         """The aggregation route: every selected member's partial, ONE
-        ray.get.  Membership is stats-independent and per-member vocab
+        wait.  Membership is stats-independent and per-member vocab
         expansion is scoring_boolean-safe, so the merge equals the
         monolithic multifield aggregation."""
-        return ray.get(
-            [self.members[n].agg.remote(query, name, spec) for n in self._select(**sel)]
-        )
+        return self._gather(self._select(**sel), "agg", query, name, spec)
 
     def facets(
         self, query: str, facet_cols=(), stats_cols=(), **sel
@@ -1406,13 +1400,10 @@ class FederatedMultiFieldEngine(AggRoute):
         exactly, the source doc drops at the driver — bitwise the
         monolithic multifield MLT."""
         kk = k + (1 if exclude is not None else 0)
-        futs = [
-            self.members[n].mlt.remote(doc_fields, kk, max_terms)
-            for n in self._select(**sel)
-        ]
-        if not futs:
+        names = self._select(**sel)
+        if not names:
             return []
-        res = _merge_topk(ray.get(futs), kk)
+        res = _merge_topk(self._gather(names, "mlt", doc_fields, kk, max_terms), kk)
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1431,20 +1422,17 @@ class FederatedMultiFieldEngine(AggRoute):
         fg counts add (disjoint docs), match totals add, JLH at the
         driver with fed-global df and N."""
         names = self._select(**sel)
-        parts = ray.get(
-            [
-                self.members[n].significant_counts.remote(query, field, min_df)
-                for n in names
-            ]
-        )
+        parts = self._gather(names, "significant_counts", query, field, min_df)
         fg, m = _merge_sig(parts)
         if not fg or not names:
             return []
-        dfs = ray.get(self.members[names[0]].get_dfs.remote(field, sorted(fg)))
+        dfs = self._gather(names[:1], "get_dfs", field, sorted(fg))[0]
         n_docs = self.meta["field_stats"][field]["n_docs"]
         return _jlh_rank(fg, m, dfs, n_docs, top_n)
 
     def shutdown(self) -> None:
+        for c in self._conns.values():
+            c.close()
         for m in self.members.values():
             ray.kill(m)
-        self.members = {}
+        self._conns, self.members = {}, {}

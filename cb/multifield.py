@@ -27,6 +27,10 @@ or let the default search span fields.  The engine analog:
 - Aggregations follow the one protocol of :mod:`cb.aggs`: the searcher
   and each server compute a registry entry's partial with ``agg`` over
   the routed query's full match set, and the pool merges the partials.
+- Ray is the pool's control plane (placing, constructing and killing
+  the ``MultiFieldServer`` actors); requests travel the data plane of
+  :mod:`cb.rpc`, one authenticated socket per server, exactly as for
+  the single-field pool.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 import ray
 import ray.data
 
-from . import analyze, manifest, scoring, wand
+from . import analyze, manifest, rpc, scoring, wand
 from .aggs import (
     AGGS, AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
 )
@@ -1048,7 +1052,7 @@ class MultiFieldSearcher:
 
 
 @ray.remote
-class MultiFieldServer:
+class MultiFieldServer(rpc.Server):
     """One doc-range slice of EVERY field's partitions: the cross-field
     sum needs all of a doc's field scores co-located, and doc-sharding
     every field by the SAME bucket assignment guarantees exactly that.
@@ -1209,6 +1213,11 @@ class MultiFieldEngine(AggRoute):
             )
             for s in range(num_servers)
         ]
+        self._conns = rpc.connect(self.servers)
+
+    def _gather(self, method: str, *args) -> list:
+        """Send ``method`` to every server, then wait: pool order."""
+        return rpc.get([c.call(method, *args) for c in self._conns])
 
     def search(
         self, query: str, k: int = 10, algo: str = "taat",
@@ -1222,10 +1231,10 @@ class MultiFieldEngine(AggRoute):
         if synonyms:
             routed = apply_synonyms_routed(routed, synonyms)
         routed = with_mode(routed, mode, tie_breaker)
-        futs = [s.score.remote(routed, k, algo) for s in self.servers]
+        futs = [c.call("score", routed, k, algo) for c in self._conns]
         t1 = _time.perf_counter()
         self.telemetry.record("query.dispatch", t1 - t0)
-        scored = ray.get(futs)
+        scored = rpc.get(futs)
         t2 = _time.perf_counter()
         self.telemetry.record("query.wait", t2 - t1)
         res = _merge_topk(scored, k)
@@ -1257,7 +1266,7 @@ class MultiFieldEngine(AggRoute):
             if v < 1.0:
                 raise ValueError("combined_fields weights must be >= 1")
             w[f] = float(v)
-        parts = ray.get([s.combined_dfs.remote(terms) for s in self.servers])
+        parts = self._gather("combined_dfs", terms)
         gdfs: dict[str, int] = {}
         for part in parts:
             for t, c in part.items():
@@ -1270,12 +1279,7 @@ class MultiFieldEngine(AggRoute):
         for f in self.fields:  # field order: the float spec
             num += w[f] * metas[f].total_tokens
         avgdl_c = num / n
-        scored = ray.get(
-            [
-                s.combined_score.remote(terms, w, gdfs, avgdl_c, k)
-                for s in self.servers
-            ]
-        )
+        scored = self._gather("combined_score", terms, w, gdfs, avgdl_c, k)
         return _merge_topk(scored, k)
 
     def metrics(self) -> dict:
@@ -1286,9 +1290,7 @@ class MultiFieldEngine(AggRoute):
 
         return {
             "engine": self.telemetry.snapshot(),
-            "servers": merge_snapshots(
-                ray.get([s.metrics.remote() for s in self.servers])
-            ),
+            "servers": merge_snapshots(self._gather("metrics")),
         }
 
     def _routed(self, query: str) -> dict:
@@ -1310,7 +1312,7 @@ class MultiFieldEngine(AggRoute):
         """The aggregation route: route once, then every server's
         partial over its doc-range slice."""
         routed = self._routed(query)
-        return ray.get([s.agg.remote(routed, name, spec) for s in self.servers])
+        return self._gather("agg", routed, name, spec)
 
     def facets(self, query: str, facet_cols=(), stats_cols=()):
         return self._agg(query, "facets", (list(facet_cols), list(stats_cols)))
@@ -1343,7 +1345,7 @@ class MultiFieldEngine(AggRoute):
         terms = sorted(set(terms))
         if not terms:
             return {}
-        return ray.get(self.servers[0].get_dfs.remote(field, terms))
+        return rpc.get(self._conns[0].call("get_dfs", field, terms))
 
     def more_like_this(
         self,
@@ -1360,10 +1362,7 @@ class MultiFieldEngine(AggRoute):
             max_terms,
         )
         kk = k + (1 if exclude is not None else 0)
-        futs = [
-            s.score.remote(_terms_routed(field_terms), kk) for s in self.servers
-        ]
-        res = _merge_topk(ray.get(futs), kk)
+        res = _merge_topk(self._gather("score", _terms_routed(field_terms), kk), kk)
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1388,15 +1387,15 @@ class MultiFieldEngine(AggRoute):
         set: per-slice fg counts add, match totals add, JLH at the
         driver with corpus-global df."""
         routed = self._routed(query)
-        parts = ray.get(
-            [s.significant.remote(routed, field, min_df) for s in self.servers]
-        )
+        parts = self._gather("significant", routed, field, min_df)
         fg, m = _merge_sig(parts)
         dfs = self.term_dfs(field, sorted(fg))
         n = self._field_stats()[field].n_docs
         return _jlh_rank(fg, m, dfs, n, top_n)
 
     def shutdown(self) -> None:
+        for c in self._conns:
+            c.close()
         for s in self.servers:
             ray.kill(s)
-        self.servers = []
+        self._conns, self.servers = [], []

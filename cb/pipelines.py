@@ -10,8 +10,11 @@ arithmetic (bitwise-reproducible) or are rounded on both sides.
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -73,30 +76,58 @@ def _collect(ds: ray.data.Dataset) -> pa.Table:
     return t
 
 
-INDEX_FORMAT_VERSION = 4  # bump when the on-disk index layout changes
-# (v2: dls_blob; v3: positional postings — pos_blob/block_pos_off columns;
-#  v4: bucket-pruned partitions — one file per doc-range bucket + _termdf)
+INDEX_CACHE = os.path.join("/tmp", "cb_index_cache")
 
 
-def _index_dir_for(sf_dir: str) -> str:
-    key = f"{os.path.abspath(sf_dir)}|v{INDEX_FORMAT_VERSION}"
-    h = hashlib.md5(key.encode()).hexdigest()[:12]
-    return os.path.join("/tmp", "cb_index_cache", h)
+@functools.cache
+def _cb_sources_hash() -> str:
+    """Hash of every source file of the ``cb`` package: a code change
+    that alters what a build writes must never read a stale index."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for d, dirs, files in sorted(os.walk(root)):
+        dirs[:] = sorted(x for x in dirs if x != "__pycache__")
+        for f in sorted(files):
+            path = os.path.join(d, f)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
 
 
-def get_index(sf_dir: str) -> build.IndexMeta:
-    """Build (or reuse) the inverted index over the documents table."""
-    idx = _index_dir_for(sf_dir)
-    if os.path.exists(os.path.join(idx, "_global.json")):
-        return build.IndexMeta(idx)
-    return build.build_index(
-        docs_path(sf_dir), idx, text_col="text", id_col="doc_id",
+def _cached_index(kind: str, sf_dir: str, build_fn, marker: str = "_global.json") -> str:
+    """The cache dir of index ``kind`` over ``sf_dir``'s documents
+    table, built by ``build_fn(sf_dir, dir)`` unless ``dir/marker``
+    (written last by the build) exists.  The key covers the sf dir,
+    the table's size and mtime and :func:`_cb_sources_hash`; a miss
+    first drops this kind's stale entries for the same sf dir."""
+    st = os.stat(docs_path(sf_dir))
+    stem = f"{kind}-{hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]}-"
+    key = f"{st.st_size}|{st.st_mtime_ns}|{_cb_sources_hash()}"
+    d = os.path.join(INDEX_CACHE, stem + hashlib.md5(key.encode()).hexdigest()[:12])
+    if not os.path.exists(os.path.join(d, marker)):
+        for old in glob.glob(os.path.join(INDEX_CACHE, glob.escape(stem) + "*")):
+            if old != d:
+                shutil.rmtree(old, ignore_errors=True)
+        build_fn(sf_dir, d)
+    return d
+
+
+def _build_docs_index(sf_dir: str, dst: str) -> None:
+    """The documents table's index, as every cached index kind builds it."""
+    build.build_index(
+        docs_path(sf_dir), dst, text_col="text", id_col="doc_id",
         columns=["doc_id", "text"],
         # corpus-size-derived layout: bucket count (serving-pool width /
         # pruned-read grain) and partition count both scale with n_docs
         # (free here: parquet metadata row count)
         num_parts="auto", range_bits="auto",
     )
+
+
+def get_index(sf_dir: str) -> build.IndexMeta:
+    """Build (or reuse) the inverted index over the documents table."""
+    return build.IndexMeta(_cached_index("docs", sf_dir, _build_docs_index))
 
 
 # --------------------------------------------------------------------------
@@ -217,25 +248,24 @@ def get_federation(sf_dir: str) -> str:
     IndexNamer day path, yielding FED_NDAYS per-day sub-indexes."""
     from . import federated
 
-    # v2: staging carries docmeta columns (lang/source/n_chars)
-    fed_dir = _index_dir_for(sf_dir) + "_fed2"
-    if os.path.exists(federated.fed_meta_path(fed_dir)):
-        return fed_dir
+    def build_fed(sf_dir: str, fed_dir: str) -> None:
+        # metadata columns ride the staging write so each sub-index's
+        # docmeta (filter-context search) derives from ITS slice alone
+        ds = ray.data.read_parquet(
+            docs_path(sf_dir), columns=["doc_id", "text", "lang", "source", "n_chars"]
+        ).map_batches(_with_fed_ts, batch_format="pyarrow")
+        federated.build_federation(
+            ds, fed_dir, text_col="text", id_col="doc_id", ts_col="ts", prefix="cb-"
+        )
 
-    def with_ts(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        us = FED_EPOCH_US + (ids % FED_NDAYS) * 86_400_000_000
-        return b.append_column("ts", pa.array(us).cast(pa.timestamp("us")))
+    return _cached_index("fed", sf_dir, build_fed, marker="fed.json")
 
-    # metadata columns ride the staging write so each sub-index's
-    # docmeta (filter-context search) derives from ITS slice alone
-    ds = ray.data.read_parquet(
-        docs_path(sf_dir), columns=["doc_id", "text", "lang", "source", "n_chars"]
-    ).map_batches(with_ts, batch_format="pyarrow")
-    federated.build_federation(
-        ds, fed_dir, text_col="text", id_col="doc_id", ts_col="ts", prefix="cb-"
-    )
-    return fed_dir
+
+def _with_fed_ts(b: pa.Table) -> pa.Table:
+    """Each doc's deterministic day: ``epoch + (doc_id % FED_NDAYS)``."""
+    ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    us = FED_EPOCH_US + (ids % FED_NDAYS) * 86_400_000_000
+    return b.append_column("ts", pa.array(us).cast(pa.timestamp("us")))
 
 
 def q_federated_bm25(sf_dir: str) -> pa.Table:
@@ -406,19 +436,12 @@ def get_reindexed_index(sf_dir: str) -> build.IndexMeta:
     that store (never the corpus files)."""
     from . import docmeta as docmeta_mod
 
-    key = f"{os.path.abspath(sf_dir)}|re-v{INDEX_FORMAT_VERSION}"
-    h = hashlib.md5(key.encode()).hexdigest()[:12]
-    dst = os.path.join("/tmp", "cb_index_cache", "re-" + h)
-    if os.path.exists(os.path.join(dst, "_global.json")):
-        return build.IndexMeta(dst)
-    src = dst + "-src"
-    if not os.path.exists(os.path.join(src, "_global.json")):
-        build.build_index(
-            docs_path(sf_dir), src, text_col="text", id_col="doc_id",
-            columns=["doc_id", "text"], num_parts="auto", range_bits="auto",
-        )
-    docmeta_mod.ensure_docmeta(src, docs_path(sf_dir), ["text"])
-    return build.reindex(src, dst)
+    def build_re(sf_dir: str, dst: str) -> None:
+        src = _cached_index("re-src", sf_dir, _build_docs_index)
+        docmeta_mod.ensure_docmeta(src, docs_path(sf_dir), ["text"])
+        build.reindex(src, dst)
+
+    return build.IndexMeta(_cached_index("re", sf_dir, build_re))
 
 
 def q_reindex_topk(sf_dir: str) -> pa.Table:
@@ -445,14 +468,7 @@ def get_dbq_index(sf_dir: str) -> build.IndexMeta:
     every other entry.  The delete is re-applied on every call
     (``delete_docs`` unions idempotently), so a cached dir that raced a
     crash between build and delete still converges."""
-    key = f"{os.path.abspath(sf_dir)}|dbq-v{INDEX_FORMAT_VERSION}"
-    h = hashlib.md5(key.encode()).hexdigest()[:12]
-    dst = os.path.join("/tmp", "cb_index_cache", "dbq-" + h)
-    if not os.path.exists(os.path.join(dst, "_global.json")):
-        build.build_index(
-            docs_path(sf_dir), dst, text_col="text", id_col="doc_id",
-            columns=["doc_id", "text"], num_parts="auto", range_bits="auto",
-        )
+    dst = _cached_index("dbq", sf_dir, _build_docs_index)
     engine = shard.QueryEngine(dst, num_servers=2)
     try:
         engine.delete_by_query(DELETE_QUERY)
@@ -474,14 +490,7 @@ def get_ubq_index(sf_dir: str) -> build.IndexMeta:
     applied twice to a bucket."""
     from . import docmeta as docmeta_mod
 
-    key = f"{os.path.abspath(sf_dir)}|ubq-v{INDEX_FORMAT_VERSION}"
-    h = hashlib.md5(key.encode()).hexdigest()[:12]
-    dst = os.path.join("/tmp", "cb_index_cache", "ubq-" + h)
-    if not os.path.exists(os.path.join(dst, "_global.json")):
-        build.build_index(
-            docs_path(sf_dir), dst, text_col="text", id_col="doc_id",
-            columns=["doc_id", "text"], num_parts="auto", range_bits="auto",
-        )
+    dst = _cached_index("ubq", sf_dir, _build_docs_index)
     docmeta_mod.ensure_docmeta(dst, docs_path(sf_dir), ["lang", "source", "n_chars"])
     engine = shard.QueryEngine(dst, num_servers=2)
     try:
@@ -4815,15 +4824,12 @@ def _docs_with_title(sf_dir: str) -> ray.data.Dataset:
 def get_multifield_index(sf_dir: str) -> str:
     from . import multifield
 
-    key = f"{os.path.abspath(sf_dir)}|mf-v{INDEX_FORMAT_VERSION}"
-    idx = os.path.join(
-        "/tmp", "cb_index_cache", "mf-" + hashlib.md5(key.encode()).hexdigest()[:12]
-    )
-    if not os.path.exists(multifield._mf_manifest_path(idx)):
+    def build_mf(sf_dir: str, idx: str) -> None:
         multifield.build_multifield(
             _docs_with_title(sf_dir), idx, ["text", "title"], id_col="doc_id"
         )
-    return idx
+
+    return _cached_index("mf", sf_dir, build_mf, marker="_multifield.json")
 
 
 def q_bm25_multifield(sf_dir: str) -> pa.Table:
@@ -4877,21 +4883,14 @@ def get_multifield_federation(sf_dir: str) -> str:
     sub-indexes (one per analyzed field) -> cross-index search."""
     from . import federated
 
-    fed_dir = _index_dir_for(sf_dir) + "_mffed"
-    if os.path.exists(federated.fed_meta_path(fed_dir)):
-        return fed_dir
+    def build_fed(sf_dir: str, fed_dir: str) -> None:
+        ds = _docs_with_title(sf_dir).map_batches(_with_fed_ts, batch_format="pyarrow")
+        federated.build_federation(
+            ds, fed_dir, fields=["text", "title"], id_col="doc_id",
+            ts_col="ts", prefix="cbmf-",
+        )
 
-    def with_ts(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        us = FED_EPOCH_US + (ids % FED_NDAYS) * 86_400_000_000
-        return b.append_column("ts", pa.array(us).cast(pa.timestamp("us")))
-
-    ds = _docs_with_title(sf_dir).map_batches(with_ts, batch_format="pyarrow")
-    federated.build_federation(
-        ds, fed_dir, fields=["text", "title"], id_col="doc_id",
-        ts_col="ts", prefix="cbmf-",
-    )
-    return fed_dir
+    return _cached_index("mffed", sf_dir, build_fed, marker="fed.json")
 
 
 def q_federated_multifield(sf_dir: str) -> pa.Table:

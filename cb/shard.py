@@ -24,6 +24,15 @@ Scoring needs no side tables — per-posting doc lengths ride in the
 postings (cb.compress) — so the only corpus-global serving state is
 (N, avgdl) from ``_global.json`` (or a federation's overlay).
 
+Control plane and data plane: Ray places the server actors, runs their
+``__init__`` and kills them.  Every request after that — ``score``,
+``warm``, ``metrics``, aggregations — travels over one authenticated
+socket per server (:mod:`cb.rpc`), not as a Ray actor task:
+``QueryEngine._fanout`` sends to every server and returns reply
+handles, and :func:`cb.rpc.get` waits for them.  Replies come back in
+send order, so msearch and federations put many requests in flight
+before waiting, and a dead server raises :class:`cb.rpc.ServerDied`.
+
 Warm: :meth:`ShardServer.warm` pre-decodes a server's postings so the
 first queries do not pay it.  Per loaded partition it selects the rows
 of the terms to warm, decodes their id/tf/dl streams in ONE varint pass
@@ -48,7 +57,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from . import analyze, compress, phrase as phrase_mod, scoring, wand
+from . import analyze, compress, phrase as phrase_mod, rpc, scoring, wand
 from .aggs import (
     AGGS, AggRoute, _collapse_from_top_hits, _facets_over, _jlh_rank, _merge_sig,
     _merge_topk, _page_composite, _pct_ranges, _pct_ranks_from_counts,
@@ -354,7 +363,7 @@ def load_vocab(meta: IndexMeta) -> list[str]:
 
 
 @ray.remote
-class ShardServer:
+class ShardServer(rpc.Server):
     """Owns a doc-range bucket slice (``buckets``) of every term
     partition; loads once, serves many queries over that slice.
 
@@ -1523,6 +1532,7 @@ class QueryEngine(AggRoute):
             )
             for s in range(num_servers)
         ]
+        self._conns = rpc.connect(self.servers)
         # driver-side merged-result LRU: the index is immutable for the
         # engine's lifetime, so repeat queries skip the scatter-gather
         # fan-out entirely (a distinct query pays S RPCs)
@@ -1540,22 +1550,25 @@ class QueryEngine(AggRoute):
         return sum(self._gather("warm", min_df))
 
     def shutdown(self) -> None:
-        """Kill the server actors (callers that create short-lived
-        engines should clean up so actors don't accumulate)."""
+        """Close the connections and kill the server actors (callers
+        that create short-lived engines should clean up so actors don't
+        accumulate)."""
+        for c in self._conns:
+            c.close()
         for s in self.servers:
             ray.kill(s)
-        self.servers = []
+        self._conns, self.servers = [], []
 
     def _fanout(self, method: str, *args, **kwargs) -> list:
-        """Call ShardServer ``method`` on every server WITHOUT the final
-        ray.get: one ref per server, in pool order — the single dispatch
-        shape every request uses (federations collect these refs across
-        sub-indexes and block once)."""
-        return [getattr(s, method).remote(*args, **kwargs) for s in self.servers]
+        """Send ShardServer ``method`` to every server WITHOUT waiting:
+        one reply handle per server, in pool order — the single
+        dispatch shape every request uses (federations collect these
+        handles across sub-indexes and wait once)."""
+        return [c.call(method, *args, **kwargs) for c in self._conns]
 
     def _gather(self, method: str, *args, **kwargs) -> list:
         """:meth:`_fanout` and wait: every server's partial, pool order."""
-        return ray.get(self._fanout(method, *args, **kwargs))
+        return rpc.get(self._fanout(method, *args, **kwargs))
 
     def _dispatch(self, text: str, k: int, algo: str):
         return self._dispatch_terms(sorted(set(analyze.tokenize(text))), k, algo)
@@ -1589,7 +1602,7 @@ class QueryEngine(AggRoute):
         if fut is None:
             self.telemetry.record("query.total", _time.perf_counter() - t0)
             return []
-        scored = ray.get(fut)
+        scored = rpc.get(fut)
         t2 = _time.perf_counter()
         self.telemetry.record("query.wait", t2 - t1)
         res = self._cache_put(key, _merge_topk(scored, k))
@@ -1656,7 +1669,7 @@ class QueryEngine(AggRoute):
         return _merge_topk(self._gather("score_filtered", terms, k, filters), k)
 
     def _dispatch_phrase(self, text: str, k: int, slop: int = 0):
-        """Phrase dispatch without the final ray.get (federation
+        """Phrase dispatch without the final wait (federation
         fan-out protocol; see _dispatch_search)."""
         ordered = analyze.tokenize(text)
         if not ordered:
@@ -1670,7 +1683,7 @@ class QueryEngine(AggRoute):
         ``slop`` = total extra gaps allowed between the in-order terms
         (0 = exact adjacency)."""
         fut = self._dispatch_phrase(text, k, slop)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        return [] if fut is None else _merge_topk(rpc.get(fut), k)
 
     def _dispatch_phrase_prefix(
         self, text: str, k: int, max_expansions: int | None
@@ -1699,12 +1712,12 @@ class QueryEngine(AggRoute):
         immediately followed by any completion match, scored by BM25 of
         the fixed terms (cb.phrase.phrase_prefix_topk contract)."""
         fut = self._dispatch_phrase_prefix(text, k, max_expansions)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        return [] if fut is None else _merge_topk(rpc.get(fut), k)
 
     def _dispatch_search(self, query_string: str, k: int, synonyms: dict | None = None):
-        """Query-string dispatch WITHOUT the final ray.get: the
-        per-server refs, or None for an empty query — lets federations
-        collect refs across sub-indexes and block once."""
+        """Query-string dispatch WITHOUT the final wait: the
+        per-server reply handles, or None for an empty query — lets
+        federations collect handles across sub-indexes and wait once."""
         parsed, involved = self._parsed_and_involved(query_string, synonyms)
         if not involved:
             return None
@@ -1719,7 +1732,7 @@ class QueryEngine(AggRoute):
         ``synonyms`` applies the ES query-time synonym filter
         (querylang.apply_synonyms) to the scored term set."""
         fut = self._dispatch_search(query_string, k, synonyms=synonyms)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        return [] if fut is None else _merge_topk(rpc.get(fut), k)
 
     def msearch(
         self, query_strings: list[str], k: int = 10,
@@ -1727,16 +1740,16 @@ class QueryEngine(AggRoute):
     ) -> list[list[tuple[int, float]]]:
         """ES ``_msearch`` over full query strings (terms + phrases +
         filters + exclusions — the whole querylang surface, unlike the
-        term-only query_many batcher): EVERY query's per-server refs
-        are dispatched before any result is awaited, then ONE ray.get
-        drains the flat ref list, so server work for query i+1 overlaps
+        term-only query_many batcher): EVERY query's per-server requests
+        are sent before any reply is awaited, then ONE rpc.get drains
+        the flat handle list, so server work for query i+1 overlaps
         the wait for query i.  Same kernels and merge as search() —
         results are bitwise identical to the sequential loop."""
         futs = [
             self._dispatch_search(q, k, synonyms=synonyms) or []
             for q in query_strings
         ]
-        got = ray.get([r for f in futs for r in f])
+        got = rpc.get([r for f in futs for r in f])
         out: list[list[tuple[int, float]]] = []
         pos = 0
         for f in futs:
@@ -1766,7 +1779,7 @@ class QueryEngine(AggRoute):
         return parsed, involved
 
     def _agg_refs(self, query: str | dict, name: str, spec) -> list:
-        """The aggregation route: one ref per server to aggregation
+        """The aggregation route: one reply handle per server to aggregation
         ``name``'s partial over the match set of ``query`` (a query
         string, or an already-built clause set); none when the query
         involves no term, so nothing can match."""
@@ -1777,7 +1790,7 @@ class QueryEngine(AggRoute):
         return self._fanout("agg", parsed, name, spec) if involved else []
 
     def _agg_parts(self, query: str | dict, name: str, spec) -> list:
-        return ray.get(self._agg_refs(query, name, spec))
+        return rpc.get(self._agg_refs(query, name, spec))
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=()
@@ -1805,7 +1818,7 @@ class QueryEngine(AggRoute):
         demotion is per-doc, so the doc-sharded merge is the exact
         global top-k."""
         fut = self._dispatch_boosting(positive, negative, negative_boost, k)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        return [] if fut is None else _merge_topk(rpc.get(fut), k)
 
     def extended_stats(self, query_string: str, cols=("n_chars",)) -> dict:
         """ES extended_stats aggregation over the query's FULL match
@@ -1838,12 +1851,12 @@ class QueryEngine(AggRoute):
         terms = sorted(set(terms))
         if not terms:
             return {}
-        return ray.get(self.servers[0].get_dfs.remote(terms))
+        return rpc.get(self._conns[0].call("get_dfs", terms))
 
     def query_terms(self, terms: list[str], k: int = 10, algo: str = "taat"):
         """Top-k over an explicit (pre-analyzed) term set."""
         fut = self._dispatch_terms(sorted(set(terms)), k, algo)
-        return [] if fut is None else _merge_topk(ray.get(fut), k)
+        return [] if fut is None else _merge_topk(rpc.get(fut), k)
 
     def regexp_query(
         self, pattern: str, k: int = 10, algo: str = "taat"
@@ -2580,7 +2593,7 @@ class QueryEngine(AggRoute):
         Identical output either way; owners are disjoint, so concat
         needs no dedupe."""
         futs = self._dispatch_term_vectors(doc_ids, source, text_col)
-        rows = [r for part in ray.get(futs) for r in part]
+        rows = [r for part in rpc.get(futs) for r in part]
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 

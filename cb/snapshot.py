@@ -4,14 +4,16 @@ aliases, tombstones).
 
 A snapshot is a directory holding a verbatim copy of every regular file
 under the index dir plus a ``_snapshot.json`` manifest (relative path,
-size, count).  Files are HARDLINKED when source and snapshot share a
+size, sha256, count).  Files are HARDLINKED when source and snapshot share a
 filesystem (O(metadata), zero bytes moved — ES's incremental-segment
 trick, valid here because every writer in this repo publishes via
 atomic tmp+rename and never mutates a published file in place: a later
 delete/update/compaction swaps directory entries, leaving snapshot
 inodes untouched), falling back to a byte copy across filesystems.
 Restore re-links/copies into a fresh dir and verifies each file's size
-against the manifest before declaring the index servable.
+and sha256 against the manifest before declaring the index servable, so
+a corrupt file of the right size never restores silently.  Hashing reads
+every byte once per create and per restore.
 
 Reference analog: ConveyorBelt's durable-state story is Azure Blob
 (DiagnosticsSource checkpoint/cursor rows survive worker restarts);
@@ -27,6 +29,7 @@ parallelizable per part/bucket file (each file is independent).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -42,6 +45,11 @@ def _link_or_copy(src: str, dst: str) -> None:
         os.link(src, dst)
     except OSError:
         shutil.copy2(src, dst)
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def create_snapshot(index_dir: str, snap_dir: str) -> dict:
@@ -60,7 +68,9 @@ def create_snapshot(index_dir: str, snap_dir: str) -> dict:
         for name in sorted(names):
             src = os.path.join(root, name)
             rel = os.path.relpath(src, index_dir)
-            files.append({"path": rel, "size": os.path.getsize(src)})
+            files.append(
+                {"path": rel, "size": os.path.getsize(src), "sha256": _sha256(src)}
+            )
             _link_or_copy(src, os.path.join(snap_dir, rel))
     manifest = {"files": sorted(files, key=lambda f: f["path"]),
                 "n_files": len(files)}
@@ -73,9 +83,9 @@ def create_snapshot(index_dir: str, snap_dir: str) -> dict:
 
 def restore_snapshot(snap_dir: str, dest_dir: str) -> dict:
     """Restore a snapshot into ``dest_dir`` (link-or-copy per file),
-    verifying each restored file's size against the manifest.  Raises
-    if the manifest is missing (incomplete snapshot) or any size
-    mismatches."""
+    verifying each restored file's size and sha256 against the
+    manifest.  Raises if the manifest is missing (incomplete snapshot)
+    or any file differs (``IOError`` naming the file)."""
     mp = os.path.join(snap_dir, MANIFEST)
     if not os.path.exists(mp):
         raise FileNotFoundError(f"no snapshot manifest at {mp}")
@@ -98,4 +108,7 @@ def restore_snapshot(snap_dir: str, dest_dir: str) -> dict:
                 f"restore size mismatch for {entry['path']}: "
                 f"{got} != {entry['size']}"
             )
+        want = entry.get("sha256")  # manifests from before checksums have none
+        if want is not None and _sha256(dst) != want:
+            raise IOError(f"restore checksum mismatch for {entry['path']}")
     return manifest

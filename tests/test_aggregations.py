@@ -6,9 +6,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray
 
 from cb import docmeta as dm
+from cb import rpc
 from cb.build import build_index
 from cb.shard import QueryEngine, delete_docs
 
@@ -531,7 +531,7 @@ def test_protocol_entry_pool_and_reference_parity(pools, name):
     for q in ("hash join", "absentterm"):
         # single-field top_hits scores the bare analyzed terms
         sq = _terms_clause(q) if name == "top_hits" else q
-        parts = ray.get(engines["sf"][0]._agg_refs(sq, name, spec))
+        parts = rpc.get(engines["sf"][0]._agg_refs(sq, name, spec))
         if q != "absentterm":  # both slices take part in the merge
             assert all(p != entry.empty(spec) for p in parts), name
         two, one = (e._agg(sq, name, spec) for e in engines["sf"])

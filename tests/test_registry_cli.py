@@ -418,7 +418,9 @@ def test_cli_watch_and_fed_lifecycle(tmp_path):
     assert out["changed"] == ["code", "log"]
     [out] = cli("fed", "refresh", "--fed", fed, "--input", str(extra))
     assert out["changed"] == ["code", "log"]
-    [out] = cli("fed", "delete", "2", "--fed", fed)  # ids follow the action
+    [out] = cli("fed", "delete", "2", "--fed", fed)  # ids before the options
     assert sum(out["tombstoned"].values()) == 1
+    [out] = cli("fed", "delete", "--fed", fed, "3", "4")  # ids after them
+    assert sum(out["tombstoned"].values()) == 2
     [out] = cli("fed", "compact", "--fed", fed)
-    assert out["n_docs"] == 5
+    assert out["n_docs"] == 3

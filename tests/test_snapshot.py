@@ -4,6 +4,7 @@ isolation from post-snapshot mutations."""
 
 import json
 import os
+import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -83,6 +84,23 @@ def test_restore_detects_size_mismatch(built, tmp_path):
     with open(mp, "w") as f:
         json.dump(m, f)
     with pytest.raises(IOError):
+        snapshot.restore_snapshot(snap, str(tmp_path / "r"))
+
+
+def test_restore_detects_flipped_byte(built, tmp_path):
+    """A corrupt snapshot file of unchanged size must not restore."""
+    d, idx = built
+    snap = str(tmp_path / "snap")
+    m = snapshot.create_snapshot(idx, snap)
+    rel = max(m["files"], key=lambda f: f["size"])["path"]
+    path = os.path.join(snap, rel)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    data[len(data) // 2] ^= 0x01
+    os.remove(path)  # a new inode: the hardlinked index file stays intact
+    with open(path, "wb") as f:
+        f.write(data)
+    with pytest.raises(IOError, match=re.escape(rel)):
         snapshot.restore_snapshot(snap, str(tmp_path / "r"))
 
 
