@@ -28,6 +28,11 @@ native:
   BM25 query).  Time-ranged queries prune to the day-indexes that
   overlap (the ``GetIndexNames`` read path), so a "last 2 days" query
   on a year-long federation touches 2/365ths of the postings.
+- ``FederatedMultiFieldEngine``: the multifield closure; each member
+  is a one-actor :class:`cb.shard.ServerPool` of
+  ``_MultiFieldFedMember``.  Both engines share member selection, the
+  cross-member fan-out, metrics and shutdown; every member, like every
+  engine, serves through a ``ServerPool``.
 
 Scale: each sub-index build is an independent distributed job over only
 its partition's staging files; the staging write is the only full pass.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -54,7 +60,11 @@ from .aggs import (
     AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
     _pct_ranges, _pct_ranks_from_counts,
 )
-from .shard import QueryEngine, _merge_topk, _terms_clause
+from .shard import (
+    QueryEngine, ServerPool, _merge_topk, _query_many, _terms_clause, _timed_topk,
+    _wait_topk, _wait_topk_each,
+)
+from .telemetry import Telemetry, merge_snapshots
 
 KEY_COL = "_fed_key"
 
@@ -840,7 +850,95 @@ def compact_federation(fed_dir: str) -> dict:
     return fed
 
 
-class FederatedEngine(AggRoute):
+class _Federation(AggRoute):
+    """What both federation engines share: the federation's metadata,
+    one member per sub-index (``member(index_dir)``; each has
+    ``metrics`` and ``shutdown``), day/name selection, the one
+    cross-member fan-out, the federation's own phase timers, metrics
+    and shutdown."""
+
+    def __init__(self, fed_dir: str, multifield: bool, member):
+        self.meta = load_fed_meta(fed_dir)
+        if bool(self.meta.get("fields")) != multifield:
+            raise ValueError(
+                "this federation is single-field; use FederatedEngine" if multifield
+                else "this federation is MULTIFIELD; use FederatedMultiFieldEngine"
+            )
+        self.fed_dir = fed_dir
+        self.members = {e["name"]: member(e["dir"]) for e in self.meta["indexes"]}
+        self.telemetry = Telemetry()  # federation-level fan-out timers
+
+    def _select(
+        self,
+        names: list[str] | None = None,
+        start_day: str | None = None,
+        end_day: str | None = None,
+    ) -> list[str]:
+        """The members a query spans: ``names`` (default all), pruned
+        to the day range (the GetIndexNames read path)."""
+        sel = list(self.members) if names is None else [n for n in names if n in self.members]
+        if start_day or end_day:
+            # day-named indexes end in YYYYMMDD: lexicographic == chronological
+            def day(n: str) -> str:
+                return n[-8:]
+
+            sel = [
+                n
+                for n in sel
+                if (start_day is None or day(n) >= start_day)
+                and (end_day is None or day(n) <= end_day)
+            ]
+        return sel
+
+    def _handles(self, names: list[str], dispatch) -> list:
+        """Every named member's reply handles, in name order:
+        ``dispatch(member)`` sends that member's requests and returns
+        its handles (None: nothing to ask).  Callers wait ONCE over the
+        result, so cross-index latency is max(member), not the sum."""
+        return [h for n in names for h in dispatch(self.members[n]) or ()]
+
+    def _boosted(self, indices_boost: dict | None, names: list[str], dispatch, k: int):
+        """ES ``indices_boost``: each member's scores multiply by its
+        per-index boost BEFORE the cross-index merge.  Members hold
+        disjoint doc sets and a POSITIVE constant scale preserves each
+        member's internal order, so the per-server local top-k cut stays
+        valid and the merged result is the exact boosted global ranking;
+        exact-binary boosts keep the multiply bitwise vs a SQL mirror."""
+        ib = dict(indices_boost or {})
+        for n, w in ib.items():
+            if not float(w) > 0.0:
+                raise ValueError(
+                    f"indices_boost[{n!r}] = {w}: boosts must be > 0 "
+                    "(a non-positive scale invalidates the per-member top-k cut)"
+                )
+        per = [(float(ib.get(n, 1.0)), dispatch(self.members[n]) or ()) for n in names]
+        got = rpc.get([h for _, hs in per for h in hs])
+        weights = [w for w, hs in per for _ in hs]
+        return _merge_topk(
+            [part if w == 1.0 else [(d, s * w) for d, s in part] for w, part in zip(weights, got)],
+            k,
+        )
+
+    def metrics(self) -> dict:
+        """Federation-wide telemetry: the federation's own fan-out phase
+        timers (dispatch / wait / merge / total — federated queries
+        bypass member query paths), each member's metrics, and the
+        additive roll-up of every member's server counters (the
+        TelemetryProvider analog across the whole fan-out)."""
+        per = {n: m.metrics() for n, m in self.members.items()}
+        return {
+            "engine": self.telemetry.snapshot(),
+            "servers": merge_snapshots([m["servers"] for m in per.values()]),
+            "members": per,
+        }
+
+    def shutdown(self) -> None:
+        for m in self.members.values():
+            m.shutdown()
+        self.members = {}
+
+
+class FederatedEngine(_Federation):
     """Cross-index search over a federation — the engine analog of one
     ES query spanning ``logstash-*``-style day indexes.
 
@@ -860,39 +958,14 @@ class FederatedEngine(AggRoute):
     bitwise the monolithic pool's."""
 
     def __init__(self, fed_dir: str, num_servers: int = 2):
-        self.meta = load_fed_meta(fed_dir)
-        if self.meta.get("fields"):
-            raise ValueError(
-                "this federation is MULTIFIELD; use FederatedMultiFieldEngine"
-            )
-        self.fed_dir = fed_dir
-        self.engines: dict[str, QueryEngine] = {
-            e["name"]: QueryEngine(e["dir"], num_servers, fed=fed_dir)
-            for e in self.meta["indexes"]
-        }
-        from .telemetry import Telemetry
+        super().__init__(
+            fed_dir, False, lambda d: QueryEngine(d, num_servers, fed=fed_dir)
+        )
 
-        self.telemetry = Telemetry()  # federation-level fan-out timers
-
-    def _select(
-        self,
-        names: list[str] | None = None,
-        start_day: str | None = None,
-        end_day: str | None = None,
-    ) -> list[str]:
-        sel = list(self.engines) if names is None else [n for n in names if n in self.engines]
-        if start_day or end_day:
-            # day-named indexes end in YYYYMMDD: lexicographic == chronological
-            def day(n: str) -> str:
-                return n[-8:]
-
-            sel = [
-                n
-                for n in sel
-                if (start_day is None or day(n) >= start_day)
-                and (end_day is None or day(n) <= end_day)
-            ]
-        return sel
+    @property
+    def engines(self) -> dict[str, QueryEngine]:
+        """The member engines by sub-index name."""
+        return self.members
 
     def query(
         self,
@@ -905,28 +978,11 @@ class FederatedEngine(AggRoute):
     ) -> list[tuple[int, float]]:
         """Fan out to the selected sub-indexes, ONE wait over every
         server's score reply, exact merge."""
-        import time as _time
-
-        t0 = _time.perf_counter()
-        futs = []
-        for n in self._select(names, start_day, end_day):
-            f = self.engines[n]._dispatch(text, k, algo)
-            if f is None:
-                continue
-            futs.extend(f)
-        t1 = _time.perf_counter()
-        self.telemetry.record("query.dispatch", t1 - t0)
-        if not futs:
-            self.telemetry.record("query.total", _time.perf_counter() - t0)
-            return []
-        scored = rpc.get(futs)
-        t2 = _time.perf_counter()
-        self.telemetry.record("query.wait", t2 - t1)
-        res = _merge_topk(scored, k)
-        t3 = _time.perf_counter()
-        self.telemetry.record("query.merge", t3 - t2)
-        self.telemetry.record("query.total", t3 - t0)
-        return res
+        t0 = time.perf_counter()
+        handles = self._handles(
+            self._select(names, start_day, end_day), lambda e: e._dispatch(text, k, algo)
+        )
+        return _timed_topk(self.telemetry, t0, handles, k)
 
     def query_boosted(
         self,
@@ -936,54 +992,19 @@ class FederatedEngine(AggRoute):
         algo: str = "taat",
         **sel,
     ) -> list[tuple[int, float]]:
-        """ES ``indices_boost``: each selected member's scores multiply
-        by its per-index boost BEFORE the cross-index merge.  Members
-        hold disjoint doc sets and a POSITIVE constant scale preserves
-        each member's internal order, so the per-server local top-k cut
-        stays valid and the merged result is the exact boosted global
-        ranking; exact-binary boosts keep the multiply bitwise vs a SQL
-        mirror."""
-        ib = dict(indices_boost or {})
-        for n, w in ib.items():
-            if not float(w) > 0.0:
-                raise ValueError(
-                    f"indices_boost[{n!r}] = {w}: boosts must be > 0 "
-                    "(a non-positive scale invalidates the per-member top-k cut)"
-                )
-        member_futs: list[tuple[float, list]] = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch(text, k, algo)
-            if f is None:
-                continue
-            w = float(ib.get(n, 1.0))
-            member_futs.append((w, f))
-        if not member_futs:
-            return []
-        got = rpc.get([r for _, fs in member_futs for r in fs])
-        scored, i = [], 0
-        for w, fs in member_futs:
-            for _ in fs:
-                part = got[i]
-                i += 1
-                scored.append(
-                    [(d, s * w) for d, s in part] if w != 1.0 else part
-                )
-        return _merge_topk(scored, k)
+        """ES ``indices_boost`` (see :meth:`_Federation._boosted`)."""
+        return self._boosted(
+            indices_boost, self._select(**sel), lambda e: e._dispatch(text, k, algo), k
+        )
 
     def phrase_query(
         self, text: str, k: int = 10, slop: int = 0, **sel
     ) -> list[tuple[int, float]]:
         """Phrase fan-out: replies collected across every selected
         engine, ONE wait (cross-index latency = max, not sum)."""
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_phrase(text, k, slop)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return []
-        return _merge_topk(rpc.get(futs), k)
+        return _wait_topk(
+            self._handles(self._select(**sel), lambda e: e._dispatch_phrase(text, k, slop)), k
+        )
 
     def search(self, query_string: str, k: int = 10, **sel) -> list[tuple[int, float]]:
         """Query-string search across the federation.  Exactness notes:
@@ -997,15 +1018,9 @@ class FederatedEngine(AggRoute):
         (:func:`ensure_fed_docmeta`).  Replies are collected from every
         selected engine before ONE wait — cross-index latency is
         max(sub-index), not sum."""
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_search(query_string, k)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return []
-        return _merge_topk(rpc.get(futs), k)
+        return _wait_topk(
+            self._handles(self._select(**sel), lambda e: e._dispatch_search(query_string, k)), k
+        )
 
     def msearch(
         self, query_strings: list[str], k: int = 10, **sel
@@ -1016,35 +1031,18 @@ class FederatedEngine(AggRoute):
         servers replies, so the wall clock is max over all cells, not the
         sequential sum.  Bitwise identical to a search() loop (same
         kernels, same per-query merge)."""
-        names = list(self._select(**sel))
-        per_q: list[list] = []
-        flat: list = []
-        for q in query_strings:
-            refs = []
-            for n in names:
-                f = self.engines[n]._dispatch_search(q, k)
-                if f is None:
-                    continue
-                refs.extend(f)
-            per_q.append(refs)
-            flat.extend(refs)
-        got = rpc.get(flat)
-        out: list[list[tuple[int, float]]] = []
-        pos = 0
-        for refs in per_q:
-            out.append(_merge_topk(got[pos:pos + len(refs)], k) if refs else [])
-            pos += len(refs)
-        return out
+        names = self._select(**sel)
+        return _wait_topk_each(
+            [self._handles(names, lambda e: e._dispatch_search(q, k)) for q in query_strings], k
+        )
 
     def _agg_parts(self, query: str | dict, name: str, spec, **sel) -> list:
         """The aggregation route: every selected member engine's server
         replies (each member parses and expands against its own
         vocabulary), drained by ONE wait."""
-        refs = [
-            r for n in self._select(**sel)
-            for r in self.engines[n]._agg_refs(query, name, spec)
-        ]
-        return rpc.get(refs)
+        return rpc.get(
+            self._handles(self._select(**sel), lambda e: e._agg_refs(query, name, spec))
+        )
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=(), **sel
@@ -1070,9 +1068,9 @@ class FederatedEngine(AggRoute):
         from . import analyze, scoring
 
         toks = collections.Counter(analyze.tokenize(doc_text))
-        if not toks or not self.engines:
+        if not toks or not self.members:
             return []
-        dfs = next(iter(self.engines.values())).term_dfs(list(toks))
+        dfs = next(iter(self.members.values())).term_dfs(list(toks))
         n = self.meta["n_docs"]
         scored = [
             (t, toks[t] * float(scoring.idf(dfs[t], n))) for t in toks if t in dfs
@@ -1148,70 +1146,36 @@ class FederatedEngine(AggRoute):
         union is EXACTLY the monolithic result.  A finite cap applies
         per member (ES parity) and may admit more total completions
         than one monolithic index would."""
-        futs = []
-        for n in self._select(**sel):
-            f = self.engines[n]._dispatch_phrase_prefix(text, k, max_expansions)
-            if f is None:
-                continue
-            futs.extend(f)
-        if not futs:
-            return []
-        return _merge_topk(rpc.get(futs), k)
+        return _wait_topk(
+            self._handles(
+                self._select(**sel),
+                lambda e: e._dispatch_phrase_prefix(text, k, max_expansions),
+            ),
+            k,
+        )
 
     def term_vectors(self, doc_ids: list[int], **sel) -> list[tuple]:
         """Federated _termvectors: fan out to every selected member
         (content-derived doc ids are federation-unique, so concat is
         duplicate-free), one wait."""
-        futs = []
-        for n in self._select(**sel):
-            futs.extend(self.engines[n]._dispatch_term_vectors(list(doc_ids)))
-        rows = [r for part in rpc.get(futs) for r in part]
+        handles = self._handles(
+            self._select(**sel), lambda e: e._dispatch_term_vectors(list(doc_ids))
+        )
+        rows = [r for part in rpc.get(handles) for r in part]
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 
     def query_many(self, texts: list[str], k: int = 10, algo: str = "taat", **sel_kwargs):
         """Batched federation fan-out: every server of every selected
-        sub-index gets ONE score_many RPC covering all queries (the same
-        round-trip amortization as QueryEngine.query_many, across the
-        whole federation); exact because every (engine, server) scope is
-        a disjoint doc set."""
-        from . import analyze
-
-        sel = self._select(**sel_kwargs)
-        term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
-        live = [i for i, terms in enumerate(term_lists) if terms]
-        conns = [c for n in sel for c in self.engines[n]._conns]
-        if not conns:
-            return [[] for _ in texts]
-        batch = [term_lists[i] for i in live]
-        per_server = rpc.get([c.call("score_many", batch, k, algo=algo) for c in conns])
-        results: list = [[] for _ in texts]
-        for j, i in enumerate(live):
-            results[i] = _merge_topk([ps[j] for ps in per_server], k)
-        return results
+        sub-index gets ONE score_many request covering all queries (the
+        same round-trip amortization as QueryEngine.query_many, across
+        the whole federation); exact because every (engine, server)
+        scope is a disjoint doc set."""
+        pools = [self.members[n].pool for n in self._select(**sel_kwargs)]
+        return _query_many(pools, texts, k, algo)
 
     def warm(self, min_df: int = 0) -> int:
-        return sum(e.warm(min_df) for e in self.engines.values())
-
-    def metrics(self) -> dict:
-        """Federation-wide telemetry: the federation's own fan-out phase
-        timers (dispatch / wait / merge / total — federated queries
-        bypass member-engine query paths) plus per-member engine timers
-        and the additive roll-up of every member's server counters (the
-        TelemetryProvider analog across the whole fan-out)."""
-        from .telemetry import merge_snapshots
-
-        per = {n: e.metrics() for n, e in self.engines.items()}
-        return {
-            "engine": self.telemetry.snapshot(),
-            "servers": merge_snapshots([m["servers"] for m in per.values()]),
-            "members": per,
-        }
-
-    def shutdown(self) -> None:
-        for e in self.engines.values():
-            e.shutdown()
-        self.engines = {}
+        return sum(e.warm(min_df) for e in self.members.values())
 
 
 @ray.remote
@@ -1227,12 +1191,17 @@ class _MultiFieldFedMember(rpc.Server):
         from .multifield import MultiFieldSearcher
 
         self.searcher = MultiFieldSearcher(index_dir, fed=fed_dir)
+        self.telemetry = Telemetry()
+
+    def metrics(self) -> dict:
+        return self.telemetry.snapshot()
 
     def search(
         self, query: str, k: int,
         mode: str = "most_fields", tie_breaker: float = 0.0,
     ) -> list[tuple[int, float]]:
-        return self.searcher.search(query, k, mode=mode, tie_breaker=tie_breaker)
+        with self.telemetry.timer("server.score"):
+            return self.searcher.search(query, k, mode=mode, tie_breaker=tie_breaker)
 
     def agg(self, query: str, name: str, spec):
         return self.searcher.agg(query, name, spec)
@@ -1251,60 +1220,32 @@ class _MultiFieldFedMember(rpc.Server):
         return self.searcher.term_dfs(field, terms)
 
 
-class FederatedMultiFieldEngine(AggRoute):
+class FederatedMultiFieldEngine(_Federation):
     """Cross-index MULTIFIELD search (mapping JSON -> analyzed fields
     -> per-day sub-indexes -> one query spanning them): each member
     scores every field with federation-global per-field stats
     (``field_stats`` + per-field feddf overlays), so the merged top-k
     is bitwise the monolithic multifield result — the multifield
-    closure of the single-field FederatedEngine contract.  The
-    aggregation methods are MultiFieldEngine's, over every selected
-    member's disjoint doc set."""
+    closure of the single-field FederatedEngine contract.  Each member
+    is a one-actor :class:`cb.shard.ServerPool` of
+    ``_MultiFieldFedMember``.  The aggregation methods are
+    MultiFieldEngine's, over every selected member's disjoint doc
+    set."""
 
     def __init__(self, fed_dir: str):
-        self.meta = load_fed_meta(fed_dir)
-        if not self.meta.get("fields"):
-            raise ValueError(
-                "this federation is single-field; use FederatedEngine"
-            )
-        self.fed_dir = fed_dir
-        self.members = {
-            e["name"]: _MultiFieldFedMember.remote(e["dir"], fed_dir)
-            for e in self.meta["indexes"]
-        }
-        self._conns = dict(zip(self.members, rpc.connect(list(self.members.values()))))
+        super().__init__(
+            fed_dir, True, lambda d: ServerPool(_MultiFieldFedMember, [(d, fed_dir)])
+        )
 
-    def _gather(self, names: list[str], method: str, *args) -> list:
+    def _call(self, names: list[str], method: str, *args) -> list:
         """Send ``method`` to the named members, then wait: name order."""
-        return rpc.get([self._conns[n].call(method, *args) for n in names])
-
-    # day/name pruning: identical selection semantics to FederatedEngine
-    def _select(
-        self,
-        names: list[str] | None = None,
-        start_day: str | None = None,
-        end_day: str | None = None,
-    ) -> list[str]:
-        sel = list(self.members) if names is None else [
-            n for n in names if n in self.members
-        ]
-        if start_day or end_day:
-            def day(n: str) -> str:
-                return n[-8:]
-
-            sel = [
-                n
-                for n in sel
-                if (start_day is None or day(n) >= start_day)
-                and (end_day is None or day(n) <= end_day)
-            ]
-        return sel
+        return rpc.get(self._handles(names, lambda p: p.fanout(method, *args)))
 
     def warm(self) -> int:
         """Touch every member once (actor construction is lazy-ish under
         Ray; a trivial query forces state load) — the serving-startup
         cost lands here instead of the first user query."""
-        return len(self._gather(list(self.members), "search", "", 1))
+        return len(self._call(list(self.members), "search", "", 1))
 
     def search(
         self, query: str, k: int = 10,
@@ -1315,10 +1256,11 @@ class FederatedMultiFieldEngine(AggRoute):
         sets, so the merge is the global top-k.  ``mode="best_fields"``
         (dis_max) combines per doc, so the disjoint-member merge stays
         bitwise the monolithic result, exactly like most_fields."""
-        names = self._select(**sel)
-        if not names:
-            return []
-        return _merge_topk(self._gather(names, "search", query, k, mode, tie_breaker), k)
+        t0 = time.perf_counter()
+        handles = self._handles(
+            self._select(**sel), lambda p: p.fanout("search", query, k, mode, tie_breaker)
+        )
+        return _timed_topk(self.telemetry, t0, handles, k)
 
     def search_boosted(
         self,
@@ -1329,33 +1271,20 @@ class FederatedMultiFieldEngine(AggRoute):
         tie_breaker: float = 0.0,
         **sel,
     ) -> list[tuple[int, float]]:
-        """ES ``indices_boost`` on the MULTIFIELD federation: member
-        scores scale by the per-index boost before the merge — same
-        positive-scale-preserves-order argument as
-        FederatedEngine.query_boosted, composing with any multi_match
+        """ES ``indices_boost`` on the MULTIFIELD federation (see
+        :meth:`_Federation._boosted`), composing with any multi_match
         mode."""
-        ib = dict(indices_boost or {})
-        for n, w in ib.items():
-            if not float(w) > 0.0:
-                raise ValueError(
-                    f"indices_boost[{n!r}] = {w}: boosts must be > 0"
-                )
-        names = self._select(**sel)
-        if not names:
-            return []
-        parts = []
-        got = self._gather(names, "search", query, k, mode, tie_breaker)
-        for n, res in zip(names, got):
-            w = float(ib.get(n, 1.0))
-            parts.append([(d, s * w) for d, s in res] if w != 1.0 else res)
-        return _merge_topk(parts, k)
+        return self._boosted(
+            indices_boost, self._select(**sel),
+            lambda p: p.fanout("search", query, k, mode, tie_breaker), k,
+        )
 
     def _agg_parts(self, query: str, name: str, spec, **sel) -> list:
         """The aggregation route: every selected member's partial, ONE
         wait.  Membership is stats-independent and per-member vocab
         expansion is scoring_boolean-safe, so the merge equals the
         monolithic multifield aggregation."""
-        return self._gather(self._select(**sel), "agg", query, name, spec)
+        return self._call(self._select(**sel), "agg", query, name, spec)
 
     def facets(
         self, query: str, facet_cols=(), stats_cols=(), **sel
@@ -1403,7 +1332,7 @@ class FederatedMultiFieldEngine(AggRoute):
         names = self._select(**sel)
         if not names:
             return []
-        res = _merge_topk(self._gather(names, "mlt", doc_fields, kk, max_terms), kk)
+        res = _merge_topk(self._call(names, "mlt", doc_fields, kk, max_terms), kk)
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1422,17 +1351,10 @@ class FederatedMultiFieldEngine(AggRoute):
         fg counts add (disjoint docs), match totals add, JLH at the
         driver with fed-global df and N."""
         names = self._select(**sel)
-        parts = self._gather(names, "significant_counts", query, field, min_df)
+        parts = self._call(names, "significant_counts", query, field, min_df)
         fg, m = _merge_sig(parts)
         if not fg or not names:
             return []
-        dfs = self._gather(names[:1], "get_dfs", field, sorted(fg))[0]
+        dfs = self._call(names[:1], "get_dfs", field, sorted(fg))[0]
         n_docs = self.meta["field_stats"][field]["n_docs"]
         return _jlh_rank(fg, m, dfs, n_docs, top_n)
-
-    def shutdown(self) -> None:
-        for c in self._conns.values():
-            c.close()
-        for m in self.members.values():
-            ray.kill(m)
-        self._conns, self.members = {}, {}

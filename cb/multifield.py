@@ -27,16 +27,18 @@ or let the default search span fields.  The engine analog:
 - Aggregations follow the one protocol of :mod:`cb.aggs`: the searcher
   and each server compute a registry entry's partial with ``agg`` over
   the routed query's full match set, and the pool merges the partials.
-- Ray is the pool's control plane (placing, constructing and killing
-  the ``MultiFieldServer`` actors); requests travel the data plane of
-  :mod:`cb.rpc`, one authenticated socket per server, exactly as for
-  the single-field pool.
+- The pool is a :class:`cb.shard.ServerPool` of ``MultiFieldServer``
+  actors, the single-field engine's pool: :func:`cb.shard.doc_slices`
+  assigns the buckets, Ray places, constructs and kills the actors, and
+  requests travel the data plane of :mod:`cb.rpc`, one authenticated
+  socket per server.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -45,11 +47,14 @@ import ray.data
 
 from . import analyze, manifest, rpc, scoring, wand
 from .aggs import (
-    AGGS, AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
+    AGGS, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
 )
 from .build import IndexMeta, term_partition
 from .query import page_after as _page_after, rank_topk
-from .shard import GlobalStats, ShardPartition, _live_mask, _merge_topk, load_tombstones
+from .shard import (
+    GlobalStats, PoolEngine, ServerPool, ShardPartition, _live_mask, _merge_topk,
+    _timed_topk, doc_slices, load_tombstones,
+)
 
 
 def _mf_manifest_path(index_dir: str) -> str:
@@ -1183,65 +1188,36 @@ class MultiFieldServer(rpc.Server):
         return _fg_counts(matched, self.parts[field], min_df), int(len(matched))
 
 
-class MultiFieldEngine(AggRoute):
+class MultiFieldEngine(PoolEngine):
     """Driver facade: doc-sharded scatter-gather over MultiFieldServer
     actors, merged by (score, doc_id) — per-query work ~1/S per server,
-    same topology maths as the single-field QueryEngine.  The
-    aggregation methods are QueryEngine's over the multifield match
-    set."""
+    same topology maths and the same :class:`cb.shard.ServerPool` as
+    the single-field QueryEngine.  The aggregation methods are
+    QueryEngine's over the multifield match set."""
 
     def __init__(self, index_dir: str, num_servers: int = 2):
         m = load_multifield_meta(index_dir)
         self.fields = m["fields"]
         range_bits = IndexMeta(field_dir(index_dir, self.fields[0])).range_bits
-        n_buckets = 1 << range_bits
-        if num_servers > n_buckets:
-            raise ValueError(
-                f"doc-sharded pool needs num_servers <= {n_buckets} "
-                f"(2^range_bits doc-range buckets)"
-            )
         self.num_servers = num_servers
         self._index_dir = index_dir
         self._vocabs: dict[str, list[str]] | None = None  # lazy (wildcard/fuzzy)
-        from .telemetry import Telemetry
-
-        self.telemetry = Telemetry()  # driver-side phase timers
-        self.servers = [
-            MultiFieldServer.remote(
-                index_dir,
-                [b for b in range(n_buckets) if b % num_servers == s],
-            )
-            for s in range(num_servers)
-        ]
-        self._conns = rpc.connect(self.servers)
-
-    def _gather(self, method: str, *args) -> list:
-        """Send ``method`` to every server, then wait: pool order."""
-        return rpc.get([c.call(method, *args) for c in self._conns])
+        self.pool = ServerPool(
+            MultiFieldServer,
+            [(index_dir, b) for b in doc_slices(index_dir, range_bits, num_servers)],
+        )
 
     def search(
         self, query: str, k: int = 10, algo: str = "taat",
         synonyms: dict | None = None, mode: str = "most_fields",
         tie_breaker: float = 0.0,
     ) -> list[tuple[int, float]]:
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         routed = self._routed(query)  # route + expand ONCE per query
         if synonyms:
             routed = apply_synonyms_routed(routed, synonyms)
         routed = with_mode(routed, mode, tie_breaker)
-        futs = [c.call("score", routed, k, algo) for c in self._conns]
-        t1 = _time.perf_counter()
-        self.telemetry.record("query.dispatch", t1 - t0)
-        scored = rpc.get(futs)
-        t2 = _time.perf_counter()
-        self.telemetry.record("query.wait", t2 - t1)
-        res = _merge_topk(scored, k)
-        t3 = _time.perf_counter()
-        self.telemetry.record("query.merge", t3 - t2)
-        self.telemetry.record("query.total", t3 - t0)
-        return res
+        return _timed_topk(self.pool.telemetry, t0, self.pool.fanout("score", routed, k, algo), k)
 
     def combined_fields(
         self, query: str, k: int = 10,
@@ -1266,7 +1242,7 @@ class MultiFieldEngine(AggRoute):
             if v < 1.0:
                 raise ValueError("combined_fields weights must be >= 1")
             w[f] = float(v)
-        parts = self._gather("combined_dfs", terms)
+        parts = self.pool.gather("combined_dfs", terms)
         gdfs: dict[str, int] = {}
         for part in parts:
             for t, c in part.items():
@@ -1279,19 +1255,8 @@ class MultiFieldEngine(AggRoute):
         for f in self.fields:  # field order: the float spec
             num += w[f] * metas[f].total_tokens
         avgdl_c = num / n
-        scored = self._gather("combined_score", terms, w, gdfs, avgdl_c, k)
+        scored = self.pool.gather("combined_score", terms, w, gdfs, avgdl_c, k)
         return _merge_topk(scored, k)
-
-    def metrics(self) -> dict:
-        """Per-stage multifield query telemetry (same surface as
-        QueryEngine.metrics): driver phase timers + additive server
-        counter roll-up."""
-        from .telemetry import merge_snapshots
-
-        return {
-            "engine": self.telemetry.snapshot(),
-            "servers": merge_snapshots(self._gather("metrics")),
-        }
 
     def _routed(self, query: str) -> dict:
         # driver-side rewrite (vocab summaries, not postings), so every
@@ -1312,7 +1277,7 @@ class MultiFieldEngine(AggRoute):
         """The aggregation route: route once, then every server's
         partial over its doc-range slice."""
         routed = self._routed(query)
-        return self._gather("agg", routed, name, spec)
+        return self.pool.gather("agg", routed, name, spec)
 
     def facets(self, query: str, facet_cols=(), stats_cols=()):
         return self._agg(query, "facets", (list(facet_cols), list(stats_cols)))
@@ -1345,7 +1310,7 @@ class MultiFieldEngine(AggRoute):
         terms = sorted(set(terms))
         if not terms:
             return {}
-        return rpc.get(self._conns[0].call("get_dfs", field, terms))
+        return rpc.get(self.pool.conns[0].call("get_dfs", field, terms))
 
     def more_like_this(
         self,
@@ -1362,7 +1327,7 @@ class MultiFieldEngine(AggRoute):
             max_terms,
         )
         kk = k + (1 if exclude is not None else 0)
-        res = _merge_topk(self._gather("score", _terms_routed(field_terms), kk), kk)
+        res = _merge_topk(self.pool.gather("score", _terms_routed(field_terms), kk), kk)
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1387,15 +1352,8 @@ class MultiFieldEngine(AggRoute):
         set: per-slice fg counts add, match totals add, JLH at the
         driver with corpus-global df."""
         routed = self._routed(query)
-        parts = self._gather("significant", routed, field, min_df)
+        parts = self.pool.gather("significant", routed, field, min_df)
         fg, m = _merge_sig(parts)
         dfs = self.term_dfs(field, sorted(fg))
         n = self._field_stats()[field].n_docs
         return _jlh_rank(fg, m, dfs, n, top_n)
-
-    def shutdown(self) -> None:
-        for c in self._conns:
-            c.close()
-        for s in self.servers:
-            ray.kill(s)
-        self._conns, self.servers = [], []

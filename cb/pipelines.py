@@ -95,13 +95,16 @@ def _cb_sources_hash() -> str:
     return h.hexdigest()
 
 
-def _cached_index(kind: str, sf_dir: str, build_fn, marker: str = "_global.json") -> str:
-    """The cache dir of index ``kind`` over ``sf_dir``'s documents
-    table, built by ``build_fn(sf_dir, dir)`` unless ``dir/marker``
-    (written last by the build) exists.  The key covers the sf dir,
-    the table's size and mtime and :func:`_cb_sources_hash`; a miss
-    first drops this kind's stale entries for the same sf dir."""
-    st = os.stat(docs_path(sf_dir))
+def _cached_index(
+    kind: str, sf_dir: str, build_fn, marker: str = "_global.json",
+    table: str = "documents.parquet",
+) -> str:
+    """The cache dir of index ``kind`` over ``sf_dir``'s ``table``,
+    built by ``build_fn(sf_dir, dir)`` unless ``dir/marker`` (written
+    last by the build) exists.  The key covers the sf dir, the table's
+    size and mtime and :func:`_cb_sources_hash`; a miss first drops
+    this kind's stale entries for the same sf dir."""
+    st = os.stat(os.path.join(sf_dir, table))
     stem = f"{kind}-{hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]}-"
     key = f"{st.st_size}|{st.st_mtime_ns}|{_cb_sources_hash()}"
     d = os.path.join(INDEX_CACHE, stem + hashlib.md5(key.encode()).hexdigest()[:12])
@@ -6454,10 +6457,15 @@ IVF_RECALL_BOUND = 0.4  # per-query floor; measured min 0.5 at nprobe=8 across
 # all sf fixtures (UNCLUSTERED worst-case embeddings; clustered data >=0.9)
 
 
-def _ivf_cache_dir(sf_dir: str) -> str:
-    key = f"{os.path.abspath(sf_dir)}|ivf-v1"
-    return os.path.join(
-        "/tmp", "cb_ivf_cache", hashlib.md5(key.encode()).hexdigest()[:12]
+def _ivf_index(sf_dir: str) -> str:
+    """The cached IVF layout over ``sf_dir``'s embeddings table (built
+    with :func:`cb.ann.ivf_topk`'s defaults, which then reuses it)."""
+    return _cached_index(
+        "ivf", sf_dir,
+        lambda sf, d: ann.build_ivf(
+            ray.data.read_parquet(os.path.join(sf, "embeddings.parquet")), d
+        ),
+        marker="meta.json", table="embeddings.parquet",
     )
 
 
@@ -6471,7 +6479,7 @@ def q_ann_ivf(sf_dir: str) -> pa.Table:
     qids = head["vec_id"].to_numpy()
     ds = ray.data.read_parquet(path)
     out = ann.ivf_topk(
-        ds, qmat, qids, k=K, index_dir=_ivf_cache_dir(sf_dir), nprobe=IVF_NPROBE
+        ds, qmat, qids, k=K, index_dir=_ivf_index(sf_dir), nprobe=IVF_NPROBE
     )
     return out.select(["query_id", "rank", "vec_id"])
 
@@ -6491,7 +6499,7 @@ def q_ann_ivf_recall(sf_dir: str) -> pa.Table:
     qids = head["vec_id"].to_numpy()
     ivf = ann.ivf_topk(
         ray.data.read_parquet(path), qmat, qids, k=K,
-        index_dir=_ivf_cache_dir(sf_dir), nprobe=IVF_NPROBE,
+        index_dir=_ivf_index(sf_dir), nprobe=IVF_NPROBE,
     )
     exact = ann.brute_force_topk(ray.data.read_parquet(path), qmat, qids, k=K)
     got: dict[int, set] = {int(q): set() for q in qids}
@@ -6533,7 +6541,7 @@ def q_ann_ivf_exact(sf_dir: str) -> pa.Table:
     qids = head["vec_id"].to_numpy()
     ds = ray.data.read_parquet(path)
     out = ann.ivf_topk(
-        ds, qmat, qids, k=K, index_dir=_ivf_cache_dir(sf_dir), nprobe=16
+        ds, qmat, qids, k=K, index_dir=_ivf_index(sf_dir), nprobe=16
     )
     return out.select(["query_id", "rank", "vec_id"])
 

@@ -10,11 +10,12 @@ slice of the index once in ``__init__`` and serves many queries.
 Topology: the index is TERM-partitioned on disk (hash(term) % num_parts),
 and each partition is one parquet file per doc-range BUCKET
 (cb.build).  :class:`QueryEngine` runs a DOC-SHARDED pool: server ``s``
-owns buckets ``b % num_servers == s`` of EVERY partition and reads only
-those files, so load I/O and memory are ~1/S of the index per server.
-Every request fans out to every server, each answers over its disjoint
-doc range (exact TAAT for top-k, block-max WAND selectable), and the
-driver merges exactly — top-k by (score desc, doc_id asc).
+owns the buckets :func:`doc_slices` assigns it, of EVERY partition, and
+reads only those files, so load I/O and memory are ~1/S of the index
+per server.  Every request fans out to every server, each answers over
+its disjoint doc range (exact TAAT for top-k, block-max WAND
+selectable), and the driver merges exactly — top-k by (score desc,
+doc_id asc).
 Aggregations follow the one protocol of :mod:`cb.aggs`:
 :meth:`ShardServer.agg` computes a registry entry's partial over its
 slice's match set, ``QueryEngine._agg_refs`` is the route, and the
@@ -24,14 +25,20 @@ Scoring needs no side tables — per-posting doc lengths ride in the
 postings (cb.compress) — so the only corpus-global serving state is
 (N, avgdl) from ``_global.json`` (or a federation's overlay).
 
-Control plane and data plane: Ray places the server actors, runs their
-``__init__`` and kills them.  Every request after that — ``score``,
-``warm``, ``metrics``, aggregations — travels over one authenticated
-socket per server (:mod:`cb.rpc`), not as a Ray actor task:
-``QueryEngine._fanout`` sends to every server and returns reply
-handles, and :func:`cb.rpc.get` waits for them.  Replies come back in
-send order, so msearch and federations put many requests in flight
-before waiting, and a dead server raises :class:`cb.rpc.ServerDied`.
+One pool under every engine: :class:`ServerPool` is the driver half of
+every serving pool — this module's, :class:`cb.multifield.MultiFieldEngine`'s
+and each :mod:`cb.federated` member's.  It constructs the actors, owns
+their connections and the driver's phase timers, fans requests out,
+reports ``metrics()`` in one shape and shuts the actors down; an engine
+keeps only its routing and merging.  Ray places the server actors, runs
+their ``__init__`` and kills them (the control plane).  Every request
+after that — ``score``, ``warm``, ``metrics``, aggregations — travels
+over one authenticated socket per server (:mod:`cb.rpc`, the data
+plane), not as a Ray actor task: :meth:`ServerPool.fanout` sends to
+every server and returns reply handles, and :func:`cb.rpc.get` waits
+for them.  Replies come back in send order, so msearch and federations
+put many requests in flight before waiting, and a dead server raises
+:class:`cb.rpc.ServerDied`.
 
 Warm: :meth:`ShardServer.warm` pre-decodes a server's postings so the
 first queries do not pay it.  Per loaded partition it selects the rows
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import glob
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -64,6 +72,7 @@ from .aggs import (
 )
 from .build import IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
+from .telemetry import Telemetry, merge_snapshots
 
 
 class ChunkedPostings:
@@ -418,8 +427,6 @@ class ShardServer(rpc.Server):
         self._docmeta = None  # lazy DocMeta for filtered search
         self._docstats = None  # lazy bucket-pruned doc-length lookup
         from collections import OrderedDict
-
-        from .telemetry import Telemetry
 
         self.cache: dict[str, ChunkedPostings | None] = {}
         self.decoded: dict[str, tuple] = {}  # term -> (ids, contrib) numpy
@@ -1476,7 +1483,154 @@ def _terms_clause(text: str) -> dict:
     }
 
 
-class QueryEngine(AggRoute):
+def doc_slices(index_dir: str, range_bits: int, num_servers: int) -> list[list[int]]:
+    """Each server's doc-range buckets, pool order: server ``s`` owns
+    every bucket ``b % num_servers == s``.  The bucket universe is
+    ``range(2^range_bits)`` while that is enumerable; a sparse layout
+    (huge range_bits over few live buckets) is discovered from the
+    docstats listing instead — a multifield index keeps one per field
+    sub-index — and the ownership rule is the same either way.  With a
+    bucket-pruned layout every server then reads ONLY its bucket files
+    (disjoint), so the pool's total load I/O is one read of the index
+    regardless of S, and no file is ever decoded twice."""
+    n_buckets = 1 << range_bits
+    if num_servers > n_buckets:
+        raise ValueError(
+            f"doc-sharded pool needs num_servers <= {n_buckets} "
+            f"(2^range_bits doc-range buckets)"
+        )
+    if range_bits <= 16:
+        universe = range(n_buckets)
+    else:
+        files = glob.glob(os.path.join(index_dir, "docstats", "bucket=*.parquet"))
+        files += glob.glob(os.path.join(index_dir, "field=*", "docstats", "bucket=*.parquet"))
+        universe = sorted(
+            {int(os.path.basename(f)[len("bucket="):-len(".parquet")]) for f in files}
+        )
+    return [[b for b in universe if b % num_servers == s] for s in range(num_servers)]
+
+
+class ServerPool:
+    """The driver half of a serving pool: one ``actor_cls`` actor per
+    argument tuple of ``arg_lists`` (plus the shared ``kwargs``), one
+    :mod:`cb.rpc` connection to each, and the driver-side
+    :class:`~cb.telemetry.Telemetry` an engine records its phase timers
+    in.  Engines route and merge; the pool sends, reports and shuts
+    down."""
+
+    def __init__(self, actor_cls, arg_lists, **kwargs):
+        self.actors = [actor_cls.remote(*args, **kwargs) for args in arg_lists]
+        self.conns = rpc.connect(self.actors)
+        self.telemetry = Telemetry()
+
+    def fanout(self, method: str, *args, **kwargs) -> list:
+        """Send ``method`` to every actor WITHOUT waiting: one reply
+        handle per actor, in pool order — the single dispatch shape
+        every request uses (federations collect these handles across
+        members and wait once)."""
+        return [c.call(method, *args, **kwargs) for c in self.conns]
+
+    def gather(self, method: str, *args, **kwargs) -> list:
+        """:meth:`fanout` and wait: every actor's reply, pool order."""
+        return rpc.get(self.fanout(method, *args, **kwargs))
+
+    def metrics(self) -> dict:
+        """Per-stage query telemetry: the driver-side phase timers
+        (dispatch / wait / merge / total, with percentiles) plus the
+        additive roll-up of every actor's counters — the
+        TelemetryProvider.cs:6-27 analog for serving (build-side
+        counters live in IndexMeta.build_metrics).  ``per_server`` keeps
+        each actor's own snapshot (pool order), so the straggler and
+        its warm/score split stay visible next to the roll-up."""
+        per_server = self.gather("metrics")
+        return {
+            "engine": self.telemetry.snapshot(),
+            "servers": merge_snapshots(per_server),
+            "per_server": per_server,
+        }
+
+    def shutdown(self) -> None:
+        """Close the connections and kill the actors (callers that
+        create short-lived engines should clean up so actors don't
+        accumulate)."""
+        for c in self.conns:
+            c.close()
+        for a in self.actors:
+            ray.kill(a)
+        self.conns, self.actors = [], []
+
+
+class PoolEngine(AggRoute):
+    """An engine over one :class:`ServerPool` (``self.pool``)."""
+
+    @property
+    def servers(self) -> list:
+        """The pool's actor handles, pool order."""
+        return self.pool.actors
+
+    def metrics(self) -> dict:
+        return self.pool.metrics()
+
+    def shutdown(self) -> None:
+        self.pool.shutdown()
+
+
+def _timed_topk(telemetry: Telemetry, t0: float, handles, k: int) -> list:
+    """The one query phase timer: wait for the just-sent ``handles``
+    (None or empty: nothing to ask) and merge their top-k lists.  From
+    ``t0`` (the query's arrival) to now is ``query.dispatch``, then
+    ``query.wait`` and ``query.merge``, and all of it ``query.total``."""
+    t1 = time.perf_counter()
+    telemetry.record("query.dispatch", t1 - t0)
+    if not handles:
+        telemetry.record("query.total", t1 - t0)
+        return []
+    scored = rpc.get(handles)
+    t2 = time.perf_counter()
+    telemetry.record("query.wait", t2 - t1)
+    res = _merge_topk(scored, k)
+    t3 = time.perf_counter()
+    telemetry.record("query.merge", t3 - t2)
+    telemetry.record("query.total", t3 - t0)
+    return res
+
+
+def _wait_topk(handles, k: int) -> list:
+    """Wait for top-k reply ``handles`` (None: nothing was asked) and
+    merge them exactly."""
+    return _merge_topk(rpc.get(handles), k) if handles else []
+
+
+def _wait_topk_each(handle_lists: list[list], k: int) -> list[list]:
+    """:func:`_wait_topk` of each list, with ONE wait over all of them,
+    so every list's requests are in flight before any reply is read."""
+    got = rpc.get([h for hs in handle_lists for h in hs])
+    out, pos = [], 0
+    for hs in handle_lists:
+        out.append(_merge_topk(got[pos:pos + len(hs)], k) if hs else [])
+        pos += len(hs)
+    return out
+
+
+def _query_many(pools: list[ServerPool], texts: list[str], k: int, algo: str) -> list:
+    """Batched fan-out: queries are tokenized on the driver and shipped
+    as ONE score_many request per server of every pool covering every
+    query — per-query round trips were the throughput ceiling for small
+    queries.  Each server scores its doc slice; the driver merges per
+    query (exact: every server is a disjoint doc set)."""
+    term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
+    live = [i for i, terms in enumerate(term_lists) if terms]
+    batch = [term_lists[i] for i in live]
+    per_server = rpc.get(
+        [h for p in pools for h in p.fanout("score_many", batch, k, algo=algo)]
+    )
+    results: list = [[] for _ in texts]
+    for j, i in enumerate(live):
+        results[i] = _merge_topk([ps[j] for ps in per_server], k)
+    return results
+
+
+class QueryEngine(PoolEngine):
     """Driver-side facade over a doc-sharded ShardServer pool.
 
     Every server holds a doc-range BUCKET slice of every term
@@ -1505,34 +1659,11 @@ class QueryEngine(AggRoute):
 
             with open(_fed_mod.fed_meta_path(fed)) as f:
                 self._n_docs = _json.load(f)["n_docs"]
-        n_buckets = 1 << self.meta.range_bits
-        if num_servers > n_buckets:
-            raise ValueError(
-                f"doc-sharded pool needs num_servers <= {n_buckets} "
-                f"(2^range_bits doc-range buckets)"
-            )
-        # the bucket universe: enumerable for realistic range_bits; a
-        # sparse layout (huge range_bits over few live buckets) is
-        # discovered from the docstats listing instead — the ownership
-        # RULE (bucket % num_servers) is identical either way
-        if self.meta.range_bits <= 16:
-            universe = range(n_buckets)
-        else:
-            universe = sorted(
-                int(os.path.basename(f)[len("bucket="):-len(".parquet")])
-                for f in glob.glob(os.path.join(index_dir, "docstats", "bucket=*.parquet"))
-            )
-        # bucket-pruned layout: every server reads ONLY its assigned
-        # bucket files (disjoint), so the pool's total load I/O is one
-        # read of the index regardless of S, each server's share is
-        # ~1/S, and no file is ever decoded twice
-        self.servers = [
-            ShardServer.remote(
-                index_dir, [b for b in universe if b % num_servers == s], fed=fed
-            )
-            for s in range(num_servers)
-        ]
-        self._conns = rpc.connect(self.servers)
+        self.pool = ServerPool(
+            ShardServer,
+            [(index_dir, b) for b in doc_slices(index_dir, self.meta.range_bits, num_servers)],
+            fed=fed,
+        )
         # driver-side merged-result LRU: the index is immutable for the
         # engine's lifetime, so repeat queries skip the scatter-gather
         # fan-out entirely (a distinct query pays S RPCs)
@@ -1541,34 +1672,10 @@ class QueryEngine(AggRoute):
         self._results: "OrderedDict[tuple, list]" = OrderedDict()
         self._results_cap = 8192
         self._vocab: list[str] | None = None  # lazy, for wildcard/fuzzy
-        from .telemetry import Telemetry
-
-        self.telemetry = Telemetry()  # driver-side phase timers
 
     def warm(self, min_df: int = 0) -> int:
         """Pre-decode hot postings on every server (blocks until done)."""
-        return sum(self._gather("warm", min_df))
-
-    def shutdown(self) -> None:
-        """Close the connections and kill the server actors (callers
-        that create short-lived engines should clean up so actors don't
-        accumulate)."""
-        for c in self._conns:
-            c.close()
-        for s in self.servers:
-            ray.kill(s)
-        self._conns, self.servers = [], []
-
-    def _fanout(self, method: str, *args, **kwargs) -> list:
-        """Send ShardServer ``method`` to every server WITHOUT waiting:
-        one reply handle per server, in pool order — the single
-        dispatch shape every request uses (federations collect these
-        handles across sub-indexes and wait once)."""
-        return [c.call(method, *args, **kwargs) for c in self._conns]
-
-    def _gather(self, method: str, *args, **kwargs) -> list:
-        """:meth:`_fanout` and wait: every server's partial, pool order."""
-        return rpc.get(self._fanout(method, *args, **kwargs))
+        return sum(self.pool.gather("warm", min_df))
 
     def _dispatch(self, text: str, k: int, algo: str):
         return self._dispatch_terms(sorted(set(analyze.tokenize(text))), k, algo)
@@ -1576,7 +1683,7 @@ class QueryEngine(AggRoute):
     def _dispatch_terms(self, terms: list[str], k: int, algo: str):
         if not terms:
             return None
-        return self._fanout("score", terms, k, algo=algo)
+        return self.pool.fanout("score", terms, k, algo=algo)
 
     def _cache_put(self, key: tuple, res: list) -> list:
         if len(self._results) >= self._results_cap:
@@ -1585,48 +1692,17 @@ class QueryEngine(AggRoute):
         return res
 
     def query(self, text: str, k: int = 10, algo: str = "taat") -> list[tuple[int, float]]:
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         terms = tuple(sorted(set(analyze.tokenize(text))))
         key = (terms, k, algo)
         hit = self._results.get(key)
         if hit is not None:
             self._results.move_to_end(key)  # LRU: refresh recency on hit
-            self.telemetry.incr("query.cache_hit")
-            self.telemetry.record("query.total", _time.perf_counter() - t0)
+            self.pool.telemetry.incr("query.cache_hit")
+            self.pool.telemetry.record("query.total", time.perf_counter() - t0)
             return hit
-        fut = self._dispatch(text, k, algo)
-        t1 = _time.perf_counter()
-        self.telemetry.record("query.dispatch", t1 - t0)
-        if fut is None:
-            self.telemetry.record("query.total", _time.perf_counter() - t0)
-            return []
-        scored = rpc.get(fut)
-        t2 = _time.perf_counter()
-        self.telemetry.record("query.wait", t2 - t1)
-        res = self._cache_put(key, _merge_topk(scored, k))
-        t3 = _time.perf_counter()
-        self.telemetry.record("query.merge", t3 - t2)
-        self.telemetry.record("query.total", t3 - t0)
-        return res
-
-    def metrics(self) -> dict:
-        """Per-stage query telemetry: the driver-side phase timers
-        (dispatch / wait / merge / total, with percentiles) plus the
-        additive roll-up of every server's counters — the
-        TelemetryProvider.cs:6-27 analog for serving (build-side
-        counters live in IndexMeta.build_metrics).  ``per_server`` keeps
-        each actor's own snapshot (pool order), so the straggler and
-        its warm/score split stay visible next to the roll-up."""
-        from .telemetry import merge_snapshots
-
-        per_server = self._gather("metrics")
-        return {
-            "engine": self.telemetry.snapshot(),
-            "servers": merge_snapshots(per_server),
-            "per_server": per_server,
-        }
+        res = _timed_topk(self.pool.telemetry, t0, self._dispatch(text, k, algo), k)
+        return self._cache_put(key, res) if terms else res
 
     def search_alias(self, alias: str, text: str, k: int = 10) -> list[tuple[int, float]]:
         """Query THROUGH an ES index alias: the alias's filter (if any)
@@ -1651,7 +1727,7 @@ class QueryEngine(AggRoute):
         written after it started), and this makes later deletes
         visible: every server re-reads `_tombstones.json` and drops
         its match cache.  Returns the tombstone count."""
-        counts = self._gather("reload_tombstones")
+        counts = self.pool.gather("reload_tombstones")
         self._results.clear()  # merged-result LRU embeds the old mask
         return int(max(counts, default=0))
 
@@ -1666,7 +1742,7 @@ class QueryEngine(AggRoute):
         terms = sorted(set(analyze.tokenize(text)))
         if not terms:
             return []
-        return _merge_topk(self._gather("score_filtered", terms, k, filters), k)
+        return _merge_topk(self.pool.gather("score_filtered", terms, k, filters), k)
 
     def _dispatch_phrase(self, text: str, k: int, slop: int = 0):
         """Phrase dispatch without the final wait (federation
@@ -1674,7 +1750,7 @@ class QueryEngine(AggRoute):
         ordered = analyze.tokenize(text)
         if not ordered:
             return None
-        return self._fanout("phrase", ordered, k, slop=slop)
+        return self.pool.fanout("phrase", ordered, k, slop=slop)
 
     def phrase_query(
         self, text: str, k: int = 10, slop: int = 0
@@ -1682,8 +1758,7 @@ class QueryEngine(AggRoute):
         """Phrase top-k via the pool (scatter-gather, exact merge);
         ``slop`` = total extra gaps allowed between the in-order terms
         (0 = exact adjacency)."""
-        fut = self._dispatch_phrase(text, k, slop)
-        return [] if fut is None else _merge_topk(rpc.get(fut), k)
+        return _wait_topk(self._dispatch_phrase(text, k, slop), k)
 
     def _dispatch_phrase_prefix(
         self, text: str, k: int, max_expansions: int | None
@@ -1699,7 +1774,7 @@ class QueryEngine(AggRoute):
             expansions = expansions[:max_expansions]
         if not expansions:
             return None
-        return self._fanout("phrase_prefix", fixed, expansions, k)
+        return self.pool.fanout("phrase_prefix", fixed, expansions, k)
 
     def phrase_prefix_query(
         self, text: str, k: int = 10, max_expansions: int | None = 50
@@ -1711,8 +1786,7 @@ class QueryEngine(AggRoute):
         SQL-mirrorable configuration); docs where the fixed tokens are
         immediately followed by any completion match, scored by BM25 of
         the fixed terms (cb.phrase.phrase_prefix_topk contract)."""
-        fut = self._dispatch_phrase_prefix(text, k, max_expansions)
-        return [] if fut is None else _merge_topk(rpc.get(fut), k)
+        return _wait_topk(self._dispatch_phrase_prefix(text, k, max_expansions), k)
 
     def _dispatch_search(self, query_string: str, k: int, synonyms: dict | None = None):
         """Query-string dispatch WITHOUT the final wait: the
@@ -1721,7 +1795,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string, synonyms)
         if not involved:
             return None
-        return self._fanout("query_string", parsed, k)
+        return self.pool.fanout("query_string", parsed, k)
 
     def search(
         self, query_string: str, k: int = 10, synonyms: dict | None = None
@@ -1731,8 +1805,7 @@ class QueryEngine(AggRoute):
         the vocabulary summary; servers receive concrete terms.
         ``synonyms`` applies the ES query-time synonym filter
         (querylang.apply_synonyms) to the scored term set."""
-        fut = self._dispatch_search(query_string, k, synonyms=synonyms)
-        return [] if fut is None else _merge_topk(rpc.get(fut), k)
+        return _wait_topk(self._dispatch_search(query_string, k, synonyms=synonyms), k)
 
     def msearch(
         self, query_strings: list[str], k: int = 10,
@@ -1745,17 +1818,9 @@ class QueryEngine(AggRoute):
         the flat handle list, so server work for query i+1 overlaps
         the wait for query i.  Same kernels and merge as search() —
         results are bitwise identical to the sequential loop."""
-        futs = [
-            self._dispatch_search(q, k, synonyms=synonyms) or []
-            for q in query_strings
-        ]
-        got = rpc.get([r for f in futs for r in f])
-        out: list[list[tuple[int, float]]] = []
-        pos = 0
-        for f in futs:
-            out.append(_merge_topk(got[pos:pos + len(f)], k) if f else [])
-            pos += len(f)
-        return out
+        return _wait_topk_each(
+            [self._dispatch_search(q, k, synonyms=synonyms) or [] for q in query_strings], k
+        )
 
     def _parsed_and_involved(self, query_string: str, synonyms: dict | None = None):
         """Parse (and wildcard/fuzzy-expand, then synonym-rewrite) a
@@ -1787,7 +1852,7 @@ class QueryEngine(AggRoute):
             parsed, involved = self._parsed_and_involved(query)
         else:
             parsed, involved = query, query["terms"]
-        return self._fanout("agg", parsed, name, spec) if involved else []
+        return self.pool.fanout("agg", parsed, name, spec) if involved else []
 
     def _agg_parts(self, query: str | dict, name: str, spec) -> list:
         return rpc.get(self._agg_refs(query, name, spec))
@@ -1806,7 +1871,7 @@ class QueryEngine(AggRoute):
         if not inv_pos:
             return None
         p_neg, _ = self._parsed_and_involved(negative)
-        return self._fanout("boosting", p_pos, p_neg, float(negative_boost), k)
+        return self.pool.fanout("boosting", p_pos, p_neg, float(negative_boost), k)
 
     def boosting(
         self, positive: str, negative: str,
@@ -1817,8 +1882,7 @@ class QueryEngine(AggRoute):
         (membership-only — the negative clause is never scored).  The
         demotion is per-doc, so the doc-sharded merge is the exact
         global top-k."""
-        fut = self._dispatch_boosting(positive, negative, negative_boost, k)
-        return [] if fut is None else _merge_topk(rpc.get(fut), k)
+        return _wait_topk(self._dispatch_boosting(positive, negative, negative_boost, k), k)
 
     def extended_stats(self, query_string: str, cols=("n_chars",)) -> dict:
         """ES extended_stats aggregation over the query's FULL match
@@ -1838,7 +1902,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return (0, 0, 0, 0, 0, 0)
-        parts = self._gather("matrix_stats", parsed, col)
+        parts = self.pool.gather("matrix_stats", parsed, col)
         out = (0, 0, 0, 0, 0, 0)
         for p in parts:
             out = tuple(a + b for a, b in zip(out, p))
@@ -1851,12 +1915,11 @@ class QueryEngine(AggRoute):
         terms = sorted(set(terms))
         if not terms:
             return {}
-        return rpc.get(self._conns[0].call("get_dfs", terms))
+        return rpc.get(self.pool.conns[0].call("get_dfs", terms))
 
     def query_terms(self, terms: list[str], k: int = 10, algo: str = "taat"):
         """Top-k over an explicit (pre-analyzed) term set."""
-        fut = self._dispatch_terms(sorted(set(terms)), k, algo)
-        return [] if fut is None else _merge_topk(rpc.get(fut), k)
+        return _wait_topk(self._dispatch_terms(sorted(set(terms)), k, algo), k)
 
     def regexp_query(
         self, pattern: str, k: int = 10, algo: str = "taat"
@@ -2042,7 +2105,7 @@ class QueryEngine(AggRoute):
         bigrams = sorted(
             {(p[i], p[i + 1]) for p in phrases for i in range(len(p) - 1)}
         )
-        parts = self._gather("lm_counts", unigrams, bigrams)
+        parts = self.pool.gather("lm_counts", unigrams, bigrams)
         cf: dict[str, int] = {}
         bc: dict[tuple[str, str], int] = {}
         for pcf, pbc in parts:
@@ -2096,7 +2159,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {}, 0
-        return _merge_sig(self._gather("significant", parsed, min_df))
+        return _merge_sig(self.pool.gather("significant", parsed, min_df))
 
     def significant_terms_filtered(
         self, query_string: str, background_filter: str,
@@ -2124,7 +2187,7 @@ class QueryEngine(AggRoute):
             return []
         # pure-filter background: docmeta equality match (no scored
         # terms to ride querylang.match); disjoint slices add
-        bg, nb = _merge_sig(self._gather("significant_meta", col, val, min_df))
+        bg, nb = _merge_sig(self.pool.gather("significant_meta", col, val, min_df))
         if not nb:
             return []
         return _jlh_rank(fg, m, bg, nb, top_n)
@@ -2198,7 +2261,7 @@ class QueryEngine(AggRoute):
         terms = sorted(set(analyze.tokenize(text)))
         if not terms:
             return []
-        parts = self._gather("explain", terms, doc_id)
+        parts = self.pool.gather("explain", terms, doc_id)
         return sorted((r for p in parts for r in p), key=lambda r: r[0])
 
     def filters_agg(self, query_string: str, filters: dict) -> dict[str, int]:
@@ -2211,7 +2274,7 @@ class QueryEngine(AggRoute):
         if not involved:
             return {name: 0 for name in filters}
         named = {name: self._parsed_and_involved(fq)[0] for name, fq in filters.items()}
-        parts = self._gather("filter_counts", parsed, named)
+        parts = self.pool.gather("filter_counts", parsed, named)
         out: dict[str, int] = {name: 0 for name in filters}
         for p in parts:
             for name, c in p.items():
@@ -2233,7 +2296,7 @@ class QueryEngine(AggRoute):
         if not involved:
             return zero
         named = {name: self._parsed_and_involved(fq)[0] for name, fq in filters.items()}
-        parts = self._gather("adjacency_counts", parsed, named)
+        parts = self.pool.gather("adjacency_counts", parsed, named)
         out = dict(zero)
         for p in parts:
             for key, c in p.items():
@@ -2248,7 +2311,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        parts = self._gather("sample_hits", parsed, k)
+        parts = self.pool.gather("sample_hits", parsed, k)
         merged = sorted(
             (p for part in parts for p in part), key=lambda r: (r[1], r[0])
         )[:k]
@@ -2267,7 +2330,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        parts = self._gather("diversified_hits", parsed, col, k, max_per)
+        parts = self.pool.gather("diversified_hits", parsed, col, k, max_per)
         per_val: dict[str, list[tuple[int, int]]] = {}
         for part in parts:
             for d, h, v in part:
@@ -2293,7 +2356,7 @@ class QueryEngine(AggRoute):
         if not involved:
             return 0
         big = 1 << 62
-        parts = self._gather("match_first", parsed, big)
+        parts = self.pool.gather("match_first", parsed, big)
         ids = sorted({d for part in parts for d in part})
         if not ids:
             return 0
@@ -2321,7 +2384,7 @@ class QueryEngine(AggRoute):
         if not involved:
             return 0
         big = 1 << 62
-        parts = self._gather("match_first", parsed, big)
+        parts = self.pool.gather("match_first", parsed, big)
         ids = sorted({d for part in parts for d in part})
         if not ids:
             return 0
@@ -2333,7 +2396,7 @@ class QueryEngine(AggRoute):
         """ES ``_mget``: stored fields by id from the doc store.  Each
         server answers for its disjoint doc-range slice
         (absent/tombstoned ids 404 away)."""
-        parts = self._gather("get_docs", list(doc_ids), list(cols))
+        parts = self.pool.gather("get_docs", list(doc_ids), list(cols))
         return sorted(p for part in parts for p in part)
 
     def constant_score(
@@ -2348,7 +2411,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return []
-        parts = self._gather("match_first", parsed, k)
+        parts = self.pool.gather("match_first", parsed, k)
         ids = sorted(d for part in parts for d in part)[:k]
         return [(d, float(boost)) for d in ids]
 
@@ -2385,7 +2448,7 @@ class QueryEngine(AggRoute):
         toks = analyze.tokenize(text)
         if len(toks) != 1:
             raise ValueError(f"span_first wants exactly one analyzed term, got {toks}")
-        parts = self._gather("span_first", toks[0], end)
+        parts = self.pool.gather("span_first", toks[0], end)
         return sorted(p for part in parts for p in part)
 
     def terms_set(
@@ -2399,7 +2462,7 @@ class QueryEngine(AggRoute):
         toks = sorted(set(analyze.tokenize(text)))
         if not toks:
             return []
-        return _merge_topk(self._gather("terms_set", toks, spec, k), k)
+        return _merge_topk(self.pool.gather("terms_set", toks, spec, k), k)
 
     def span_near(self, text: str, slop: int) -> list[tuple[int, int]]:
         """ES ``span_near`` with ``in_order: false`` over two
@@ -2412,7 +2475,7 @@ class QueryEngine(AggRoute):
             raise ValueError(
                 f"span_near wants exactly two distinct analyzed terms, got {toks}"
             )
-        parts = self._gather("span_near", toks[0], toks[1], int(slop))
+        parts = self.pool.gather("span_near", toks[0], toks[1], int(slop))
         return sorted(p for part in parts for p in part)
 
     def _merged_parents(
@@ -2424,7 +2487,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return {}
-        parts = self._gather("join_children", parsed, parent_col)
+        parts = self.pool.gather("join_children", parsed, parent_col)
         merged: dict[object, tuple[float, int]] = {}
         for part in parts:
             for v, mx, n in part:
@@ -2468,7 +2531,7 @@ class QueryEngine(AggRoute):
         if not merged:
             return []
         scores = {v: mx for v, (mx, n) in merged.items()}
-        return _merge_topk(self._gather("parent_docs", scores, parent_col, k), k)
+        return _merge_topk(self.pool.gather("parent_docs", scores, parent_col, k), k)
 
     def terms_orderby_metric(
         self, query_string: str, group_col: str, stat_col: str,
@@ -2511,7 +2574,7 @@ class QueryEngine(AggRoute):
         expansions = sorted(t for t in self._vocab if t.startswith(prefix))
         if not (complete or expansions):
             return []
-        parts = self._gather("bool_prefix", sorted(set(complete)), expansions, k)
+        parts = self.pool.gather("bool_prefix", sorted(set(complete)), expansions, k)
         return _merge_topk(parts, k)
 
     def span_or_first(self, text: str, end: int) -> list[tuple[int, int]]:
@@ -2522,7 +2585,7 @@ class QueryEngine(AggRoute):
         toks = sorted(set(analyze.tokenize(text)))
         if not toks:
             return []
-        parts = self._gather("span_or_first", toks, end)
+        parts = self.pool.gather("span_or_first", toks, end)
         return sorted(p for part in parts for p in part)
 
     def span_not(self, text: str, slop: int) -> list[tuple[int, int]]:
@@ -2536,7 +2599,7 @@ class QueryEngine(AggRoute):
             raise ValueError(
                 f"span_not wants exactly two distinct analyzed terms, got {toks}"
             )
-        parts = self._gather("span_not", toks[0], toks[1], int(slop))
+        parts = self.pool.gather("span_not", toks[0], toks[1], int(slop))
         return sorted(p for part in parts for p in part)
 
     def intervals(
@@ -2554,7 +2617,7 @@ class QueryEngine(AggRoute):
             raise ValueError(
                 f"intervals wants >=2 distinct analyzed terms, got {toks}"
             )
-        parts = self._gather("intervals_q", toks, int(max_gaps), bool(ordered))
+        parts = self.pool.gather("intervals_q", toks, int(max_gaps), bool(ordered))
         return sorted(p for part in parts for p in part)
 
     def count(self, query_string: str) -> int:
@@ -2564,7 +2627,7 @@ class QueryEngine(AggRoute):
         parsed, involved = self._parsed_and_involved(query_string)
         if not involved:
             return 0
-        return int(sum(self._gather("match_count", parsed)))
+        return int(sum(self.pool.gather("match_count", parsed)))
 
     def function_score(
         self, query_string: str, spec: dict, k: int = 10
@@ -2579,8 +2642,8 @@ class QueryEngine(AggRoute):
     ) -> list:
         if source == "store":
             # each server re-analyzes its own docmeta slice
-            return self._fanout("term_vectors_store", list(doc_ids), text_col)
-        return self._fanout("term_vectors", list(doc_ids))
+            return self.pool.fanout("term_vectors_store", list(doc_ids), text_col)
+        return self.pool.fanout("term_vectors", list(doc_ids))
 
     def term_vectors(
         self, doc_ids: list[int], source: str = "index", text_col: str = "text"
@@ -2615,17 +2678,6 @@ class QueryEngine(AggRoute):
         return self._agg(_terms_clause(text), "top_hits", (group_col, k_per))
 
     def query_many(self, texts: list[str], k: int = 10, algo: str = "taat"):
-        """Batched fan-out: queries are tokenized on the driver and
-        shipped as ONE score_many RPC per server covering every query —
-        per-query RPC round-trips were the throughput ceiling for small
-        queries.  Each server scores its doc slice; the driver merges
-        per query."""
-        term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
-        live_idx = [i for i, terms in enumerate(term_lists) if terms]
-        per_server = self._gather(
-            "score_many", [term_lists[i] for i in live_idx], k, algo=algo
-        )
-        results: list = [[] for _ in texts]
-        for j, i in enumerate(live_idx):
-            results[i] = _merge_topk([ps[j] for ps in per_server], k)
-        return results
+        """Batched fan-out: ONE score_many request per server covering
+        every query (see :func:`_query_many`)."""
+        return _query_many([self.pool], texts, k, algo)

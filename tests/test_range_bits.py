@@ -127,3 +127,51 @@ def test_32_server_doc_sharded_parity(tmp_path, ray_session):
             assert eng.query(q, k=10) == s.query(q, k=10, algo="taat"), q
     finally:
         eng.shutdown()
+
+
+def test_sparse_bucket_universe_single_and_multifield(tmp_path, ray_session):
+    """range_bits=61 (bucket = id >> 2) is too wide to enumerate, so
+    :func:`cb.shard.doc_slices` lists the live buckets from the docstats
+    files — for a multifield index, from its field sub-indexes — and
+    both pools serve bitwise like their in-process searchers."""
+    from cb import multifield
+
+    rng = np.random.default_rng(31)
+    vocab = [f"tok{i}" for i in range(30)]
+    rows = [
+        {
+            "doc_id": i,
+            "title": " ".join(rng.choice(vocab, size=3)),
+            "text": " ".join(rng.choice(vocab, size=rng.integers(5, 20))),
+        }
+        for i in range(60)
+    ]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src)
+    idx = str(tmp_path / "idx61")
+    build.build_index(src, idx, text_col="text", id_col="doc_id", num_parts=4, range_bits=61)
+    mf = str(tmp_path / "mf61")
+    multifield.build_multifield(
+        src, mf, ["title", "text"], id_col="doc_id", num_parts=4, range_bits=61
+    )
+    live = list(range(15))  # ids 0..59 >> 2
+    for d in (idx, mf):
+        slices = shard.doc_slices(d, 61, 3)
+        assert sorted(b for sl in slices for b in sl) == live
+        assert all(b % 3 == s for s, sl in enumerate(slices) for b in sl)
+    qs = ("tok1 tok2", "tok10", "tok3 tok20 tok25")
+    s = shard.LocalSearcher(idx)
+    eng = shard.QueryEngine(idx, num_servers=3)
+    try:
+        for q in qs:
+            assert eng.query(q, k=10) == s.query(q, k=10, algo="taat"), q
+    finally:
+        eng.shutdown()
+    ms = multifield.MultiFieldSearcher(mf)
+    eng = multifield.MultiFieldEngine(mf, num_servers=3)
+    try:
+        for q in qs:
+            got = eng.search(q, k=10)
+            assert got and got == ms.search(q, k=10), q
+    finally:
+        eng.shutdown()

@@ -4,6 +4,8 @@ and replies stay matched to their requests under concurrent callers
 and deep pipelines (msearch, federated query_many)."""
 
 import contextlib
+import functools
+import os
 import pickle
 import signal
 import threading
@@ -16,7 +18,7 @@ import pytest
 import ray
 
 from cb import docmeta as dm
-from cb import federated, rpc
+from cb import federated, multifield, rpc
 from cb.build import IndexMeta, build_index
 from cb.shard import LocalSearcher, QueryEngine, ShardServer
 
@@ -61,6 +63,22 @@ def built(tmp_path_factory):
     return idx, fed
 
 
+@pytest.fixture(scope="module")
+def built_mf(built, tmp_path_factory):
+    """The same documents as a multifield index (fields ``text`` and
+    ``lang``) and a multifield federation."""
+    idx, _ = built
+    d = tmp_path_factory.mktemp("rpc_mf")
+    src = os.path.join(os.path.dirname(idx), "docs.parquet")
+    mf = str(d / "mf")
+    multifield.build_multifield(src, mf, ["text", "lang"], id_col="doc_id", num_parts=4)
+    mffed = str(d / "mffed")
+    federated.build_federation(
+        src, mffed, fields=["text", "lang"], id_col="doc_id", ts_col="ts", num_parts=4,
+    )
+    return mf, mffed
+
+
 def _queries(n: int, seed: int) -> list[str]:
     """``n`` distinct 1-3 term queries."""
     rng = np.random.default_rng(seed)
@@ -87,29 +105,63 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, old)
 
 
-def test_killed_server_raises_naming_it(built):
-    idx, _ = built
-    eng = QueryEngine(idx, num_servers=2)
+# per engine: (start it over ``(idx, fed, mf, mffed)`` with S servers per
+# pool, its actors, one request, the single-process searcher's answer)
+_ENGINES = {
+    "QueryEngine": (
+        lambda ix, s: QueryEngine(ix[0], num_servers=s),
+        lambda e: e.servers,
+        lambda e, q: e.query(q, k=5),
+        lambda ix: functools.partial(LocalSearcher(ix[0]).query, k=5, algo="taat"),
+    ),
+    "MultiFieldEngine": (
+        lambda ix, s: multifield.MultiFieldEngine(ix[2], num_servers=s),
+        lambda e: e.servers,
+        lambda e, q: e.search(q, k=5),
+        lambda ix: functools.partial(multifield.MultiFieldSearcher(ix[2]).search, k=5),
+    ),
+    "FederatedEngine": (
+        lambda ix, s: federated.FederatedEngine(ix[1], num_servers=s),
+        lambda e: [a for m in e.engines.values() for a in m.servers],
+        lambda e, q: e.query(q, k=5),
+        lambda ix: functools.partial(LocalSearcher(ix[0]).query, k=5, algo="taat"),
+    ),
+    "FederatedMultiFieldEngine": (
+        lambda ix, s: federated.FederatedMultiFieldEngine(ix[3]),
+        lambda e: [a for m in e.members.values() for a in m.actors],
+        lambda e, q: e.search(q, k=5),
+        lambda ix: functools.partial(multifield.MultiFieldSearcher(ix[2]).search, k=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_killed_server_raises_naming_it(built, built_mf, engine):
+    """Every engine serves through one pool, so a killed actor fails
+    the next request loudly, naming the actor, and every answer before
+    that is whole and right."""
+    start, actors, ask, searcher = _ENGINES[engine]
+    ix = (*built, *built_mf)
+    want = searcher(ix)
+    eng = start(ix, 2)
     try:
-        assert eng.query("qb qc", k=5)
-        victim = eng.servers[1]
+        assert ask(eng, "qb qc")
+        victim = actors(eng)[1]
         ray.kill(victim)  # asynchronous: the process may answer a while
-        searcher = LocalSearcher(idx)
         with _deadline(10), pytest.raises(rpc.ServerDied) as err:
             for q in _queries(20_000, seed=5):
-                # until it dies, every answer is whole and right
-                assert eng.query(q, k=5) == searcher.query(q, k=5, algo="taat")
+                assert ask(eng, q) == want(q)
         assert victim._actor_id.hex() in str(err.value)
         assert isinstance(err.value, RuntimeError)
     finally:
         eng.shutdown()
     # a server killed before the engine's first request fails the same way
-    eng = QueryEngine(idx, num_servers=1)
+    eng = start(ix, 1)
     try:
-        ray.kill(eng.servers[0])
+        ray.kill(actors(eng)[0])
         with _deadline(10), pytest.raises(rpc.ServerDied):
             for q in _queries(20_000, seed=6):
-                eng.query(q, k=5)
+                ask(eng, q)
     finally:
         eng.shutdown()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from cb import shard
+from cb import rpc, shard
 from cb.build import build_index
 from cb.telemetry import Telemetry, merge_snapshots
 
@@ -102,7 +102,7 @@ def test_federated_metrics_rollup(tmp_path, ray_session):
     try:
         eng.query("tok1 tok2", k=5)
         m = eng.metrics()
-        assert m["engine"]["timers"]["query.total"]["count"] >= 1
+        assert m["engine"]["timers"]["query.total"]["count"] == 1
         assert len(m["members"]) == 2
         assert m["servers"]["timers"].get("server.score", {}).get("count", 0) >= 1
     finally:
@@ -139,6 +139,53 @@ def test_multifield_engine_metrics_populate(tmp_path, ray_session):
         assert et["query.merge"]["count"] == 3
         assert m["servers"]["counters"]["server.scores"] == 6  # 2 servers x 3
         assert m["servers"]["counters"]["server.terms"] > 0
+        # one snapshot per actor, in pool order, next to the roll-up
+        assert m["per_server"] == [rpc.get(c.call("metrics")) for c in eng.pool.conns]
+        assert [s["counters"]["server.scores"] for s in m["per_server"]] == [3, 3]
+    finally:
+        eng.shutdown()
+
+
+def test_federated_multifield_metrics(tmp_path, ray_session):
+    """The multifield federation reports the single-field federation's
+    shape: its own phase timers, the server roll-up, and each member's
+    pool metrics (one actor per member)."""
+    import ray
+
+    from cb import federated
+
+    rng = np.random.default_rng(29)
+    vocab = [f"tok{i}" for i in range(20)]
+    epoch = 1_700_000_000_000_000
+    rows = [
+        {
+            "doc_id": int(rng.integers(0, 1 << 50)),
+            "title": " ".join(rng.choice(vocab, size=3)),
+            "body": " ".join(rng.choice(vocab, size=rng.integers(4, 12))),
+            "ts": epoch + (i % 2) * 86_400_000_000,
+        }
+        for i in range(80)
+    ]
+    t = pa.Table.from_pylist(rows)
+    t = t.set_column(t.schema.get_field_index("ts"), "ts", t["ts"].cast(pa.timestamp("us")))
+    src = str(tmp_path / "d.parquet")
+    pq.write_table(t, src)
+    fed = str(tmp_path / "fed")
+    federated.build_federation(
+        ray.data.read_parquet(src), fed, fields=["title", "body"], id_col="doc_id",
+        ts_col="ts", prefix="t-", num_parts=4,
+    )
+    eng = federated.FederatedMultiFieldEngine(fed)
+    try:
+        assert eng.search("tok1 tok2", k=5)
+        m = eng.metrics()
+        assert set(m) == {"engine", "servers", "members"}
+        assert m["engine"]["timers"]["query.total"]["count"] == 1
+        assert sorted(m["members"]) == sorted(eng.members) and len(m["members"]) == 2
+        for mm in m["members"].values():
+            assert set(mm) == {"engine", "servers", "per_server"}
+            assert len(mm["per_server"]) == 1
+        assert m["servers"]["timers"]["server.score"]["count"] == 2  # one per member
     finally:
         eng.shutdown()
 
