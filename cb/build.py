@@ -54,8 +54,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
-
 from . import analyze, compress, corpus, manifest
 
 DEFAULT_NUM_PARTS = 8
@@ -866,6 +864,8 @@ def compact_index(index_dir: str) -> "IndexMeta":
 
     Runs as a Ray Data pass over partition control rows (one task per
     partition), like the block-max annotation post-pass."""
+    import ray.data
+
     from . import shard as shard_mod
 
     sentinel = os.path.join(index_dir, "_compacting.json")
@@ -907,7 +907,7 @@ def compact_index(index_dir: str) -> "IndexMeta":
         total_tokens += int(pc.sum(t2["doc_len"]).as_py() or 0)
     write_global(index_dir, n_docs, total_tokens, meta.num_parts, meta.range_bits)
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
-    tomb_ref = __import__("ray").put(tomb)
+    tomb_ref = ray.put(tomb)
 
     # pass 2a: PER-BUCKET rewrite — one task per (partition, bucket)
     # FILE, so task memory is bounded by a bucket file (not a whole
@@ -1190,6 +1190,8 @@ def build_index(
     count); for an in-memory Dataset the shared count costs a
     ``count()`` of the input pipeline.
     """
+    import ray.data
+
     if range_bits == "auto" or num_parts == "auto":
         n = (
             _source_row_count(source, columns)
@@ -1233,6 +1235,8 @@ def reindex(
     standard build pipeline (one tokenize pass, one (part, bucket)
     exchange).  Reference analog: ConveyorBelt delegates reindexing to
     Elasticsearch; here it is a first-class engine operator."""
+    import ray.data
+
     from .shard import load_tombstones
 
     meta_p = os.path.join(src_index_dir, "docmeta", "_meta.json")
@@ -1285,6 +1289,8 @@ def _build_index_inner(
     batch_size: int,
     positions: bool = True,
 ) -> IndexMeta:
+    import ray.data
+
     ds = _normalize(source, text_col, id_col)
 
     # SINGLE tokenize pass: partial postings AND doc-stats sentinel rows

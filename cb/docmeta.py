@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from .build import ID_BITS, IndexMeta
 
@@ -69,6 +69,8 @@ def build_docmeta(
     when the corpus changed, and the bucket MEMBERSHIP, so stale bucket
     files from an earlier, larger build are neither loaded nor left on
     disk."""
+    import ray.data
+
     meta = IndexMeta(index_dir)
     range_bits = meta.range_bits
     lineage = _source_lineage(source)

@@ -43,7 +43,6 @@ import time
 import numpy as np
 
 import ray
-import ray.data
 
 from . import analyze, manifest, rpc, scoring, wand
 from .aggs import (
@@ -76,6 +75,8 @@ def build_multifield(
     """One sub-index per analyzed field (pruned ``columns=[id, field]``
     reads) + the ``_multifield.json`` manifest naming the fields in
     scoring order."""
+    import ray.data
+
     from . import build as build_mod
 
     if not fields:

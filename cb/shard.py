@@ -40,13 +40,21 @@ for them.  Replies come back in send order, so msearch and federations
 put many requests in flight before waiting, and a dead server raises
 :class:`cb.rpc.ServerDied`.
 
-Warm: :meth:`ShardServer.warm` pre-decodes a server's postings so the
-first queries do not pay it.  Per loaded partition it selects the rows
-of the terms to warm, decodes their id/tf/dl streams in ONE varint pass
-per stream (:func:`cb.compress.decode_table`), computes the BM25
-u-factor once over the flat arrays, and caches each term's
-``(ids, u)`` as a slice — the decoded cache ``wand.taat_scores`` reads,
-where idf multiplies at use.
+Load and warm stay columnar.  A server's :class:`ShardPartition` holds
+its bucket rows as one Arrow table and, from one pass at load, each
+term's row range and df/cf; :meth:`ShardPartition.get` returns a lazy
+:class:`ChunkedPostings` view over that range, which copies and decodes
+nothing until asked.  :meth:`ShardServer.warm` pre-decodes a server's
+postings so the first queries do not pay it: per loaded partition it
+selects the rows of the terms to warm, decodes their id/tf/dl streams
+in ONE varint pass per stream (:func:`cb.compress.decode_table`),
+computes the BM25 u-factor once over the flat arrays, and caches each
+term's ``(ids, u)`` as a slice — the decoded cache
+``wand.taat_scores`` reads, where idf multiplies at use — plus the
+term's view, whose per-chunk :class:`~cb.compress.PostingList` rows
+are built only if a positional reader or WAND's cursor asks.  Serving
+processes never import Ray Data: every module a server loads imports
+it inside the functions that build Datasets.
 
 Scale note (10^12 docs): with doc lengths posting-resident, serving
 shards are self-contained; adding servers re-slices the doc ranges, and
@@ -76,31 +84,60 @@ from .telemetry import Telemetry, merge_snapshots
 
 
 class ChunkedPostings:
-    """One term's posting list = ordered doc-id-range chunks.
+    """One term's posting list = ordered doc-id-range chunks, as a lazy
+    view over the term's rows ``[start, stop)`` of a (term, bucket)-
+    sorted posting table (one row per chunk).
 
     ``df``/``cf`` count the chunks HELD here; ``gdf`` is the term's
     corpus-global df (equal to ``df`` when a server holds the whole
     list, the partition-file total when it holds a doc-range slice) —
-    idf must always use ``gdf`` or doc-sharded scores would drift."""
+    idf must always use ``gdf`` or doc-sharded scores would drift.
 
-    __slots__ = ("term", "chunks", "df", "cf", "gdf")
+    Nothing is copied or decoded at construction: :meth:`decode_all` is
+    one columnar pass over the rows (:func:`cb.compress.decode_table`),
+    and the per-chunk :class:`PostingList` rows that the positional
+    readers and WAND's cursor walk are built on first access to
+    ``chunks``.  ``rows`` may also be a list of row dicts (one per
+    chunk, each with its ``bucket``)."""
 
-    def __init__(self, term: str, rows: list[dict], global_df: int | None = None):
+    __slots__ = ("term", "df", "cf", "gdf", "table", "start", "stop", "_chunks")
+
+    def __init__(
+        self,
+        term: str,
+        rows: pa.Table | list[dict],
+        global_df: int | None = None,
+        *,
+        start: int = 0,
+        stop: int | None = None,
+        df: int | None = None,
+        cf: int | None = None,
+    ):
+        if not isinstance(rows, pa.Table):
+            rows = pa.Table.from_pylist(sorted(rows, key=lambda r: r["bucket"]))
         self.term = term
-        rows = sorted(rows, key=lambda r: r["bucket"])
-        self.chunks = [PostingList(r) for r in rows]
-        self.df = sum(c.df for c in self.chunks)
-        self.cf = sum(c.cf for c in self.chunks)
+        self.table = rows
+        self.start = start
+        self.stop = rows.num_rows if stop is None else stop
+        if df is None:
+            own = self._rows()
+            df = sum(own["df"].to_pylist())
+            cf = sum(own["cf"].to_pylist())
+        self.df, self.cf = int(df), int(cf)
         self.gdf = int(global_df) if global_df is not None else self.df
+        self._chunks: list[PostingList] | None = None
 
-    def decode_all(self):
-        ids, tfs, dls = [], [], []
-        for c in self.chunks:
-            i, t, d = c.decode_all()
-            ids.append(i)
-            tfs.append(t)
-            dls.append(d)
-        return np.concatenate(ids), np.concatenate(tfs), np.concatenate(dls)
+    def _rows(self) -> pa.Table:
+        return self.table.slice(self.start, self.stop - self.start)
+
+    @property
+    def chunks(self) -> list[PostingList]:
+        if self._chunks is None:
+            self._chunks = [PostingList(r) for r in self._rows().to_pylist()]
+        return self._chunks
+
+    def decode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return compress.decode_table(self._rows())
 
 
 class DocStats:
@@ -133,8 +170,6 @@ class DocStats:
             for f in os.listdir(ds_dir)
             if f.endswith(".parquet") and (want is None or f in want)
         )
-        import pyarrow as pa
-
         tbl = pa.concat_tables([pq.read_table(f) for f in files])
         return cls(
             tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
@@ -163,96 +198,67 @@ class ShardPartition:
     partition's tiny ``_termdf.parquet`` summary, so idf stays
     corpus-exact on any slice without reading other buckets."""
 
-    def __init__(
-        self,
-        path: str | None = None,
-        buckets: list[int] | None = None,
-        table: pa.Table | None = None,
-        global_df: dict[str, int] | None = None,
-    ):
-        """Load from ``path`` (a partition DIRECTORY of bucket files) or
-        from an in-memory ``table`` (tests / pre-sliced views).
-        ``global_df`` short-circuits the summary read when the caller
-        already has it."""
-        import glob as _glob
-
+    def __init__(self, path: str, buckets: list[int] | None = None):
+        """Load the bucket files of the partition DIRECTORY ``path``
+        (all of them, or those of ``buckets``) and its df summary."""
         import pyarrow.compute as pc
 
-        if table is None:
-            if path is None or not os.path.isdir(path):
-                self.table = None
-                self.offsets: dict[str, tuple[int, int]] = {}
-                self.global_df: dict[str, int] = {}
-                return
-            want = None if buckets is None else set(buckets)
-            files = []
-            for f in _glob.glob(os.path.join(path, "bucket=*.parquet")):
-                b = int(os.path.basename(f)[len("bucket=") : -len(".parquet")])
-                if want is None or b in want:
-                    files.append((b, f))
-            if global_df is None:
-                tdf = os.path.join(path, "_termdf.parquet")
-                if os.path.exists(tdf):
-                    t = pq.read_table(tdf)
-                    global_df = dict(
-                        zip(t["term"].to_pylist(), t["df"].to_pylist())
-                    )
-            if not files:
-                self.table = None
-                self.offsets = {}
-                self.global_df = global_df or {}
-                return
-            table = pa.concat_tables(
-                [pq.read_table(f) for _, f in sorted(files)]
-            ).sort_by([("term", "ascending"), ("bucket", "ascending")])
-        else:
-            if buckets is not None and table.num_rows:
-                table = table.filter(
-                    pc.is_in(table["bucket"], value_set=pa.array(sorted(buckets), type=pa.int32()))
-                )
-        self.global_df = global_df if global_df is not None else self._term_df_totals(table)
-        self.table = table
-        # Arrow run-end detection (rows are (term,bucket)-sorted): one
-        # dictionary_encode + one vectorized diff, no per-row Python
-        # compares over the whole partition.
-        term_col = self.table["term"].combine_chunks()
-        self.offsets = {}
-        if len(term_col):
-            enc = pc.dictionary_encode(term_col)
+        self.table: pa.Table | None = None
+        # term -> (first row, end row, df, cf) of its rows in ``table``
+        self.offsets: dict[str, tuple[int, int, int, int]] = {}
+        self.global_df: dict[str, int] = {}
+        if not os.path.isdir(path):
+            return
+        want = None if buckets is None else set(buckets)
+        files = []
+        for f in glob.glob(os.path.join(path, "bucket=*.parquet")):
+            b = int(os.path.basename(f)[len("bucket=") : -len(".parquet")])
+            if want is None or b in want:
+                files.append((b, f))
+        global_df = None
+        tdf = os.path.join(path, "_termdf.parquet")
+        if os.path.exists(tdf):
+            t = pq.read_table(tdf)
+            global_df = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+        if not files:
+            self.global_df = global_df or {}
+            return
+        self.table = table = pa.concat_tables(
+            [pq.read_table(f) for _, f in sorted(files)]
+        ).sort_by([("term", "ascending"), ("bucket", "ascending")])
+        # One pass over the (term, bucket)-sorted rows: Arrow run-end
+        # detection (one dictionary_encode + one vectorized diff, no
+        # per-row Python compares) gives each term's row range, and one
+        # reduceat per count column its df/cf.
+        if table.num_rows:
+            enc = pc.dictionary_encode(table["term"].combine_chunks())
             codes = enc.indices.to_numpy(zero_copy_only=False)
             change = np.empty(len(codes), dtype=bool)
             change[0] = True
             change[1:] = codes[1:] != codes[:-1]
             starts = np.flatnonzero(change)
-            lens = np.diff(np.append(starts, len(codes)))
-            dict_vals = enc.dictionary.to_pylist()
-            for s, ln in zip(starts, lens):
-                self.offsets[dict_vals[codes[s]]] = (int(s), int(ln))
-
-    @staticmethod
-    def _term_df_totals(table: pa.Table) -> dict[str, int]:
-        """Per-term sum of chunk dfs (vectorized run-end reduceat)."""
-        import pyarrow.compute as pc
-
-        if table.num_rows == 0:
-            return {}
-        enc = pc.dictionary_encode(table["term"].combine_chunks())
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        dfs = table["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        change = np.empty(len(codes), dtype=bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        sums = np.add.reduceat(dfs, starts)
-        dict_vals = enc.dictionary.to_pylist()
-        return {dict_vals[codes[s]]: int(v) for s, v in zip(starts, sums)}
+            stops = np.append(starts[1:], len(codes))
+            dfs, cfs = (
+                np.add.reduceat(table[c].to_numpy(zero_copy_only=False).astype(np.int64), starts)
+                for c in ("df", "cf")
+            )
+            terms = enc.dictionary.take(pa.array(codes[starts])).to_pylist()
+            self.offsets = dict(
+                zip(terms, zip(starts.tolist(), stops.tolist(), dfs.tolist(), cfs.tolist()))
+            )
+        if global_df is None:  # no corpus summary: the rows' own df
+            global_df = {t: o[2] for t, o in self.offsets.items()}
+        self.global_df = global_df
 
     def get(self, term: str) -> ChunkedPostings | None:
+        """The term's lazy postings view (nothing copied or decoded)."""
         loc = self.offsets.get(term)
         if loc is None:
             return None
-        rows = self.table.slice(loc[0], loc[1]).to_pylist()
-        return ChunkedPostings(term, rows, global_df=self.global_df.get(term))
+        start, stop, df, cf = loc
+        return ChunkedPostings(
+            term, self.table, self.global_df.get(term), start=start, stop=stop, df=df, cf=cf
+        )
 
 
 def delete_docs(index_dir: str, doc_ids) -> int:
@@ -383,6 +389,7 @@ class ShardServer(rpc.Server):
     still serve."""
 
     def __init__(self, index_dir: str, buckets: list[int], fed: str | None = None):
+        t0 = time.perf_counter()
         meta = IndexMeta(index_dir)
         self.parts = {
             p: ShardPartition(meta.part_dir(p), buckets=buckets)
@@ -445,6 +452,7 @@ class ShardServer(rpc.Server):
         # per-actor stage counters (TelemetryProvider.cs analog);
         # rolled up by QueryEngine.metrics()
         self.telemetry = Telemetry()
+        self.telemetry.record("server.init", time.perf_counter() - t0)
 
     def _cached_match(self, parsed: dict, dm) -> np.ndarray | None:
         """This scope's matched doc ids for a parsed clause set, LRU-
@@ -514,32 +522,25 @@ class ShardServer(rpc.Server):
         (``taat_scores``' cache contract)."""
         if part.table is None:
             return 0
-        dfs = part.table["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        row_cum = _cumsum0(dfs)
-        terms, starts, lens = [], [], []
-        for term, (s, ln) in part.offsets.items():
-            if term in self.decoded:
-                continue
-            gdf = part.global_df.get(term)
-            if gdf is None:  # no corpus summary: the slice's own df
-                gdf = row_cum[s + ln] - row_cum[s]
-            if gdf < min_df:
+        terms, starts, stops, dfs = [], [], [], []
+        for term, (start, stop, df, _) in part.offsets.items():
+            if term in self.decoded or part.global_df.get(term, df) < min_df:
                 continue
             terms.append(term)
-            starts.append(s)
-            lens.append(ln)
+            starts.append(start)
+            stops.append(stop)
+            dfs.append(df)
         if not terms:
             return 0
-        rows = np.concatenate([np.arange(s, s + ln) for s, ln in zip(starts, lens)])
+        rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
         full = np.array_equal(rows, np.arange(part.table.num_rows))
         ids, tfs, dls = compress.decode_table(part.table if full else part.table.take(rows))
         u = scoring.u_factor(tfs, dls, self.stats.avgdl)
-        # posting bounds of each term's rows within the selection
-        bounds = _cumsum0(dfs[rows])[_cumsum0(np.array(lens))].tolist()
+        bounds = _cumsum0(np.array(dfs)).tolist()  # each term's postings
         for i, term in enumerate(terms):
             self.decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
-            # score reads df/gdf from the cached ChunkedPostings; phrase
-            # and WAND decode from them
+            # score reads df/gdf from the cached view; its chunks stay
+            # unbuilt until a positional reader or WAND asks for them
             self._local(term)
         return len(terms)
 
@@ -564,7 +565,7 @@ class ShardServer(rpc.Server):
             self.results.move_to_end(key)  # LRU: refresh recency on hit
             self.telemetry.incr("server.result_cache_hit")
             return hit  # exact: the index is immutable for a server's lifetime
-        t0 = __import__("time").perf_counter()
+        t0 = time.perf_counter()
         self.telemetry.incr("server.terms", len(terms))
         live, idfs = self._live_idfs(terms)
         if len(self.tombstones):
@@ -586,9 +587,7 @@ class ShardServer(rpc.Server):
         if len(self.results) >= self._results_cap:
             self.results.popitem(last=False)  # evict least-recently-used
         self.results[key] = res
-        self.telemetry.record(
-            "server.score", __import__("time").perf_counter() - t0
-        )
+        self.telemetry.record("server.score", time.perf_counter() - t0)
         return res
 
     def metrics(self) -> dict:

@@ -17,6 +17,7 @@ import ray
 
 from cb import scoring, wand
 from cb.build import IndexMeta, build_index
+from cb.compress import PostingList
 from cb.shard import LocalSearcher, QueryEngine, ShardPartition, ShardServer, _merge_topk
 
 HI = 1 << 59  # bucket stride at range_bits=4 (bucket = id >> 59)
@@ -132,14 +133,16 @@ def _server(idx, buckets, fed=None):
 
 
 def _per_term_decoded(srv, min_df):
-    """What warm must store: one ChunkedPostings.decode_all + u_factor
-    per term with df >= min_df."""
+    """What warm must store: per term with df >= min_df, the per-row
+    PostingList decode of its rows (an independent reference, not the
+    columnar decode warm uses), concatenated, and its u_factor."""
     want = {}
     for part in srv.parts.values():
-        for term in part.offsets:
-            cp = part.get(term)
-            if cp.gdf >= min_df:
-                ids, tfs, dls = cp.decode_all()
+        for term, (start, stop, _, _) in part.offsets.items():
+            if part.get(term).gdf >= min_df:
+                rows = part.table.slice(start, stop - start).to_pylist()
+                decoded = [PostingList(r).decode_all() for r in rows]
+                ids, tfs, dls = (np.concatenate([d[j] for d in decoded]) for j in range(3))
                 want[term] = (ids, scoring.u_factor(tfs, dls, srv.stats.avgdl))
     return want
 

@@ -63,7 +63,11 @@ def test_query_engine_metrics_populate(tmp_path, ray_session):
         assert st["server.warm"]["count"] == 2
         assert m["servers"]["counters"]["server.terms_warmed"] == warmed
         assert len(m["per_server"]) == 2
+        # engine start splits into each server's init and warm
+        assert st["server.init"]["count"] == 2
         for snap in m["per_server"]:
+            assert snap["timers"]["server.init"]["count"] == 1
+            assert snap["timers"]["server.init"]["total_sec"] > 0
             assert snap["timers"]["server.warm"]["count"] == 1
             assert snap["timers"]["server.score"]["count"] == 3
             assert "server.terms_warmed" in snap["counters"]
