@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pyarrow as pa
 
-from .query import rank_topk
+from .query import check_k, rank_topk
 
 
 class Agg(NamedTuple):
@@ -44,6 +44,7 @@ def _merge_topk(results: list[list[tuple[int, float]]], k: int) -> list[tuple[in
     """Merge per-scope top-k lists -> global top-k with the (score
     desc, doc_id asc) tie-break: every scope returns its k best, and
     the global k best each live in some scope."""
+    check_k(k)
     allr = [t for r in results for t in r]
     allr.sort(key=lambda t: (-t[1], t[0]))
     return allr[:k]

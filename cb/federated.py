@@ -54,7 +54,7 @@ import pyarrow.parquet as pq
 import ray
 
 from . import build as build_mod
-from . import manifest, rpc
+from . import analyze, manifest, rpc
 from .build import DEFAULT_NUM_PARTS, DEFAULT_RANGE_BITS
 from .aggs import (
     AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
@@ -979,8 +979,9 @@ class FederatedEngine(_Federation):
         """Fan out to the selected sub-indexes, ONE wait over every
         server's score reply, exact merge."""
         t0 = time.perf_counter()
+        terms = sorted(set(analyze.tokenize(text)))
         handles = self._handles(
-            self._select(names, start_day, end_day), lambda e: e._dispatch(text, k, algo)
+            self._select(names, start_day, end_day), lambda e: e._dispatch(terms, k, algo)
         )
         return _timed_topk(self.telemetry, t0, handles, k)
 
@@ -993,8 +994,9 @@ class FederatedEngine(_Federation):
         **sel,
     ) -> list[tuple[int, float]]:
         """ES ``indices_boost`` (see :meth:`_Federation._boosted`)."""
+        terms = sorted(set(analyze.tokenize(text)))
         return self._boosted(
-            indices_boost, self._select(**sel), lambda e: e._dispatch(text, k, algo), k
+            indices_boost, self._select(**sel), lambda e: e._dispatch(terms, k, algo), k
         )
 
     def phrase_query(
@@ -1065,7 +1067,7 @@ class FederatedEngine(_Federation):
         the monolithic more_like_this."""
         import collections
 
-        from . import analyze, scoring
+        from . import scoring
 
         toks = collections.Counter(analyze.tokenize(doc_text))
         if not toks or not self.members:

@@ -301,13 +301,9 @@ def _match_fields(
             per_field.append((f, universe, acc))
     if not per_field:
         return None
-    all_ids = np.unique(np.concatenate([u for _, u, _ in per_field]))
-    total = np.zeros(len(all_ids), dtype=np.float64)
-    aligned_idx = []  # reused by the dis_max branch (identical lookups)
-    for _, universe, acc in per_field:  # manifest field order
-        idx = np.searchsorted(all_ids, universe)
-        aligned_idx.append(idx)
-        total[idx] += acc
+    all_ids, total = wand.ordered_sum(  # manifest field order
+        [u for _, u, _ in per_field], [acc for _, _, acc in per_field]
+    )
     tb = routed.get("dis_max")
     if tb is not None:
         # ES best_fields (dis_max): score = best field + tie_breaker *
@@ -320,9 +316,9 @@ def _match_fields(
         # is bitwise.  Per-doc, hence doc-sharded-slice independent.
         best = np.zeros(len(all_ids), dtype=np.float64)
         aligned = np.zeros(len(all_ids), dtype=np.float64)
-        for (_, universe, acc), idx in zip(per_field, aligned_idx):
+        for _, universe, acc in per_field:
             aligned[:] = 0.0
-            aligned[idx] = acc
+            aligned[np.searchsorted(all_ids, universe)] = acc
             np.maximum(best, aligned, out=best)
         total = best + float(tb) * (total - best)
     keep = _live_mask(all_ids, tombstones)
@@ -598,10 +594,9 @@ def _cross_fields_scores(
         per_term.append((uni, idf_b * best))
     if not per_term:
         return None
-    all_ids = np.unique(np.concatenate([u for u, _ in per_term]))
-    total = np.zeros(len(all_ids), dtype=np.float64)
-    for uni, contrib in per_term:  # sorted-term order: the float spec
-        total[np.searchsorted(all_ids, uni)] += contrib
+    all_ids, total = wand.ordered_sum(  # sorted-term order: the float spec
+        [u for u, _ in per_term], [contrib for _, contrib in per_term]
+    )
     return all_ids, total, _live_mask(all_ids, tombstones)
 
 
@@ -640,10 +635,9 @@ def _combined_fields_scores(
             decs.append((f, ids, tfs))
         if not decs:
             continue  # global df > 0 but not in this slice
-        uni = np.unique(np.concatenate([i for _, i, _ in decs]))
-        tfc = np.zeros(len(uni), dtype=np.float64)
-        for f, ids, tfs in decs:  # field order preserved
-            tfc[np.searchsorted(uni, ids)] += weights[f] * tfs
+        uni, tfc = wand.ordered_sum(  # field order preserved
+            [ids for _, ids, _ in decs], [weights[f] * tfs for f, _, tfs in decs]
+        )
         dlc = np.zeros(len(uni), dtype=np.float64)
         for f in field_order:
             ds = docstats_of(f)
@@ -654,10 +648,9 @@ def _combined_fields_scores(
         per_term.append((uni, contrib))
     if not per_term:
         return None
-    all_ids = np.unique(np.concatenate([u for u, _ in per_term]))
-    total = np.zeros(len(all_ids), dtype=np.float64)
-    for uni, contrib in per_term:
-        total[np.searchsorted(all_ids, uni)] += contrib
+    all_ids, total = wand.ordered_sum(
+        [u for u, _ in per_term], [contrib for _, contrib in per_term]
+    )
     return all_ids, total, _live_mask(all_ids, tombstones)
 
 

@@ -22,13 +22,30 @@ import numpy as np
 from . import analyze, scoring
 
 
+def check_k(k: int) -> int:
+    """A top-k's ``k``: 0 asks for nothing, and a negative one is an
+    error, never a slice bound counted from the end."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return k
+
+
 def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """(score desc, doc_id asc) top-k over positive scores."""
-    order = np.lexsort((doc_ids, -scores))
-    out = []
-    for i in order[: k]:
-        out.append((int(doc_ids[i]), float(scores[i])))
-    return out
+    """(score desc, doc_id asc) top-k over any float scores; NaN sorts
+    last.  ``np.partition`` finds the k-th best score, and only the docs
+    at least that good (ties across the cut included) are lexsorted.  A
+    NaN k-th score means fewer than k non-NaN scores: everything is
+    lexsorted."""
+    if check_k(k) == 0 or len(scores) == 0:
+        return []
+    neg = -np.asarray(scores, dtype=np.float64)
+    if k < len(neg):
+        cut = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(cut):
+            keep = np.flatnonzero(neg <= cut)
+            doc_ids, neg = doc_ids[keep], neg[keep]
+    order = np.lexsort((doc_ids, neg))[:k]
+    return list(zip(doc_ids[order].tolist(), (-neg[order]).tolist()))
 
 
 class Oracle:

@@ -80,6 +80,7 @@ from .aggs import (
 )
 from .build import IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
+from .query import check_k
 from .telemetry import Telemetry, merge_snapshots
 
 
@@ -1449,6 +1450,7 @@ class LocalSearcher:
         return rank_topk(universe[keep], acc[keep], k)
 
     def query(self, text: str, k: int = 10, algo: str = "wand") -> list[tuple[int, float]]:
+        check_k(k)
         if algo == "wand" and self._fed_override:
             # stored block-max umax used the sub-index avgdl; the fed
             # avgdl can exceed it, invalidating WAND's bounds — exact
@@ -1676,10 +1678,10 @@ class QueryEngine(PoolEngine):
         """Pre-decode hot postings on every server (blocks until done)."""
         return sum(self.pool.gather("warm", min_df))
 
-    def _dispatch(self, text: str, k: int, algo: str):
-        return self._dispatch_terms(sorted(set(analyze.tokenize(text))), k, algo)
-
-    def _dispatch_terms(self, terms: list[str], k: int, algo: str):
+    def _dispatch(self, terms: list[str], k: int, algo: str):
+        """Send a top-k over analyzed, sorted unique ``terms`` to every
+        server without waiting; None when there is nothing to ask."""
+        check_k(k)
         if not terms:
             return None
         return self.pool.fanout("score", terms, k, algo=algo)
@@ -1692,15 +1694,15 @@ class QueryEngine(PoolEngine):
 
     def query(self, text: str, k: int = 10, algo: str = "taat") -> list[tuple[int, float]]:
         t0 = time.perf_counter()
-        terms = tuple(sorted(set(analyze.tokenize(text))))
-        key = (terms, k, algo)
+        terms = sorted(set(analyze.tokenize(text)))
+        key = (tuple(terms), k, algo)
         hit = self._results.get(key)
         if hit is not None:
             self._results.move_to_end(key)  # LRU: refresh recency on hit
             self.pool.telemetry.incr("query.cache_hit")
             self.pool.telemetry.record("query.total", time.perf_counter() - t0)
             return hit
-        res = _timed_topk(self.pool.telemetry, t0, self._dispatch(text, k, algo), k)
+        res = _timed_topk(self.pool.telemetry, t0, self._dispatch(terms, k, algo), k)
         return self._cache_put(key, res) if terms else res
 
     def search_alias(self, alias: str, text: str, k: int = 10) -> list[tuple[int, float]]:
@@ -1918,7 +1920,7 @@ class QueryEngine(PoolEngine):
 
     def query_terms(self, terms: list[str], k: int = 10, algo: str = "taat"):
         """Top-k over an explicit (pre-analyzed) term set."""
-        return _wait_topk(self._dispatch_terms(sorted(set(terms)), k, algo), k)
+        return _wait_topk(self._dispatch(sorted(set(terms)), k, algo), k)
 
     def regexp_query(
         self, pattern: str, k: int = 10, algo: str = "taat"

@@ -27,7 +27,7 @@ import heapq
 import numpy as np
 
 from . import scoring
-from .query import rank_topk
+from .query import check_k, rank_topk
 
 # Doc ids are 63-bit non-negative (cb.corpus), so the exhausted sentinel
 # must sit ABOVE the id space; cursors hold python ints, so 2**63 is safe.
@@ -154,18 +154,18 @@ def _gather_terms(postings: dict, idfs: dict) -> list[TermCursor]:
 def topk_taat(
     postings: dict, idfs: dict, stats, k: int, decoded_cache: dict | None = None
 ) -> list[tuple[int, float]]:
-    """Exact exhaustive scoring (decode-all, term-at-a-time, vectorized).
+    """Exact exhaustive scoring: decode all, accumulate with
+    :func:`taat_scores`, cut with :func:`cb.query.rank_topk`.
 
     In-memory serving default: numpy decode+accumulate beats the
     pointer-chasing WAND loop until posting lists far exceed memory;
     block-max WAND (below) is the IO-bound/disk-resident path and the
     rank-equality of the two is test-enforced.  ``decoded_cache``
-    (term -> (ids, contrib)) amortizes BOTH varint decoding and the
-    per-posting contribution idf*u across queries — idf, tf, dl and
-    avgdl are all fixed per (index, term), so the contribution vector
-    is query-independent and bitwise-stable.
+    (term -> (ids, u)) amortizes varint decoding and the per-posting
+    u-factor across queries — tf, dl and avgdl are fixed per (index,
+    term), so u is query-independent; idf multiplies at use.
     """
-    if k <= 0:
+    if check_k(k) == 0:
         return []
     universe, acc = taat_scores(postings, idfs, stats, decoded_cache)
     if universe is None:
@@ -173,16 +173,39 @@ def topk_taat(
     return rank_topk(universe, acc, k)
 
 
+def ordered_sum(ids: list[np.ndarray], vals: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Group-by-id SUM over K runs of (sorted unique ids, values) ->
+    (the sorted union of the ids, each id's sum).
+
+    One stable argsort of the concatenated ids merges the K sorted runs
+    (timsort: O(n log K)) and keeps run order among equal ids, and
+    ``np.bincount`` adds each id's values sequentially from 0.0 — so
+    every sum is ``0.0 + v_1 + v_2 + ...`` in run order, bitwise the
+    spec's summation order.  (``np.add.reduceat`` would not be: it sums
+    runs longer than 8 pairwise.)"""
+    cat = np.concatenate(ids)
+    order = np.argsort(cat, kind="stable")
+    merged = cat[order]
+    new = np.empty(len(merged), dtype=bool)
+    new[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=new[1:])
+    universe = merged[new]
+    sums = np.bincount(np.cumsum(new) - 1, weights=np.concatenate(vals)[order])
+    return universe, sums.astype(np.float64, copy=False)  # empty: int64
+
+
 def taat_scores(
     postings: dict, idfs: dict, stats, decoded_cache: dict | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Exact TAAT accumulation -> (matching doc ids sorted, scores).
-    The shared core of :func:`topk_taat` and filtered search (which
-    masks the universe by a metadata predicate BEFORE ranking)."""
+    """Exact TAAT accumulation -> (matching doc ids sorted, scores), or
+    (None, None) when no term has postings.  Each doc's score sums its
+    terms' ``idf * u`` in sorted-term order (:func:`ordered_sum`).  The
+    shared core of :func:`topk_taat` and filtered search (which masks
+    the universe by a metadata predicate BEFORE ranking)."""
     terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
     if not terms:
         return None, None
-    per_term = []
+    ids, contribs = [], []
     for t in terms:  # sorted -> spec summation order
         # the cache stores the WEIGHT-INDEPENDENT u-factor vector; idf
         # (which carries any per-query boost) multiplies at use, so a
@@ -190,24 +213,21 @@ def taat_scores(
         # Only a miss needs a cursor (to decode).
         hit = decoded_cache.get(t) if decoded_cache is not None else None
         if hit is not None:
-            ids, u_vec = hit
+            t_ids, u_vec = hit
         else:
             cursor = TermCursor(t, postings[t], idfs[t], 0, need_umax=False)
-            ids, tfs, dls = cursor.decode_chunks()
+            t_ids, tfs, dls = cursor.decode_chunks()
             u_vec = scoring.u_factor(tfs, dls, stats.avgdl)
             if decoded_cache is not None:
-                decoded_cache[t] = (ids, u_vec)
-        per_term.append((ids, float(idfs[t]) * u_vec))
-    universe = np.unique(np.concatenate([ids for ids, _ in per_term]))
-    acc = np.zeros(len(universe), dtype=np.float64)
-    for ids, contrib in per_term:
-        acc[np.searchsorted(universe, ids)] += contrib
-    return universe, acc
+                decoded_cache[t] = (t_ids, u_vec)
+        ids.append(t_ids)
+        contribs.append(float(idfs[t]) * u_vec)
+    return ordered_sum(ids, contribs)
 
 
 def topk_wand(postings: dict, idfs: dict, stats, k: int) -> list[tuple[int, float]]:
     """Block-max WAND; rank-identical to :func:`topk_taat`/the oracle."""
-    if k <= 0:
+    if check_k(k) == 0:
         return []
     cursors = _gather_terms(postings, idfs)
     for c in cursors:
@@ -233,7 +253,7 @@ def topk_wand_fields(
     invalidate the stored umax bounds, same rule as the single-field
     ShardServer) — :func:`cb.multifield._score_fields` guards this.
     """
-    if k <= 0:
+    if check_k(k) == 0:
         return []
     cursors: list[TermCursor] = []
     for gi, f in enumerate(field_order):

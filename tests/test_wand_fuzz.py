@@ -115,6 +115,7 @@ def test_k_zero_and_negative():
     row["bucket"] = 0
     cp = ChunkedPostings("t", [row])
     stats = GlobalStats(100, 10.0)
-    for k in (0, -3):
-        assert wand.topk_taat({"t": cp}, {"t": 1.0}, stats, k) == []
-        assert wand.topk_wand({"t": cp}, {"t": 1.0}, stats, k) == []
+    for fn in (wand.topk_taat, wand.topk_wand):
+        assert fn({"t": cp}, {"t": 1.0}, stats, 0) == []
+        with pytest.raises(ValueError):  # rejected, not read as a slice bound
+            fn({"t": cp}, {"t": 1.0}, stats, -3)
