@@ -16,11 +16,13 @@ integer sums therefore add, min/max fold, and the union of every
 scope's local top-k by (score desc, doc_id asc) holds the global top-k,
 so re-cutting it is exact.  No merge below is an approximation.
 
-Scopes expose one method, ``agg(match, name, spec)``
-(:class:`cb.shard.ShardServer`, :class:`cb.multifield.MultiFieldServer`,
-:class:`cb.multifield.MultiFieldSearcher`, the multifield federation
-member); each engine has one route that collects the involved scopes'
-partials, and :class:`AggRoute` finishes it with ``merge`` or ``empty``.
+Scopes expose one method, ``agg(match, name, spec)``: one per index
+kind, :class:`cb.shard.ShardScope` and
+:class:`cb.multifield.MultiFieldSearcher`, whether a pool actor
+(``ShardServer``, ``MultiFieldServer``, a multifield federation member)
+or an in-process searcher.  Each engine has one route that collects
+the involved scopes' partials, and :class:`AggRoute` finishes it with
+``merge`` or ``empty``.
 """
 
 from __future__ import annotations

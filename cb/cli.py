@@ -314,8 +314,7 @@ def cmd_fed(args) -> int:
             "kept": [e["name"] for e in fed["indexes"]],
         }))
     elif args.action == "search":
-        with open(federated.fed_meta_path(args.fed)) as f:
-            _is_mf = bool(json.load(f).get("fields"))
+        _is_mf = bool(federated.load_fed_meta(args.fed).get("fields"))
         eng = (
             federated.FederatedMultiFieldEngine(args.fed)
             if _is_mf

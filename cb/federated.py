@@ -30,9 +30,10 @@ native:
   on a year-long federation touches 2/365ths of the postings.
 - ``FederatedMultiFieldEngine``: the multifield closure; each member
   is a one-actor :class:`cb.shard.ServerPool` of
-  ``_MultiFieldFedMember``.  Both engines share member selection, the
-  cross-member fan-out, metrics and shutdown; every member, like every
-  engine, serves through a ``ServerPool``.
+  :class:`cb.multifield.MultiFieldServer`, constructed with ``fed=``.
+  Both engines share member selection, the cross-member fan-out,
+  metrics and shutdown; every member, like every engine, serves
+  through a ``ServerPool``.
 
 Scale: each sub-index build is an independent distributed job over only
 its partition's staging files; the staging write is the only full pass.
@@ -205,7 +206,7 @@ def staging_dir(fed_dir: str, name: str) -> str:
 def _member_docmeta_dir(fg: dict, index_dir: str) -> str:
     """Docmeta home of a federation member: the member index dir itself,
     or the FIRST field's sub-index for multifield members (where
-    multifield._load_docmeta and MultiFieldSearcher read it)."""
+    MultiFieldSearcher._dm reads it)."""
     fields = fg.get("fields")
     if fields:
         from .multifield import field_dir
@@ -242,6 +243,26 @@ def feddf_path(fed_dir: str, part: int, field: str | None = None) -> str:
     if field is not None:
         return os.path.join(fed_dir, "feddf", f"field={field}", f"part={part}.parquet")
     return os.path.join(fed_dir, "feddf", f"part={part}.parquet")
+
+
+def fed_overlay(
+    fed_dir: str, parts: dict | None = None, field: str | None = None
+) -> tuple[int, float]:
+    """A federation member's scoring overlay (dfs_query_then_fetch):
+    returns the federation-global ``(n_docs, avgdl)`` — of ``field`` on
+    a multifield federation — and replaces the global df of every
+    partition in ``parts`` (term partition -> ShardPartition) with the
+    federation-global df of its feddf summary, so member top-k lists
+    merge exactly.  The overlays are read per term partition from the
+    tiny feddf files, never as a whole-vocabulary object."""
+    fg = load_fed_meta(fed_dir)
+    st = fg if field is None else fg["field_stats"][field]
+    for p, part in (parts or {}).items():
+        fp = feddf_path(fed_dir, p, field=field)
+        if os.path.exists(fp):
+            t = pq.read_table(fp)
+            part.global_df = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+    return st["n_docs"], st["avgdl"]
 
 
 @ray.remote
@@ -1180,48 +1201,6 @@ class FederatedEngine(_Federation):
         return sum(e.warm(min_df) for e in self.members.values())
 
 
-@ray.remote
-class _MultiFieldFedMember(rpc.Server):
-    """One sub-index of a MULTIFIELD federation as an actor: holds a
-    fed-overridden :class:`cb.multifield.MultiFieldSearcher` (state
-    loaded once here) so the cross-index fan-out runs member-parallel
-    with ONE driver-side wait.  Scale note: a member that
-    outgrows one actor swaps in a doc-sharded MultiFieldEngine pool —
-    same exact-merge contract, the bucket slices stay disjoint."""
-
-    def __init__(self, index_dir: str, fed_dir: str):
-        from .multifield import MultiFieldSearcher
-
-        self.searcher = MultiFieldSearcher(index_dir, fed=fed_dir)
-        self.telemetry = Telemetry()
-
-    def metrics(self) -> dict:
-        return self.telemetry.snapshot()
-
-    def search(
-        self, query: str, k: int,
-        mode: str = "most_fields", tie_breaker: float = 0.0,
-    ) -> list[tuple[int, float]]:
-        with self.telemetry.timer("server.score"):
-            return self.searcher.search(query, k, mode=mode, tie_breaker=tie_breaker)
-
-    def agg(self, query: str, name: str, spec):
-        return self.searcher.agg(query, name, spec)
-
-    def mlt(self, doc_fields: dict, k: int, max_terms: int):
-        """Member MLT WITHOUT source-doc exclusion: term selection uses
-        the fed-overlaid per-field df and fed (N, avgdl), so every
-        member selects the SAME terms — the driver merges and excludes,
-        keeping the result bitwise the monolithic MLT."""
-        return self.searcher.more_like_this(doc_fields, k, max_terms)
-
-    def significant_counts(self, query: str, field: str, min_df: int):
-        return self.searcher.significant_counts(query, field, min_df)
-
-    def get_dfs(self, field: str, terms: list[str]) -> dict:
-        return self.searcher.term_dfs(field, terms)
-
-
 class FederatedMultiFieldEngine(_Federation):
     """Cross-index MULTIFIELD search (mapping JSON -> analyzed fields
     -> per-day sub-indexes -> one query spanning them): each member
@@ -1230,13 +1209,17 @@ class FederatedMultiFieldEngine(_Federation):
     is bitwise the monolithic multifield result — the multifield
     closure of the single-field FederatedEngine contract.  Each member
     is a one-actor :class:`cb.shard.ServerPool` of
-    ``_MultiFieldFedMember``.  The aggregation methods are
+    :class:`cb.multifield.MultiFieldServer` over the whole sub-index,
+    constructed with ``fed=``; it routes and expands each query string
+    against its own vocabularies.  The aggregation methods are
     MultiFieldEngine's, over every selected member's disjoint doc
     set."""
 
     def __init__(self, fed_dir: str):
+        from .multifield import MultiFieldServer
+
         super().__init__(
-            fed_dir, True, lambda d: ServerPool(_MultiFieldFedMember, [(d, fed_dir)])
+            fed_dir, True, lambda d: ServerPool(MultiFieldServer, [(d,)], fed=fed_dir)
         )
 
     def _call(self, names: list[str], method: str, *args) -> list:
@@ -1260,7 +1243,7 @@ class FederatedMultiFieldEngine(_Federation):
         bitwise the monolithic result, exactly like most_fields."""
         t0 = time.perf_counter()
         handles = self._handles(
-            self._select(**sel), lambda p: p.fanout("search", query, k, mode, tie_breaker)
+            self._select(**sel), lambda p: p.fanout("search", query, k, mode=mode, tie_breaker=tie_breaker),
         )
         return _timed_topk(self.telemetry, t0, handles, k)
 
@@ -1278,7 +1261,7 @@ class FederatedMultiFieldEngine(_Federation):
         mode."""
         return self._boosted(
             indices_boost, self._select(**sel),
-            lambda p: p.fanout("search", query, k, mode, tie_breaker), k,
+            lambda p: p.fanout("search", query, k, mode=mode, tie_breaker=tie_breaker), k,
         )
 
     def _agg_parts(self, query: str, name: str, spec, **sel) -> list:
@@ -1334,7 +1317,7 @@ class FederatedMultiFieldEngine(_Federation):
         names = self._select(**sel)
         if not names:
             return []
-        res = _merge_topk(self._call(names, "mlt", doc_fields, kk, max_terms), kk)
+        res = _merge_topk(self._call(names, "more_like_this", doc_fields, kk, max_terms), kk)
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1357,6 +1340,6 @@ class FederatedMultiFieldEngine(_Federation):
         fg, m = _merge_sig(parts)
         if not fg or not names:
             return []
-        dfs = self._call(names[:1], "get_dfs", field, sorted(fg))[0]
+        dfs = self._call(names[:1], "term_dfs", field, sorted(fg))[0]
         n_docs = self.meta["field_stats"][field]["n_docs"]
         return _jlh_rank(fg, m, dfs, n_docs, top_n)

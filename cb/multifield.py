@@ -18,15 +18,21 @@ or let the default search span fields.  The engine analog:
   BM25 scores (field order fixed by the manifest, so float summation
   is deterministic); ``field:term`` scopes a term to one analyzed
   field.  Membership = any scored term matches in any scoped field.
-- :class:`MultiFieldSearcher` is the in-process searcher;
-  :class:`MultiFieldEngine` is the doc-sharded actor pool — every
+- :class:`MultiFieldSearcher` is the one multi-field scope: a
+  doc-range bucket slice of every field's partitions (the whole index
+  by default), optionally scored with a federation's overlay.  In
+  process it is the searcher; :class:`MultiFieldServer` is the same
+  class as a pool actor, and each member of a multifield federation
+  (:class:`cb.federated.FederatedMultiFieldEngine`) is one of those
+  over its whole sub-index.
+- :class:`MultiFieldEngine` is the doc-sharded actor pool — every
   server holds the SAME doc-range bucket slice of every field's
   partitions, computes the cross-field sum locally over its disjoint
   doc subset (bucket-pruned reads), and the driver merges by
   (score, doc_id) exactly as the single-field engine does.
-- Aggregations follow the one protocol of :mod:`cb.aggs`: the searcher
-  and each server compute a registry entry's partial with ``agg`` over
-  the routed query's full match set, and the pool merges the partials.
+- Aggregations follow the one protocol of :mod:`cb.aggs`: every scope
+  computes a registry entry's partial with ``agg`` over the routed
+  query's full match set, and the pool merges the partials.
 - The pool is a :class:`cb.shard.ServerPool` of ``MultiFieldServer``
   actors, the single-field engine's pool: :func:`cb.shard.doc_slices`
   assigns the buckets, Ray places, constructs and kills the actors, and
@@ -36,7 +42,6 @@ or let the default search span fields.  The engine analog:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -54,6 +59,7 @@ from .shard import (
     GlobalStats, PoolEngine, ServerPool, ShardPartition, _live_mask, _merge_topk,
     _timed_topk, doc_slices, load_tombstones,
 )
+from .telemetry import Telemetry
 
 
 def _mf_manifest_path(index_dir: str) -> str:
@@ -781,203 +787,151 @@ def _terms_routed(field_terms: dict) -> dict:
     }
 
 
-def _field_dfs(parts: dict, num_parts: int, terms) -> dict[str, int]:
-    """Corpus-global df per term for one field's partition map (fed
-    mode: the feddf overlay, so federation-global) — no postings
-    decode.  The ONE lookup behind MultiFieldSearcher.term_dfs and
-    MultiFieldServer.get_dfs."""
-    out = {}
-    for t in sorted(set(terms)):
-        part = parts.get(term_partition(t, num_parts))
-        if part is not None:
-            df = part.global_df.get(t)
-            if df:
-                out[t] = int(df)
-    return out
-
-
-def _fg_counts(matched: np.ndarray, parts: dict, min_df: int) -> dict[str, int]:
-    """Foreground counts for significant_terms over one scope: for
-    every owned term of the field with corpus df >= min_df,
-    |postings ∩ matched| via one clipped searchsorted per term.  Shared
-    by the in-process searcher and the doc-sharded server so the JLH
-    counting semantics cannot diverge."""
-    counts: dict[str, int] = {}
-    for part in parts.values():
-        for term in getattr(part, "offsets", {}):
-            if part.global_df.get(term, 0) < min_df:
-                continue
-            cp = part.get(term)
-            if cp is None:
-                continue
-            tids = cp.decode_all()[0]
-            pos = np.clip(np.searchsorted(matched, tids), 0, len(matched) - 1)
-            c = int(np.sum(matched[pos] == tids))
-            if c:
-                counts[term] = c
-    return counts
-
-
-def _load_docmeta(index_dir: str, fields: list[str], buckets: list[int] | None):
-    """The docmeta side table of a multi-field index lives under the
-    FIRST field's sub-index (build_from_mapping convention — every field
-    shares the same doc-range buckets).  None when not built; the filter
-    executor raises the descriptive error."""
-    from . import docmeta as docmeta_mod
-
-    try:
-        return docmeta_mod.DocMeta(field_dir(index_dir, fields[0]), buckets=buckets)
-    except FileNotFoundError:
-        return None
-
-
-def _routed_agg(scope, routed: dict, name: str, spec):
-    """One scope's partial of registry aggregation ``name`` over a
-    routed query's full match set; ``scope`` is a MultiFieldSearcher or
-    a MultiFieldServer.  The most_fields sum is slice-independent
-    (fixed field order), so scored entries merge exactly too."""
-    entry = AGGS[name]
-    dm = scope._dm()
-    if dm is None:
-        raise ValueError(f"{name} needs a docmeta table (cb.docmeta)")
-    m = _match_fields(
-        routed, scope._get, scope.stats, scope.fields, scope.tombstones,
-        docmeta=dm,
-    )
-    if m is None:
-        return entry.empty(spec)
-    all_ids, total, keep = m
-    return entry.partial(all_ids[keep], total[keep], dm, spec)
-
-
 class MultiFieldSearcher:
-    """In-process multi-field searcher (tests / tiny corpora).
+    """One doc-range slice of EVERY field's partitions (``buckets``;
+    None: every bucket, the whole index), loaded once: the one
+    multi-field scope.  In process it is the searcher over the whole
+    index (tests / tiny corpora); :class:`MultiFieldServer` is this
+    class as a pool actor.  The cross-field sum needs all of a doc's
+    field scores co-located, and doc-sharding every field by the SAME
+    bucket assignment guarantees exactly that; the bucket-pruned layout
+    means a slice reads only its bucket files of each field sub-index.
 
-    ``fed=`` makes this a FEDERATION MEMBER (cb.federated, multifield
-    mode): every field scores with the federation-global per-field
-    (N, avgdl) and per-term df overlays read from that field's feddf
-    summaries, so member top-k lists merge bitwise into the monolithic
-    multifield result (the same dfs_query_then_fetch contract the
-    single-field ShardServer/LocalSearcher fed override implements).
-    Fed members force ``algo="wand"`` to TAAT — the stored block-max
-    umax used each sub-index's build avgdl, which the fed overlay can
-    exceed, invalidating WAND's bounds.
+    ``fed=`` makes the scope a FEDERATION MEMBER (cb.federated,
+    multifield mode): every field scores with the federation-global
+    per-field (N, avgdl) and per-term df overlays read from that
+    field's feddf summaries (:func:`cb.federated.fed_overlay`), so
+    member top-k lists merge bitwise into the monolithic multifield
+    result.  Fed members force ``algo="wand"`` to TAAT — the stored
+    block-max umax used each sub-index's build avgdl, which the fed
+    overlay can exceed, invalidating WAND's bounds.
 
-    ``facet_counts`` ... ``function_score`` are :meth:`agg` over the
-    whole index as one scope: the reference the pool engines match."""
+    A request's query is a query string, routed and wildcard/fuzzy
+    expanded here against this index's vocabularies, or a clause set
+    :class:`MultiFieldEngine` already routed.  ``facet_counts`` ...
+    ``function_score`` are :meth:`agg` over this one scope: over the
+    whole index, the reference the pool engines match."""
 
-    def __init__(self, index_dir: str, fed: str | None = None):
-        self._fed_override = fed is not None
+    def __init__(
+        self, index_dir: str, buckets: list[int] | None = None, fed: str | None = None
+    ):
         m = load_multifield_meta(index_dir)
         self.index_dir = index_dir
+        self.buckets = buckets
         self.fields: list[str] = m["fields"]
         self.metas = {f: IndexMeta(field_dir(index_dir, f)) for f in self.fields}
-        self.stats = {
-            f: GlobalStats(meta.n_docs, meta.avgdl) for f, meta in self.metas.items()
-        }
         self.parts = {
             f: {
-                p: ShardPartition(meta.part_dir(p))
+                p: ShardPartition(meta.part_dir(p), buckets=buckets)
                 for p in range(meta.num_parts)
             }
             for f, meta in self.metas.items()
         }
+        self._fed_override = fed is not None  # wand -> taat, see cb.shard.ShardScope
         if fed is not None:
-            import json as _json
+            from .federated import fed_overlay
 
-            import pyarrow.parquet as _pq
-
-            from . import federated as _fed
-
-            with open(_fed.fed_meta_path(fed)) as fh:
-                fg = _json.load(fh)
-            fs = fg["field_stats"]
             self.stats = {
-                f: GlobalStats(fs[f]["n_docs"], fs[f]["avgdl"])
-                for f in self.fields
+                f: GlobalStats(*fed_overlay(fed, self.parts[f], field=f)) for f in self.fields
             }
-            for f, meta in self.metas.items():
-                for p, part in self.parts[f].items():
-                    fp = _fed.feddf_path(fed, p, field=f)
-                    if os.path.exists(fp):
-                        t = _pq.read_table(fp)
-                        part.global_df = dict(
-                            zip(t["term"].to_pylist(), t["df"].to_pylist())
-                        )
+        else:
+            self.stats = {
+                f: GlobalStats(meta.n_docs, meta.avgdl) for f, meta in self.metas.items()
+            }
         self.tombstones = load_tombstones(index_dir)
-        self.buckets = None  # the whole index: every doc-range bucket
         self._docmeta = None  # lazy, see _dm
+        self._fds: dict = {}  # field -> lazy DocStats, see _field_docstats
         self._vocabs: dict[str, list[str]] | None = None  # lazy (wildcard/fuzzy)
+        self.telemetry = Telemetry()
+
+    def metrics(self) -> dict:
+        return self.telemetry.snapshot()
 
     def _get(self, field: str, term: str):
         meta = self.metas[field]
         return self.parts[field][term_partition(term, meta.num_parts)].get(term)
 
     def _dm(self):
-        """The docmeta table of this scope's buckets, loaded on first
-        use; None while it is not built."""
+        """This scope's docmeta table (it shards WITH the postings: only
+        this scope's doc-range buckets), loaded on first use; None while
+        it is not built (the filter executor raises the descriptive
+        error).  It lives under the FIRST field's sub-index
+        (build_from_mapping convention — every field shares the same
+        doc-range buckets)."""
         if self._docmeta is None:
-            self._docmeta = _load_docmeta(self.index_dir, self.fields, self.buckets)
+            from . import docmeta as docmeta_mod
+
+            try:
+                self._docmeta = docmeta_mod.DocMeta(
+                    field_dir(self.index_dir, self.fields[0]), buckets=self.buckets
+                )
+            except FileNotFoundError:
+                pass
         return self._docmeta
 
-    def _routed(self, query: str) -> dict:
+    def _routed(self, query: str | dict) -> dict:
+        """A routed clause set as is; a query string routed, with its
+        wildcard/fuzzy atoms expanded against this index's per-field
+        vocabularies."""
+        if not isinstance(query, str):
+            return query
         routed = route_query(query, self.fields)
         if routed.get("expands"):
-            routed = expand_routed(routed, self._field_vocabs())
+            if self._vocabs is None:
+                from .shard import load_vocab
+
+                self._vocabs = {f: load_vocab(m) for f, m in self.metas.items()}
+            routed = expand_routed(routed, self._vocabs)
         return routed
-
-    def _field_vocabs(self) -> dict[str, list[str]]:
-        from .shard import load_vocab
-
-        if self._vocabs is None:
-            self._vocabs = {f: load_vocab(m) for f, m in self.metas.items()}
-        return self._vocabs
 
     def search(
         self, query: str, k: int = 10, algo: str = "taat",
         synonyms: dict | None = None, mode: str = "most_fields",
         tie_breaker: float = 0.0,
     ) -> list[tuple[int, float]]:
-        # default matches MultiFieldEngine/MultiFieldServer: vectorized
-        # exact TAAT wins wall-clock for in-memory postings (measured,
-        # BENCH/BASELINE.md round-5); algo="wand" is the opt-in
-        # selective/disk path, rank-identical by construction and test
-        if algo == "wand" and self._fed_override:
-            algo = "taat"  # stored umax bounds are sub-index-avgdl-based
         routed = self._routed(query)
         if synonyms:
             routed = apply_synonyms_routed(routed, synonyms)
-        routed = with_mode(routed, mode, tie_breaker)
-        dm = self._dm() if routed["filters"] else None
-        return _score_fields(
-            routed, self._get, self.stats, self.fields, k, self.tombstones,
-            docmeta=dm, algo=algo, dfs_of=self.term_dfs,
-        )
+        return self.score(with_mode(routed, mode, tie_breaker), k, algo)
 
-    def _match(self, query: str):
-        """(matched doc ids, docmeta) over the FULL match set of a
-        multifield query (not top-k)."""
+    def score(self, routed: dict, k: int, algo: str = "taat") -> list[tuple[int, float]]:
+        """Top-k of a routed clause set over this scope.  The default,
+        vectorized exact TAAT, wins wall-clock for in-memory postings
+        (measured, BENCH/BASELINE.md round-5); ``algo="wand"`` is the
+        opt-in selective/disk path, rank-identical by construction and
+        test."""
+        if algo == "wand" and self._fed_override:
+            algo = "taat"  # stored umax bounds are sub-index-avgdl-based
+        self.telemetry.incr("server.scores")
+        self.telemetry.incr(
+            "server.terms",
+            sum(len(ts) for ts in routed.get("field_terms", {}).values()),
+        )
+        with self.telemetry.timer("server.score"):
+            dm = self._dm() if routed.get("filters") else None
+            return _score_fields(
+                routed, self._get, self.stats, self.fields, k, self.tombstones,
+                docmeta=dm, algo=algo, dfs_of=self.term_dfs,
+            )
+
+    def agg(self, query: str | dict, name: str, spec):
+        """This scope's partial of registry aggregation ``name``
+        (:mod:`cb.aggs`) over the query's full match set — over the
+        whole index, the result itself.  The most_fields sum is
+        slice-independent (fixed field order), so scored entries merge
+        exactly too."""
+        entry = AGGS[name]
         routed = self._routed(query)
         dm = self._dm()
-        if routed["filters"] and dm is None:
-            raise ValueError(
-                f"filter fields {sorted(routed['filters'])} need a docmeta "
-                "table (cb.docmeta / mapping not_analyzed)"
-            )
+        if dm is None:
+            raise ValueError(f"{name} needs a docmeta table (cb.docmeta)")
         m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
+            routed, self._get, self.stats, self.fields, self.tombstones, docmeta=dm,
         )
         if m is None:
-            return None, dm
-        all_ids, _, keep = m
-        return all_ids[keep], dm
-
-    def agg(self, query: str, name: str, spec):
-        """Registry aggregation ``name`` (:mod:`cb.aggs`) over the
-        query's full multifield match set — this searcher is one scope,
-        so its partial is the whole result."""
-        return _routed_agg(self, self._routed(query), name, spec)
+            return entry.empty(spec)
+        all_ids, total, keep = m
+        return entry.partial(all_ids[keep], total[keep], dm, spec)
 
     def facet_counts(self, query: str, facet_cols=(), stats_cols=()):
         return self.agg(query, "facets", (list(facet_cols), list(stats_cols)))
@@ -1000,8 +954,15 @@ class MultiFieldSearcher:
     def term_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
         """Corpus-global df per term for one field from its partition
         ``_termdf`` summaries (fed mode: the feddf overlay, so this is
-        federation-global) — no postings decode."""
-        return _field_dfs(self.parts[field], self.metas[field].num_parts, terms)
+        federation-global) — no postings decode.  Every doc-range slice
+        holds every partition's summary."""
+        parts, num_parts = self.parts[field], self.metas[field].num_parts
+        out = {}
+        for t in sorted(set(terms)):
+            df = parts[term_partition(t, num_parts)].global_df.get(t)
+            if df:
+                out[t] = int(df)
+        return out
 
     def more_like_this(
         self,
@@ -1012,14 +973,13 @@ class MultiFieldSearcher:
     ) -> list[tuple[int, float]]:
         """ES most_fields more_like_this: per-field top tf*idf term
         selection over the input doc's field values, then one
-        field-scoped most_fields query, source doc dropped."""
+        field-scoped most_fields query, source doc dropped.  On a
+        federation member, term selection uses the fed-overlaid df and
+        (N, avgdl), so every member selects the SAME terms."""
         field_terms = _mlt_field_terms(
             self.fields, self.stats, doc_fields, self.term_dfs, max_terms
         )
-        res = _score_fields(
-            _terms_routed(field_terms), self._get, self.stats, self.fields,
-            k + (1 if exclude is not None else 0), self.tombstones,
-        )
+        res = self.score(_terms_routed(field_terms), k + (1 if exclude is not None else 0))
         if exclude is not None:
             res = [r for r in res if r[0] != exclude][:k]
         return res
@@ -1028,16 +988,35 @@ class MultiFieldSearcher:
         return _page_after(self.search, query, k, after)
 
     def significant_counts(
-        self, query: str, field: str, min_df: int = 2
+        self, query: str | dict, field: str, min_df: int = 2
     ) -> tuple[dict, int]:
-        """Foreground counts for significant_terms over THIS scope:
-        for every term of ``field`` with corpus df >= min_df,
-        |postings ∩ match set| via one searchsorted per term."""
-        ids, _ = self._match(query)
-        if ids is None or len(ids) == 0:
+        """Foreground counts for significant_terms over THIS scope: for
+        every owned term of ``field`` with corpus df >= min_df,
+        |postings ∩ match set| via one clipped searchsorted per term,
+        and the match-set size.  Slices are disjoint, so the driver
+        merge is exact addition."""
+        routed = self._routed(query)
+        dm = self._dm() if routed.get("filters") else None
+        m = _match_fields(
+            routed, self._get, self.stats, self.fields, self.tombstones, docmeta=dm,
+        )
+        if m is None:
             return {}, 0
-        matched = np.sort(np.asarray(ids, dtype=np.int64))
-        return _fg_counts(matched, self.parts[field], min_df), int(len(matched))
+        all_ids, _, keep = m
+        matched = np.sort(all_ids[keep])
+        if len(matched) == 0:
+            return {}, 0
+        counts: dict[str, int] = {}
+        for part in self.parts[field].values():
+            for term in part.offsets:
+                if part.global_df.get(term, 0) < min_df:
+                    continue
+                tids = part.get(term).decode_all()[0]
+                pos = np.clip(np.searchsorted(matched, tids), 0, len(matched) - 1)
+                c = int(np.sum(matched[pos] == tids))
+                if c:
+                    counts[term] = c
+        return counts, int(len(matched))
 
     def significant_terms(
         self, query: str, field: str, top_n: int = 10, min_df: int = 2
@@ -1049,76 +1028,11 @@ class MultiFieldSearcher:
         dfs = self.term_dfs(field, sorted(fg))
         return _jlh_rank(fg, m, dfs, self.stats[field].n_docs, top_n)
 
-
-@ray.remote
-class MultiFieldServer(rpc.Server):
-    """One doc-range slice of EVERY field's partitions: the cross-field
-    sum needs all of a doc's field scores co-located, and doc-sharding
-    every field by the SAME bucket assignment guarantees exactly that.
-    Bucket-pruned layout -> this server reads only its bucket files of
-    each field sub-index."""
-
-    def __init__(self, index_dir: str, buckets: list[int] | None):
-        m = load_multifield_meta(index_dir)
-        self.index_dir = index_dir
-        self.buckets = buckets
-        self.fields: list[str] = m["fields"]
-        self.metas = {f: IndexMeta(field_dir(index_dir, f)) for f in self.fields}
-        self.stats = {
-            f: GlobalStats(meta.n_docs, meta.avgdl) for f, meta in self.metas.items()
-        }
-        self.parts = {
-            f: {
-                p: ShardPartition(meta.part_dir(p), buckets=buckets)
-                for p in range(meta.num_parts)
-            }
-            for f, meta in self.metas.items()
-        }
-        self.tombstones = load_tombstones(index_dir)
-        self._docmeta = None  # lazy, see _dm
-        from .telemetry import Telemetry
-
-        self.telemetry = Telemetry()
-
-    def metrics(self) -> dict:
-        return self.telemetry.snapshot()
-
-    def _get(self, field: str, term: str):
-        meta = self.metas[field]
-        return self.parts[field][term_partition(term, meta.num_parts)].get(term)
-
-    def _dm(self):
-        """This slice's docmeta (it shards WITH the postings: only this
-        server's doc-range buckets), loaded on first use; None while it
-        is not built."""
-        if self._docmeta is None:
-            self._docmeta = _load_docmeta(self.index_dir, self.fields, self.buckets)
-        return self._docmeta
-
-    def score(self, routed: dict, k: int, algo: str = "taat"):
-        self.telemetry.incr("server.scores")
-        self.telemetry.incr(
-            "server.terms",
-            sum(len(ts) for ts in routed.get("field_terms", {}).values()),
-        )
-        dm = self._dm() if routed.get("filters") else None
-        return _score_fields(
-            routed, self._get, self.stats, self.fields, k, self.tombstones,
-            docmeta=dm, algo=algo, dfs_of=self.get_dfs,
-        )
-
-    def agg(self, routed: dict, name: str, spec):
-        """This slice's partial of registry aggregation ``name``
-        (:mod:`cb.aggs`) over the routed query's full match set."""
-        return _routed_agg(self, routed, name, spec)
-
     def _field_docstats(self, field: str):
-        """Per-field doc_id -> doc_len lookup for THIS slice's buckets
-        (the combined-fields dl' gather), loaded once per server."""
+        """Per-field doc_id -> doc_len lookup for THIS scope's buckets
+        (the combined-fields dl' gather), loaded once per scope."""
         from .shard import DocStats
 
-        if not hasattr(self, "_fds"):
-            self._fds = {}
         if field not in self._fds:
             self._fds[field] = DocStats.load(
                 field_dir(self.index_dir, field), buckets=self.buckets
@@ -1158,28 +1072,11 @@ class MultiFieldServer(rpc.Server):
         all_ids, total, keep = m
         return rank_topk(all_ids[keep], total[keep], k)
 
-    def get_dfs(self, field: str, terms: list[str]) -> dict[str, int]:
-        """Corpus-global per-field df from the ``_termdf`` summaries
-        (every doc-sharded server holds every partition's summary)."""
-        return _field_dfs(self.parts[field], self.metas[field].num_parts, terms)
 
-    def significant(self, routed: dict, field: str, min_df: int = 2):
-        """Foreground counts over THIS slice's match set for every
-        owned term of ``field`` with corpus df >= min_df — slices are
-        disjoint, so the driver merge is exact addition (the multifield
-        analog of ShardServer.significant)."""
-        dm = self._dm() if routed.get("filters") else None
-        m = _match_fields(
-            routed, self._get, self.stats, self.fields, self.tombstones,
-            docmeta=dm,
-        )
-        if m is None:
-            return {}, 0
-        all_ids, _, keep = m
-        matched = np.sort(all_ids[keep])
-        if len(matched) == 0:
-            return {}, 0
-        return _fg_counts(matched, self.parts[field], min_df), int(len(matched))
+@ray.remote
+class MultiFieldServer(MultiFieldSearcher, rpc.Server):
+    """A :class:`MultiFieldSearcher` as a serving-pool actor
+    (``ray::MultiFieldServer``)."""
 
 
 class MultiFieldEngine(PoolEngine):
@@ -1304,7 +1201,7 @@ class MultiFieldEngine(PoolEngine):
         terms = sorted(set(terms))
         if not terms:
             return {}
-        return rpc.get(self.pool.conns[0].call("get_dfs", field, terms))
+        return rpc.get(self.pool.conns[0].call("term_dfs", field, terms))
 
     def more_like_this(
         self,
@@ -1346,7 +1243,7 @@ class MultiFieldEngine(PoolEngine):
         set: per-slice fg counts add, match totals add, JLH at the
         driver with corpus-global df."""
         routed = self._routed(query)
-        parts = self.pool.gather("significant", routed, field, min_df)
+        parts = self.pool.gather("significant_counts", routed, field, min_df)
         fg, m = _merge_sig(parts)
         dfs = self.term_dfs(field, sorted(fg))
         n = self._field_stats()[field].n_docs

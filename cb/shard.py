@@ -17,7 +17,7 @@ its disjoint doc range (exact TAAT for top-k, block-max WAND
 selectable), and the driver merges exactly — top-k by (score desc,
 doc_id asc).
 Aggregations follow the one protocol of :mod:`cb.aggs`:
-:meth:`ShardServer.agg` computes a registry entry's partial over its
+:meth:`ShardScope.agg` computes a registry entry's partial over its
 slice's match set, ``QueryEngine._agg_refs`` is the route, and the
 driver merges the partials.  idf stays corpus-exact on a slice: per-term
 global df comes from each partition's ``_termdf.parquet`` summary.
@@ -25,26 +25,35 @@ Scoring needs no side tables — per-posting doc lengths ride in the
 postings (cb.compress) — so the only corpus-global serving state is
 (N, avgdl) from ``_global.json`` (or a federation's overlay).
 
-One pool under every engine: :class:`ServerPool` is the driver half of
-every serving pool — this module's, :class:`cb.multifield.MultiFieldEngine`'s
-and each :mod:`cb.federated` member's.  It constructs the actors, owns
-their connections and the driver's phase timers, fans requests out,
-reports ``metrics()`` in one shape and shuts the actors down; an engine
-keeps only its routing and merging.  Ray places the server actors, runs
-their ``__init__`` and kills them (the control plane).  Every request
-after that — ``score``, ``warm``, ``metrics``, aggregations — travels
-over one authenticated socket per server (:mod:`cb.rpc`, the data
-plane), not as a Ray actor task: :meth:`ServerPool.fanout` sends to
-every server and returns reply handles, and :func:`cb.rpc.get` waits
-for them.  Replies come back in send order, so msearch and federations
-put many requests in flight before waiting, and a dead server raises
-:class:`cb.rpc.ServerDied`.
+One scope class, one pool under every engine.  :class:`ShardScope` is
+the one server-side implementation: it loads a doc-range slice
+(``buckets``; None is the whole index), applies a federation's overlay
+(``fed``), masks tombstones, routes WAND to exact TAAT where block-max
+bounds cannot hold, and answers every request.  :class:`ShardServer`
+is that class as a pool actor and :class:`LocalSearcher` is it over the
+whole index in process, adding only text front ends that analyze or
+parse a request before calling the same method; the multifield index
+has the same split (:class:`cb.multifield.MultiFieldSearcher` and its
+actor :class:`cb.multifield.MultiFieldServer`).  :class:`ServerPool` is
+the driver half of every serving pool — this module's,
+:class:`cb.multifield.MultiFieldEngine`'s and each :mod:`cb.federated`
+member's.  It constructs the actors, owns their connections and the
+driver's phase timers, fans requests out, reports ``metrics()`` in one
+shape and shuts the actors down; an engine keeps only its routing and
+merging.  Ray places the server actors, runs their ``__init__`` and
+kills them (the control plane).  Every request after that — ``score``,
+``warm``, ``metrics``, aggregations — travels over one authenticated
+socket per server (:mod:`cb.rpc`, the data plane), not as a Ray actor
+task: :meth:`ServerPool.fanout` sends to every server and returns reply
+handles, and :func:`cb.rpc.get` waits for them.  Replies come back in
+send order, so msearch and federations put many requests in flight
+before waiting, and a dead server raises :class:`cb.rpc.ServerDied`.
 
 Load and warm stay columnar.  A server's :class:`ShardPartition` holds
 its bucket rows as one Arrow table and, from one pass at load, each
 term's row range and df/cf; :meth:`ShardPartition.get` returns a lazy
 :class:`ChunkedPostings` view over that range, which copies and decodes
-nothing until asked.  :meth:`ShardServer.warm` pre-decodes a server's
+nothing until asked.  :meth:`ShardScope.warm` pre-decodes a server's
 postings so the first queries do not pay it: per loaded partition it
 selects the rows of the terms to warm, decodes their id/tf/dl streams
 in ONE varint pass per stream (:func:`cb.compress.decode_table`),
@@ -75,7 +84,7 @@ import ray
 
 from . import analyze, compress, phrase as phrase_mod, rpc, scoring, wand
 from .aggs import (
-    AGGS, AggRoute, _collapse_from_top_hits, _facets_over, _jlh_rank, _merge_sig,
+    AGGS, AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig,
     _merge_topk, _page_composite, _pct_ranges, _pct_ranks_from_counts,
 )
 from .build import IndexMeta, _cumsum0, term_partition
@@ -378,58 +387,46 @@ def load_vocab(meta: IndexMeta) -> list[str]:
     return pa.chunked_array(cols).to_pylist()
 
 
-@ray.remote
-class ShardServer(rpc.Server):
-    """Owns a doc-range bucket slice (``buckets``) of every term
-    partition; loads once, serves many queries over that slice.
+class ShardScope:
+    """One doc-range slice of an index: the doc-range buckets
+    ``buckets`` of every term partition (None: every bucket, the whole
+    index), loaded once and serving many requests.  The one server-side
+    implementation: :class:`ShardServer` is this class as a pool actor,
+    and :class:`LocalSearcher` is it over the whole index in process.
 
     Load is PRUNED AT THE READ: the partition layout is one file per
-    doc-range bucket, so a server opens only its assigned bucket files —
-    bytes read per server ~ 1/S of the index, no loader tasks, no shared
+    doc-range bucket, so a scope opens only its bucket files — bytes
+    read per server ~ 1/S of the index, no loader tasks, no shared
     full-file decode, and partitions larger than one worker's memory
-    still serve."""
+    still serve.  ``fed`` (a federation dir, :mod:`cb.federated`) makes
+    the scope a federation member: it scores with the federation-global
+    (N, avgdl) and per-term df (:func:`cb.federated.fed_overlay`), so
+    top-k lists merge exactly across sub-indexes."""
 
-    def __init__(self, index_dir: str, buckets: list[int], fed: str | None = None):
+    def __init__(self, index_dir: str, buckets: list[int] | None = None, fed: str | None = None):
         t0 = time.perf_counter()
         meta = IndexMeta(index_dir)
         self.parts = {
             p: ShardPartition(meta.part_dir(p), buckets=buckets)
             for p in range(meta.num_parts)
         }
-        self.stats = GlobalStats(meta.n_docs, meta.avgdl)
-        self.n_docs = meta.n_docs
+        n_docs, avgdl = meta.n_docs, meta.avgdl
         # block-max umax annotations were computed with the BUILD-time
         # avgdl; a federation override changes avgdl, so WAND's pruning
         # bounds would be invalid (u grows with avgdl) — fed members
         # route every wand request through exact TAAT instead
         self._fed_override = fed is not None
         if fed is not None:
-            # federation member (cb.federated): score with the
-            # federation-global (N, avgdl) and per-term df so top-k
-            # lists merge exactly across sub-indexes
-            # (dfs_query_then_fetch).  df overlays are read per term
-            # partition from the tiny feddf summaries — never a
-            # whole-vocabulary driver object.
-            import json as _json
+            from .federated import fed_overlay
 
-            from . import federated as _fed
-
-            with open(_fed.fed_meta_path(fed)) as f:
-                fg = _json.load(f)
-            self.stats = GlobalStats(fg["n_docs"], fg["avgdl"])
-            self.n_docs = fg["n_docs"]
-            for p, part in self.parts.items():
-                fp = _fed.feddf_path(fed, p)
-                if os.path.exists(fp):
-                    t = pq.read_table(fp)
-                    part.global_df = dict(
-                        zip(t["term"].to_pylist(), t["df"].to_pylist())
-                    )
+            n_docs, avgdl = fed_overlay(fed, self.parts)
+        self.stats = GlobalStats(n_docs, avgdl)
+        self.n_docs = n_docs
         self.num_parts = meta.num_parts
         self.range_bits = meta.range_bits
         self.index_dir = index_dir
-        self.buckets = buckets  # this server's doc-range slice
-        # tombstones are read ONCE at server start: deletes issued later
+        self.buckets = buckets  # this scope's doc-range slice
+        # tombstones are read ONCE at scope start: deletes issued later
         # need a new engine (documented delete_docs contract)
         self.tombstones = load_tombstones(index_dir)
         self._docmeta = None  # lazy DocMeta for filtered search
@@ -445,12 +442,12 @@ class ShardServer(rpc.Server):
         # matched doc ids.  Every full-match aggregation (facets,
         # histogram, range, composite, sampler, filters, adjacency,
         # significant) shares it, so repeated aggregations over the
-        # same query pay the match pass once per server lifetime.
-        # Safe because the inputs are fixed per server: the index is
+        # same query pay the match pass once per scope lifetime.
+        # Safe because the inputs are fixed per scope: the index is
         # immutable, tombstones load once, docmeta is read-only.
         self._match_cache: OrderedDict[str, np.ndarray | None] = OrderedDict()
         self._match_cache_cap = 32
-        # per-actor stage counters (TelemetryProvider.cs analog);
+        # per-scope stage counters (TelemetryProvider.cs analog);
         # rolled up by QueryEngine.metrics()
         self.telemetry = Telemetry()
         self.telemetry.record("server.init", time.perf_counter() - t0)
@@ -468,7 +465,7 @@ class ShardServer(rpc.Server):
             return hit
         universe, _, keep = querylang.match(
             parsed,
-            get_postings=self._local,
+            get_postings=self.get_postings,
             stats=self.stats,
             docmeta=dm,
             decoded_cache=self.decoded,
@@ -482,11 +479,17 @@ class ShardServer(rpc.Server):
 
     def _dm(self):
         """This slice's DocMeta, loaded once on first use (the bucket
-        range shards the filter table with the postings)."""
+        range shards the filter table with the postings).  On an index
+        without one, every request that needs it is a ValueError."""
         if self._docmeta is None:
             from . import docmeta as docmeta_mod
 
-            self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
+            try:
+                self._docmeta = docmeta_mod.DocMeta(self.index_dir, buckets=self.buckets)
+            except FileNotFoundError:
+                raise ValueError(
+                    f"{self.index_dir}: no docmeta table is loaded (build one with cb.docmeta)"
+                ) from None
         return self._docmeta
 
     def _dm_for(self, *parsed: dict):
@@ -497,7 +500,7 @@ class ShardServer(rpc.Server):
             return self._dm()
         return None
 
-    def _local(self, term: str) -> ChunkedPostings | None:
+    def get_postings(self, term: str) -> ChunkedPostings | None:
         if term not in self.cache:
             p = term_partition(term, self.num_parts)
             self.cache[term] = self.parts[p].get(term)
@@ -542,13 +545,13 @@ class ShardServer(rpc.Server):
             self.decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
             # score reads df/gdf from the cached view; its chunks stay
             # unbuilt until a positional reader or WAND asks for them
-            self._local(term)
+            self.get_postings(term)
         return len(terms)
 
     def _live_idfs(self, terms) -> tuple[dict, dict]:
         """The query terms present in this slice -> their postings, and
         each one's corpus-global idf (``gdf``, so slices score alike)."""
-        live = {t: p for t in terms if (p := self._local(t)) is not None}
+        live = {t: p for t in terms if (p := self.get_postings(t)) is not None}
         return live, {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
 
     def score(self, terms: list[str], k: int, algo: str = "taat"):
@@ -558,6 +561,7 @@ class ShardServer(rpc.Server):
         in-memory postings); ``algo="wand"`` selects block-max WAND —
         rank-identical by construction and by test.
         """
+        check_k(k)
         if algo == "wand" and self._fed_override:
             algo = "taat"  # stored umax bounds are sub-index-avgdl-based
         key = (tuple(terms), k, algo)
@@ -601,12 +605,11 @@ class ShardServer(rpc.Server):
         filter context never changes scores, only membership."""
         from .query import rank_topk
 
-        dm = self._dm()
         live, idfs = self._live_idfs(terms)
         universe, acc = wand.taat_scores(live, idfs, self.stats, decoded_cache=self.decoded)
         if universe is None:
             return []
-        keep = dm.mask(universe, filters) & _live_mask(universe, self.tombstones)
+        keep = self._dm().mask(universe, filters) & _live_mask(universe, self.tombstones)
         return rank_topk(universe[keep], acc[keep], k)
 
     def query_string(self, parsed: dict, k: int):
@@ -617,7 +620,7 @@ class ShardServer(rpc.Server):
 
         return querylang.execute(
             parsed,
-            get_postings=self._local,
+            get_postings=self.get_postings,
             stats=self.stats,
             k=k,
             docmeta=self._dm_for(parsed),
@@ -637,7 +640,7 @@ class ShardServer(rpc.Server):
         if entry.scored:
             universe, scores, keep = querylang.match(
                 parsed,
-                get_postings=self._local,
+                get_postings=self.get_postings,
                 stats=self.stats,
                 docmeta=dm,
                 decoded_cache=self.decoded,
@@ -712,7 +715,7 @@ class ShardServer(rpc.Server):
         for live docs whose first occurrence of ``term`` ends by
         position ``end`` — decoded straight off the positional
         postings, tombstone-masked, id-sorted."""
-        p = self._local(term)
+        p = self.get_postings(term)
         if p is None:
             return []
         ids, first = phrase_mod.span_first_docs(p, end)
@@ -768,7 +771,7 @@ class ShardServer(rpc.Server):
         for live docs where ANY term first occurs before ``end`` —
         straight off the positional postings, tombstone-masked,
         id-sorted."""
-        chunkeds = [self._local(t) for t in sorted(set(terms))]
+        chunkeds = [self.get_postings(t) for t in sorted(set(terms))]
         ids, first = phrase_mod.span_or_first_docs(chunkeds, end)
         if len(ids) == 0:
             return []
@@ -781,10 +784,10 @@ class ShardServer(rpc.Server):
         closer than ``slop`` intervening tokens to any ``term_b`` —
         the exclusion dual of span_near, same vectorized keyed-
         searchsorted kernel (cb.phrase.span_not_docs)."""
-        pa_ = self._local(term_a)
+        pa_ = self.get_postings(term_a)
         if pa_ is None:
             return []
-        ids, pos = phrase_mod.span_not_docs(pa_, self._local(term_b), slop)
+        ids, pos = phrase_mod.span_not_docs(pa_, self.get_postings(term_b), slop)
         if len(ids) == 0:
             return []
         keep = _live_mask(ids, self.tombstones)
@@ -811,7 +814,7 @@ class ShardServer(rpc.Server):
             )
         pid_arrays = []
         for t in sorted(set(prefix_terms)):
-            p = self._local(t)
+            p = self.get_postings(t)
             if p is None:
                 continue
             hit = self.decoded.get(t)
@@ -842,7 +845,7 @@ class ShardServer(rpc.Server):
         terms co-occur within ``slop`` positions — vectorized off the
         positional postings (cb.phrase.span_near_docs), tombstone-
         masked, id-sorted."""
-        pa_, pb_ = self._local(term_a), self._local(term_b)
+        pa_, pb_ = self.get_postings(term_a), self.get_postings(term_b)
         if pa_ is None or pb_ is None:
             return []
         ids, gaps = phrase_mod.span_near_docs(pa_, pb_, slop)
@@ -859,7 +862,7 @@ class ShardServer(rpc.Server):
         one-occurrence-per-term tuple — in query order when
         ``ordered`` — spans at most ``max_gaps`` intervening positions
         (cb.phrase.intervals_docs), tombstone-masked, id-sorted."""
-        chunkeds = [self._local(t) for t in terms]
+        chunkeds = [self.get_postings(t) for t in terms]
         ids, gaps = phrase_mod.intervals_docs(chunkeds, max_gaps, ordered)
         if len(ids) == 0:
             return []
@@ -873,10 +876,8 @@ class ShardServer(rpc.Server):
         Clears the match-result cache (cached match sets embed the old
         mask).  Returns the live tombstone count."""
         self.tombstones = load_tombstones(self.index_dir)
-        if getattr(self, "_match_cache", None):
-            self._match_cache.clear()
-        if getattr(self, "results", None):
-            self.results.clear()  # scored-result LRU embeds the old mask
+        self._match_cache.clear()
+        self.results.clear()  # scored-result LRU embeds the old mask
         return int(len(self.tombstones))
 
     def lm_counts(
@@ -892,7 +893,7 @@ class ShardServer(rpc.Server):
         decs = {}
         cf: dict[str, int] = {}
         for t in unigrams:
-            p = self._local(t)
+            p = self.get_postings(t)
             if p is None:
                 continue
             d = phrase_mod.decode_live(p, self.tombstones)
@@ -920,7 +921,7 @@ class ShardServer(rpc.Server):
         dm = self._dm()
         universe, acc, keep = querylang.match(
             parsed,
-            get_postings=self._local,
+            get_postings=self.get_postings,
             stats=self.stats,
             docmeta=dm,
             decoded_cache=self.decoded,
@@ -1070,7 +1071,7 @@ class ShardServer(rpc.Server):
         dm = self._dm_for(parsed_pos, parsed_neg)
         universe, acc, keep = querylang.match(
             parsed_pos,
-            get_postings=self._local,
+            get_postings=self.get_postings,
             stats=self.stats,
             docmeta=dm,
             decoded_cache=self.decoded,
@@ -1083,7 +1084,7 @@ class ShardServer(rpc.Server):
             return []
         nuni, _, nkeep = querylang.match(
             parsed_neg,
-            get_postings=self._local,
+            get_postings=self.get_postings,
             stats=self.stats,
             docmeta=dm,
             decoded_cache=self.decoded,
@@ -1107,7 +1108,7 @@ class ShardServer(rpc.Server):
         )[0]:
             return out
         for t in sorted(terms):
-            p = self._local(t)
+            p = self.get_postings(t)
             if p is None:
                 continue
             ids, tfs, dls = p.decode_all()
@@ -1219,7 +1220,7 @@ class ShardServer(rpc.Server):
                 if term in self.decoded:
                     ids = self.decoded[term][0]
                 else:
-                    cp = self._local(term)
+                    cp = self.get_postings(term)
                     if cp is None:
                         continue
                     ids = cp.decode_all()[0]
@@ -1231,7 +1232,7 @@ class ShardServer(rpc.Server):
 
     def phrase(self, ordered_terms: list[str], k: int, slop: int = 0):
         """Exact phrase top-k (positional postings) over this slice."""
-        postings = {t: self._local(t) for t in set(ordered_terms)}
+        postings = {t: self.get_postings(t) for t in set(ordered_terms)}
         return _phrase_topk_live(ordered_terms, postings, self.stats, k, self.tombstones, slop=slop)
 
     def phrase_prefix(self, fixed: list[str], expansions: list[str], k: int):
@@ -1240,7 +1241,7 @@ class ShardServer(rpc.Server):
         Tombstones are dropped from the FULL match set before ranking
         (no over-fetch needed — prefix matching computes the whole set
         anyway)."""
-        postings = {t: self._local(t) for t in set(fixed) | set(expansions)}
+        postings = {t: self.get_postings(t) for t in set(fixed) | set(expansions)}
         return phrase_mod.phrase_prefix_topk(
             fixed, expansions, postings, self.stats, k, drop_ids=self.tombstones
         )
@@ -1258,7 +1259,6 @@ class ShardServer(rpc.Server):
         from .build import ID_BITS
 
         shift = ID_BITS - self.range_bits
-        owned = set(self.buckets)
         rows: list[tuple] = []
         for doc in doc_ids:
             doc = int(doc)
@@ -1267,7 +1267,7 @@ class ShardServer(rpc.Server):
             )[0]:
                 continue
             b = doc >> shift
-            if b not in owned:
+            if self.buckets is not None and b not in self.buckets:
                 continue
             for part in self.parts.values():
                 if part.table is None:
@@ -1298,7 +1298,7 @@ class ShardServer(rpc.Server):
             )
         shift = ID_BITS - self.range_bits
         ids = np.array(sorted(set(int(d) for d in doc_ids)), dtype=np.int64)
-        if len(ids):
+        if len(ids) and self.buckets is not None:
             ids = ids[np.isin(ids >> shift, np.array(sorted(self.buckets), dtype=np.int64))]
         if len(self.tombstones) and len(ids):
             ids = ids[_live_mask(ids, self.tombstones)]
@@ -1335,46 +1335,38 @@ class ShardServer(rpc.Server):
         return out
 
 
-class LocalSearcher:
-    """In-process searcher over a built index (tests / tiny corpora;
-    production serving is the actor pool below)."""
+@ray.remote
+class ShardServer(ShardScope, rpc.Server):
+    """A :class:`ShardScope` as a serving-pool actor (``ray::ShardServer``):
+    Ray constructs it, then every request arrives over :mod:`cb.rpc`."""
+
+
+class LocalSearcher(ShardScope):
+    """In-process searcher over a whole built index (tests / tiny
+    corpora; production serving is the :class:`ShardServer` pool): one
+    :class:`ShardScope` over every bucket, plus the text front ends
+    that analyze or parse a request and call the scope's method."""
 
     def __init__(self, index_dir: str, fed: str | None = None):
-        self.meta = IndexMeta(index_dir)
-        self.parts = {
-            p: ShardPartition(self.meta.part_dir(p))
-            for p in range(self.meta.num_parts)
-        }
-        self.stats = GlobalStats(self.meta.n_docs, self.meta.avgdl)
-        self._fed_override = fed is not None  # see ShardServer: wand->taat
-        if fed is not None:  # federation member: fed-global stats + df
-            import json as _json
-
-            from . import federated as _fed
-
-            with open(_fed.fed_meta_path(fed)) as f:
-                fg = _json.load(f)
-            self.stats = GlobalStats(fg["n_docs"], fg["avgdl"])
-            for p, part in self.parts.items():
-                fp = _fed.feddf_path(fed, p)
-                if os.path.exists(fp):
-                    t = pq.read_table(fp)
-                    part.global_df = dict(
-                        zip(t["term"].to_pylist(), t["df"].to_pylist())
-                    )
-        self.tombstones = load_tombstones(index_dir)
+        super().__init__(index_dir, fed=fed)
         self._vocab: list[str] | None = None  # lazy, for wildcard/fuzzy
 
-    def get_postings(self, term: str) -> ChunkedPostings | None:
-        p = term_partition(term, self.meta.num_parts)
-        return self.parts[p].get(term)
+    def _parse(self, query_string: str) -> dict:
+        """Parse a query string and rewrite its wildcard/fuzzy atoms
+        against the vocabulary."""
+        from . import querylang
 
-    def phrase_query(
-        self, text: str, k: int = 10, slop: int = 0
-    ) -> list[tuple[int, float]]:
-        ordered = analyze.tokenize(text)
-        postings = {t: self.get_postings(t) for t in set(ordered)}
-        return _phrase_topk_live(ordered, postings, self.stats, k, self.tombstones, slop=slop)
+        parsed = querylang.parse(query_string)
+        if parsed.get("expands"):
+            if self._vocab is None:
+                self._vocab = load_vocab(IndexMeta(self.index_dir)) or sorted(
+                    {t for p in self.parts.values() for t in p.global_df}
+                )
+            parsed = querylang.expand(parsed, self._vocab)
+        return parsed
+
+    def query(self, text: str, k: int = 10, algo: str = "taat") -> list[tuple[int, float]]:
+        return self.score(sorted(set(analyze.tokenize(text))), k, algo=algo)
 
     def search(
         self, query_string: str, k: int = 10, synonyms: dict | None = None
@@ -1383,95 +1375,28 @@ class LocalSearcher:
         -exclusions, +required, ^boosts, wildcards, fuzzy, ranges) —
         see :mod:`cb.querylang`.  ``synonyms`` applies the ES
         query-time synonym filter (querylang.apply_synonyms)."""
-        from . import docmeta as docmeta_mod, querylang
+        from . import querylang
 
-        parsed = querylang.parse(query_string)
-        if parsed.get("expands"):
-            if self._vocab is None:
-                self._vocab = load_vocab(self.meta) or sorted(
-                    {t for p in self.parts.values() for t in p.global_df}
-                )
-            parsed = querylang.expand(parsed, self._vocab)
+        parsed = self._parse(query_string)
         if synonyms:
             parsed = querylang.apply_synonyms(parsed, synonyms)
-        dm = None
-        if parsed["filters"] or parsed["scoped_phrases"]:
-            try:
-                dm = docmeta_mod.DocMeta(self.meta.index_dir)
-            except FileNotFoundError:
-                dm = None  # querylang raises the descriptive ValueError
-        return querylang.execute(
-            parsed, get_postings=self.get_postings, stats=self.stats, k=k, docmeta=dm,
-            drop_ids=self.tombstones,
-        )
+        return self.query_string(parsed, k)
 
     def facets(
         self, query_string: str, facet_cols=(), stats_cols=()
     ) -> tuple[dict, dict]:
-        """In-process facet aggregation: ({col: {value: count}},
-        {col: (n, sum, min, max)}) over the query's FULL match set."""
-        from . import docmeta as docmeta_mod, querylang
-
-        parsed = querylang.parse(query_string)
-        if parsed.get("expands"):
-            if self._vocab is None:
-                self._vocab = load_vocab(self.meta) or sorted(
-                    {t for p in self.parts.values() for t in p.global_df}
-                )
-            parsed = querylang.expand(parsed, self._vocab)
-        dm = docmeta_mod.DocMeta(self.meta.index_dir)
-        universe, _, keep = querylang.match(
-            parsed, get_postings=self.get_postings, stats=self.stats,
-            docmeta=dm, drop_ids=self.tombstones,
-        )
-        if universe is None:
-            return (
-                {c: {} for c in facet_cols},
-                {c: (0, 0, None, None) for c in stats_cols},
-            )
-        return _facets_over(universe[keep], dm, list(facet_cols), list(stats_cols))
+        """({col: {value: count}}, {col: (n, sum, min, max)}) over the
+        query's FULL match set."""
+        return self.agg(self._parse(query_string), "facets", (list(facet_cols), list(stats_cols)))
 
     def filtered_query(self, text: str, filters: dict, k: int = 10) -> list[tuple[int, float]]:
-        """In-process filtered BM25 (ES bool must+filter parity)."""
-        from . import docmeta as docmeta_mod
-        from .query import rank_topk
+        """Filtered BM25 (ES bool must+filter parity)."""
+        return self.score_filtered(sorted(set(analyze.tokenize(text))), k, filters)
 
-        terms = sorted(set(analyze.tokenize(text)))
-        postings = {t: self.get_postings(t) for t in terms}
-        postings = {t: p for t, p in postings.items() if p is not None}
-        if not postings:
-            return []
-        idfs = {t: float(scoring.idf(p.gdf, self.stats.n_docs)) for t, p in postings.items()}
-        universe, acc = wand.taat_scores(postings, idfs, self.stats)
-        if universe is None:
-            return []
-        dm = docmeta_mod.DocMeta(self.meta.index_dir)
-        keep = dm.mask(universe, filters) & _live_mask(universe, self.tombstones)
-        return rank_topk(universe[keep], acc[keep], k)
-
-    def query(self, text: str, k: int = 10, algo: str = "wand") -> list[tuple[int, float]]:
-        check_k(k)
-        if algo == "wand" and self._fed_override:
-            # stored block-max umax used the sub-index avgdl; the fed
-            # avgdl can exceed it, invalidating WAND's bounds — exact
-            # TAAT is rank-identical and always safe
-            algo = "taat"
-        terms = sorted(set(analyze.tokenize(text)))
-        postings = {t: self.get_postings(t) for t in terms}
-        postings = {t: p for t, p in postings.items() if p is not None}
-        if not postings:
-            return []
-        idfs = {t: float(scoring.idf(p.gdf, self.stats.n_docs)) for t, p in postings.items()}
-        if len(self.tombstones):
-            from .query import rank_topk
-
-            universe, acc = wand.taat_scores(postings, idfs, self.stats)
-            if universe is None:
-                return []
-            keep = _live_mask(universe, self.tombstones)
-            return rank_topk(universe[keep], acc[keep], k)
-        fn = wand.topk_wand if algo == "wand" else wand.topk_taat
-        return fn(postings, idfs, self.stats, k)
+    def phrase_query(
+        self, text: str, k: int = 10, slop: int = 0
+    ) -> list[tuple[int, float]]:
+        return self.phrase(analyze.tokenize(text), k, slop=slop)
 
 
 def _terms_clause(text: str) -> dict:
@@ -1654,12 +1579,9 @@ class QueryEngine(PoolEngine):
         # returns (fed-global when fed= is set)
         self._n_docs = self.meta.n_docs
         if fed is not None:
-            import json as _json
+            from .federated import fed_overlay
 
-            from . import federated as _fed_mod
-
-            with open(_fed_mod.fed_meta_path(fed)) as f:
-                self._n_docs = _json.load(f)["n_docs"]
+            self._n_docs = fed_overlay(fed)[0]
         self.pool = ServerPool(
             ShardServer,
             [(index_dir, b) for b in doc_slices(index_dir, self.meta.range_bits, num_servers)],

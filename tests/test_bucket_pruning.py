@@ -208,7 +208,7 @@ def test_taat_miss_caches_what_warm_stores(built):
     warm, cold = _server(built, [1, 3]), _server(built, [1, 3])
     warm.warm(0)
     terms = sorted(warm.decoded)[::3]
-    postings = {t: cold._local(t) for t in terms}
+    postings = {t: cold.get_postings(t) for t in terms}
     idfs = {t: float(scoring.idf(p.gdf, cold.n_docs)) for t, p in postings.items()}
     got = wand.taat_scores(postings, idfs, cold.stats, cold.decoded)
     _assert_bitwise(cold.decoded, {t: warm.decoded[t] for t in terms})

@@ -544,13 +544,13 @@ def test_wand_on_federation_routes_to_exact_taat(fed_built):
     request on a fed member must produce the exact (taat) ranking."""
     src, mono, fed_dir, meta = fed_built
     mono_ls = LocalSearcher(mono)
-    # LocalSearcher's DEFAULT algo is wand — must still be exact
+    # an explicit wand request on a fed member must still be exact
     day_ls = [LocalSearcher(e["dir"], fed=fed_dir) for e in meta["indexes"]]
     eng = federated.FederatedEngine(fed_dir, num_servers=2)
     try:
         for q in QUERIES:
             expect = mono_ls.query(q, k=10, algo="taat")
-            got_local = _merge_topk([ls.query(q, k=10) for ls in day_ls], 10)
+            got_local = _merge_topk([ls.query(q, k=10, algo="wand") for ls in day_ls], 10)
             assert got_local == expect, ("local-wand", q)
             assert eng.query(q, k=10, algo="wand") == expect, ("pool-wand", q)
     finally:

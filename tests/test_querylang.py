@@ -101,6 +101,29 @@ def test_filter_without_docmeta_raises(tmp_path):
         LocalSearcher(idx).search("alpha lang:en", k=5)
 
 
+def test_missing_docmeta_is_one_error_in_process_and_pool(tmp_path):
+    """An index without docmeta rejects a filtered search and a facet
+    request with the same ValueError in process and through the pool
+    (not a server-side FileNotFoundError)."""
+    rows = [{"doc_id": i, "text": f"alpha w{i % 7} beta"} for i in range(40)]
+    src = str(tmp_path / "d.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, text_col="text", id_col="doc_id", num_parts=2)
+    local = LocalSearcher(idx)
+    eng = QueryEngine(idx, num_servers=2)
+    try:
+        for scope in (local, eng):
+            with pytest.raises(ValueError, match="no docmeta table is loaded"):
+                scope.search("alpha lang:py", k=5)
+            with pytest.raises(ValueError, match="no docmeta table is loaded"):
+                scope.facets("alpha", facet_cols=["lang"])
+            # plain term queries never need it
+            assert scope.search("alpha", k=5) == local.query("alpha", k=5)
+    finally:
+        eng.shutdown()
+
+
 def test_scores_match_plain_bm25(built):
     """Query-string scores for pure-term queries equal plain BM25."""
     s = LocalSearcher(built)

@@ -98,7 +98,7 @@ def test_auto_num_parts_build(corpus, ray_session):
     )
     assert meta.num_parts == build.DEFAULT_NUM_PARTS
     s = shard.LocalSearcher(idx)
-    assert s.query("tok1", k=5)
+    assert s.query("tok1", k=5, algo="wand")
 
 
 def test_32_server_doc_sharded_parity(tmp_path, ray_session):

@@ -153,7 +153,7 @@ def test_resumable_with_id_column_input(tmp_path):
 
     sa, sb = LocalSearcher(a), LocalSearcher(b)
     for q in ("import", "def merge", "getValue"):
-        assert sa.query(q, 10) == sb.query(q, 10)
+        assert sa.query(q, 10, algo="wand") == sb.query(q, 10, algo="wand")
 
 
 def test_incremental_append(corpus_files, tmp_path):

@@ -140,7 +140,7 @@ def test_compaction_byte_identical_to_fresh_survivor_build(tmp_path):
     # queries over the compacted index behave like the fresh one
     a, b = LocalSearcher(idx), LocalSearcher(fresh_dir)
     for q in ("join merge", "window", "doc"):
-        assert a.query(q, k=10) == b.query(q, k=10)
+        assert a.query(q, k=10, algo="wand") == b.query(q, k=10, algo="wand")
 
 
 def test_compaction_sentinel_cleared_and_forced_rerun(tmp_path):
