@@ -4,14 +4,16 @@ A from-scratch engine with the capabilities of aliostad/ConveyorBelt
 (/root/reference) re-expressed Ray-Data-first: read -> tokenize
 (map_batches over zero-copy Arrow) -> doc stats & df (groupby
 aggregates) -> salted posting-list merge (groupby.map_groups) ->
-delta+varint compressed, block-max-annotated partitioned index with
-per-partition manifests (resume without recompute) -> top-k BM25 via
-block-max WAND on a stateful shard-server actor pool.
+delta+varint compressed partitioned index, each posting block
+summarized by its avgdl-free (max tf, min doc length), written once,
+with per-partition manifests (resume without recompute) -> top-k BM25
+(exact TAAT by default, or block-max WAND with bounds computed at query
+time) on a stateful shard-server actor pool.
 
 Modules:
   analyze    code-aware tokenizer (Arrow / Python / DuckDB-SQL mirrors)
   corpus     synthetic source-code corpus + doc ids + sha256
-  compress   delta+varint (FOR-style) postings codec + block maxes
+  compress   delta+varint (FOR-style) postings codec + block bounds
   build      index build pipeline (the wide shuffle) + manifests + doc stats
   query      BM25 oracle (brute force) + engine query API
   wand       block-max WAND top-k

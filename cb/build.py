@@ -13,11 +13,12 @@ SURVEY.md §3.4):
          encode parallelism = num_parts x 2**range_bits, task memory
          bounded by one bucket file
       -> per-partition postings parquet, ONE FILE PER DOC-RANGE BUCKET
-         (ids+tfs+doc_lens varint; doc-sharded servers read only their
-         buckets) + per-term df summary, and docstats/bucket files +
-         manifests (write-audit-publish)
-      -> small post-pass: block-max metadata (needs avgdl, which the
-         same shuffle's manifest rows produce)
+         (ids+tfs+doc_lens varint + avgdl-free block summaries; doc-
+         sharded servers read only their buckets), each written once in
+         its final bytes, and docstats/bucket files
+      -> small finalize pass per partition: stale-bucket removal, the
+         per-term df summary, file hashes and the manifest
+         (write-audit-publish)
 
 Skew handling ("salting", reference precedent: the Modulo10 shard-key
 fan-out at /root/reference/src/ConveyorBelt.Tooling/Scheduling/
@@ -330,9 +331,7 @@ def _list_column(values: pa.Array, offsets: np.ndarray) -> pa.Array:
     return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32), type=pa.int32()), values)
 
 
-def encode_partition_rows(
-    flat: dict, avgdl: float | None, store_positions: bool = True
-) -> pa.Table:
+def encode_partition_rows(flat: dict, store_positions: bool = True) -> pa.Table:
     """Sorted posting/occurrence arrays -> compressed rows
     (POSTING_SCHEMA + bucket).  ``store_positions=False`` drops the
     positional stream (smaller/faster index; phrase queries unavailable).
@@ -343,6 +342,11 @@ def encode_partition_rows(
     (LEB128 is context-free; tests assert table equality), but the
     per-row Python call overhead (the encode stage's dominant cost at
     ~4 varint calls x row count) is gone.
+
+    The arrays already have the shape a parquet read-back has (list
+    items named ``element``, see :data:`cb.compress.POSTING_SCHEMA`), so
+    a table written as is serializes to the same bytes as a rewrite of
+    its own read-back: every posting file is written once, final.
     """
     codes = flat["codes"]
     if len(codes) == 0:
@@ -385,14 +389,6 @@ def encode_partition_rows(
     id_cum, tf_cum, dl_cum = _cumsum0(id_sizes), _cumsum0(tf_sizes), _cumsum0(dl_sizes)
     bounds = np.append(r_starts, n)
 
-    if avgdl is not None:
-        u = compress.scoring.u_factor(tfs, dls, avgdl)
-        umax_flat = np.maximum.reduceat(u, blk_starts)
-        umax_off = blk_off
-    else:
-        umax_flat = np.empty(0, dtype=np.float64)
-        umax_off = np.zeros(n_rows + 1, dtype=np.int64)
-
     cols: dict[str, pa.Array] = {}
     cols["term"] = flat["dictionary"].take(pa.array(codes[r_starts]))
     cols["df"] = pa.array(row_len, type=pa.int64())
@@ -430,7 +426,10 @@ def encode_partition_rows(
     cols["block_last_id"] = _list_column(
         pa.array(ids[blk_ends - 1], type=pa.int64()), blk_off
     )
-    cols["block_umax"] = _list_column(pa.array(umax_flat, type=pa.float64()), umax_off)
+    blk_bounds = compress.interleave_bounds(
+        np.maximum.reduceat(tfs, blk_starts), np.minimum.reduceat(dls, blk_starts)
+    )
+    cols["block_bounds"] = _list_column(pa.array(blk_bounds, type=pa.int32()), 2 * blk_off)
     for name, cum in (("block_id_off", id_cum), ("block_tf_off", tf_cum), ("block_dl_off", dl_cum)):
         vals = cum[blk_starts] - np.repeat(cum[r_starts], n_blocks_row)
         cols[name] = _list_column(pa.array(vals.astype(np.int32), type=pa.int32()), blk_off)
@@ -461,7 +460,6 @@ def encode_bucket(
     group: pa.Table,
     *,
     index_dir: str,
-    avgdl: float | None,
     num_parts: int,
     store_positions: bool = True,
 ) -> pa.Table:
@@ -485,12 +483,11 @@ def encode_bucket(
     Per-partition artifacts (``_termdf.parquet``, ``manifest.json``,
     stale-bucket removal) are finalized by :func:`annotate_partition`.
 
+    The file is written once, in its final bytes: no posting byte
+    depends on the corpus avgdl this same shuffle produces.
+
     Returns one stats row (part, bucket, counters) for the driver.
-    ``avgdl`` must be None (the single-pass build cannot know it yet;
-    final umax/canonical bytes come from the annotate post-pass).
     """
-    if avgdl is not None:
-        raise ValueError("encode_bucket is the pre-avgdl path; annotate fills umax")
     part = int(group["part"][0].as_py())
     if part >= num_parts:
         m = write_docstats_bucket(group, index_dir, part, num_parts)
@@ -507,12 +504,9 @@ def encode_bucket(
         )
     bucket = int(group["bucket"][0].as_py())
     flat = _explode_partials(group)
-    tbl = encode_partition_rows(flat, avgdl, store_positions=store_positions)
+    tbl = encode_partition_rows(flat, store_positions=store_positions)
     pdir = os.path.join(index_dir, "parts", f"part={part}")
     os.makedirs(pdir, exist_ok=True)
-    # written non-canonical: the annotate post-pass (which needs the
-    # corpus avgdl this same shuffle produces) rewrites every bucket
-    # file from a parquet read-back, which canonicalizes the bytes
     fpath = _bucket_file(pdir, bucket)
     pq.write_table(tbl, fpath + ".tmp")
     os.replace(fpath + ".tmp", fpath)
@@ -527,27 +521,6 @@ def encode_bucket(
         },
         schema=_bucket_stats_schema(),
     )
-
-
-def encode_partition(
-    group: pa.Table,
-    *,
-    index_dir: str,
-    avgdl: float | None,
-    num_parts: int | None = None,
-    lineage: str = "fast-path",
-    store_positions: bool = True,
-) -> pa.Table:
-    """map_groups body: one term-partition -> postings file + manifest.
-
-    Sentinel partitions (part >= num_parts, emitted by the single-pass
-    build) are doc-stats groups and are written to ``docstats/``."""
-    part = int(group["part"][0].as_py())
-    if num_parts is not None and part >= num_parts:
-        return pa.table(write_docstats_bucket(group, index_dir, part, num_parts))
-    flat = _explode_partials(group)
-    tbl = encode_partition_rows(flat, avgdl, store_positions=store_positions)
-    return pa.table(write_partition(tbl, index_dir, part, avgdl, lineage))
 
 
 def write_docstats_bucket(group: pa.Table, index_dir: str, part: int, num_parts: int) -> dict:
@@ -597,21 +570,6 @@ def _manifest_schema() -> pa.Schema:
             ("file_sha256", pa.string()),
         ]
     )
-
-
-def _canonical_parquet(tbl: pa.Table) -> pa.Table:
-    """Round-trip through an in-memory parquet buffer: the writer's byte
-    layout differs between freshly-encoded arrays and read-from-parquet
-    arrays, and the byte-identity guarantees (fresh == resumed ==
-    compacted) need every FINAL write to emit the same bytes for the
-    same logical content.  Applied only where the written bytes are
-    final (avgdl known): the fast path's first write is rewritten by
-    the annotate post-pass (whose input is already a read-back), so it
-    skips the round-trip — that's one serialize per bucket saved on the
-    build's hottest write."""
-    sink = pa.BufferOutputStream()
-    pq.write_table(tbl, sink)
-    return pq.read_table(pa.BufferReader(sink.getvalue()))
 
 
 def _bucket_file(pdir: str, bucket: int) -> str:
@@ -688,11 +646,8 @@ def write_partition(
         buckets = sorted(set(tbl["bucket"].to_pylist()))
     else:
         buckets = []
-    canonical = avgdl is not None  # final bytes (no annotate rewrite coming)
     for b in buckets:
         sub = tbl.filter(pc.equal(tbl["bucket"], b))
-        if canonical:
-            sub = _canonical_parquet(sub)
         fpath = _bucket_file(pdir, int(b))
         tmp = fpath + ".tmp"
         pq.write_table(sub, tmp)
@@ -725,20 +680,19 @@ def write_partition(
 
 
 def annotate_partition(batch: pa.Table, *, index_dir: str, avgdl: float) -> pa.Table:
-    """Post-pass body: fill block-max metadata on partitions that were
-    encoded before avgdl was known (single-pass build), and FINALIZE
-    the partition: write ``_termdf.parquet`` from the annotated bucket
-    files (the per-bucket encode writes no per-partition artifacts) and
-    the manifest.  Block structure is per posting row, so each BUCKET
-    FILE annotates independently — no concat/sort/re-split of the
-    partition; bytes stay identical to the one-shot write_partition
-    path (the byte-identity suite and the compaction-vs-fresh test
-    cross-check the two paths).
+    """Finalize pass body: for each partition the per-bucket encode
+    wrote (that encode writes no per-partition artifacts), remove
+    stale bucket files, write ``_termdf.parquet`` from a ``(term, df)``
+    column read of the bucket files, hash the files and write the
+    manifest (``avgdl`` is recorded there).  Nothing is decoded or
+    rewritten: bucket files are final as encoded, byte-identical to the
+    one-shot :func:`write_partition` path (the byte-identity suite and
+    the compaction-vs-fresh test cross-check the two paths).
 
     Control rows may carry a ``buckets`` list column (the set of bucket
     files the build just wrote): when present, bucket files NOT in the
     list are stale leftovers from an earlier build into the same dir
-    and are removed before annotation."""
+    and are removed."""
     import glob as _glob
     import hashlib
 
@@ -765,34 +719,23 @@ def annotate_partition(batch: pa.Table, *, index_dir: str, avgdl: float) -> pa.T
                     if os.path.exists(fp):
                         os.remove(fp)
             continue
-        written: dict[int, str] = {}
-        n_rows = 0
-        n_postings = 0
-        termdf_parts = []
+        hashes = []
         for f in files:
-            b = int(os.path.basename(f)[len("bucket=") : -len(".parquet")])
-            t = compress.annotate_umax_table(pq.read_table(f), avgdl)
-            pq.write_table(t, f + ".tmp")
-            os.replace(f + ".tmp", f)
             with open(f, "rb") as fh:
-                written[b] = hashlib.sha256(fh.read()).hexdigest()
-            n_rows += t.num_rows
-            n_postings += int(pc.sum(t["df"]).as_py() or 0)
-            termdf_parts.append(t.select(["term", "df"]))
-        termdf = _write_termdf(pdir, pa.concat_tables(termdf_parts))
+                hashes.append(hashlib.sha256(fh.read()).hexdigest())
+        counts = pa.concat_tables([pq.read_table(f, columns=["term", "df"]) for f in files])
+        termdf = _write_termdf(pdir, counts)
         m = {
             "partition": int(p),
             "status": "done",
             "lineage": "fast-path",
-            "n_rows": n_rows,
+            "n_rows": counts.num_rows,
             "n_terms": termdf.num_rows,
-            "n_postings": n_postings,
+            "n_postings": int(pc.sum(counts["df"]).as_py() or 0),
             "n_docs": 0,
             "total_tokens": 0,
             "avgdl": avgdl,
-            "file_sha256": hashlib.sha256(
-                "".join(written[b] for b in sorted(written)).encode()
-            ).hexdigest(),
+            "file_sha256": hashlib.sha256("".join(hashes).encode()).hexdigest(),
         }
         manifest.write_atomic(os.path.join(pdir, "manifest.json"), m)
         rows_out.append({k: [v] for k, v in m.items()})
@@ -853,17 +796,49 @@ def _decode_partition_flat(tbl: pa.Table) -> tuple[dict, bool]:
     return flat, store_positions
 
 
+def _drop_postings(fpath: str, tombs: np.ndarray) -> bool:
+    """Rewrite one bucket file without the postings of the sorted doc
+    ids ``tombs``; False when nothing survives (the file is removed, as
+    a fresh build writes no file for an empty bucket)."""
+    flat, store_positions = _decode_partition_flat(pq.read_table(fpath))
+    keep = np.ones(len(flat["doc_ids"]), dtype=bool)
+    if len(flat["doc_ids"]):
+        pos_ = np.clip(np.searchsorted(tombs, flat["doc_ids"]), 0, len(tombs) - 1)
+        keep = tombs[pos_] != flat["doc_ids"]
+    occ_keep = np.repeat(keep, flat["tfs"]) if store_positions else None
+    flat = {
+        "codes": flat["codes"][keep],
+        "dictionary": flat["dictionary"],
+        "buckets": flat["buckets"][keep],
+        "doc_ids": flat["doc_ids"][keep],
+        "tfs": flat["tfs"][keep],
+        "dls": flat["dls"][keep],
+        "poss": flat["poss"][occ_keep] if store_positions else flat["poss"],
+    }
+    # fully-deleted term rows vanish on their own: row boundaries are
+    # re-derived from the surviving (code, bucket) runs
+    new_tbl = encode_partition_rows(flat, store_positions=store_positions)
+    if new_tbl.num_rows == 0:
+        os.remove(fpath)
+        return False
+    pq.write_table(new_tbl, fpath + ".tmp")
+    os.replace(fpath + ".tmp", fpath)
+    return True
+
+
 def compact_index(index_dir: str) -> "IndexMeta":
     """Physically drop tombstoned documents (the ES segment-merge
     analog): filter every docstats bucket, recompute the corpus globals
     (N / avgdl change on compaction, exactly as a fresh build over the
-    survivors would), then rewrite each partition file with tombstoned
-    postings removed and block metadata re-derived.  Output is
+    survivors would), then rewrite each bucket file that holds a
+    tombstoned doc with those postings removed and block metadata
+    re-derived; bucket files with no tombstone in their doc range are
+    left untouched (no posting byte depends on N or avgdl).  Output is
     byte-identical to a fresh build over the surviving corpus (tested),
     and the tombstone set is cleared.
 
-    Runs as a Ray Data pass over partition control rows (one task per
-    partition), like the block-max annotation post-pass."""
+    Runs as a Ray Data pass over bucket control rows (one task per
+    bucket file), like the build's finalize pass."""
     import ray.data
 
     from . import shard as shard_mod
@@ -897,6 +872,10 @@ def compact_index(index_dir: str) -> "IndexMeta":
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         pos = np.clip(np.searchsorted(tomb, ids), 0, len(tomb) - 1)
         keep = tomb[pos] != ids
+        if keep.all():  # no tombstone here: the file stays as is
+            n_docs += t.num_rows
+            total_tokens += int(pc.sum(t["doc_len"]).as_py() or 0)
+            continue
         t2 = t.filter(pa.array(keep))
         if t2.num_rows == 0:
             os.remove(path)  # a fresh build writes no file for an empty bucket
@@ -908,13 +887,14 @@ def compact_index(index_dir: str) -> "IndexMeta":
     write_global(index_dir, n_docs, total_tokens, meta.num_parts, meta.range_bits)
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
     tomb_ref = ray.put(tomb)
+    tomb_buckets = set((tomb >> (ID_BITS - meta.range_bits)).tolist())
 
     # pass 2a: PER-BUCKET rewrite — one task per (partition, bucket)
     # FILE, so task memory is bounded by a bucket file (not a whole
-    # partition) and parallelism is num_parts x buckets.  Every bucket
-    # re-encodes even without local tombstones: block-max umax depends
-    # on the corpus avgdl, which compaction changes.
-    def compact_bucket(batch: pa.Table, *, index_dir: str, avgdl: float) -> pa.Table:
+    # partition) and parallelism is num_parts x buckets.  A bucket with
+    # no tombstone in its doc range keeps its file as is: its postings
+    # and avgdl-free block summaries are what a fresh build writes.
+    def compact_bucket(batch: pa.Table, *, index_dir: str) -> pa.Table:
         import hashlib
 
         import ray as _ray
@@ -923,40 +903,17 @@ def compact_index(index_dir: str) -> "IndexMeta":
         out = {"part": [], "bucket": [], "sha": [], "n_rows": [], "n_postings": []}
         for p, b in zip(batch["part"].to_pylist(), batch["bucket"].to_pylist()):
             fpath = _bucket_file(os.path.join(index_dir, "parts", f"part={p}"), int(b))
-            tbl = pq.read_table(fpath)
-            flat, store_positions = _decode_partition_flat(tbl)
-            keep = np.ones(len(flat["doc_ids"]), dtype=bool)
-            if len(flat["doc_ids"]):
-                pos_ = np.clip(np.searchsorted(tombs, flat["doc_ids"]), 0, len(tombs) - 1)
-                keep = tombs[pos_] != flat["doc_ids"]
-            occ_keep = np.repeat(keep, flat["tfs"]) if store_positions else None
-            flat = {
-                "codes": flat["codes"][keep],
-                "dictionary": flat["dictionary"],
-                "buckets": flat["buckets"][keep],
-                "doc_ids": flat["doc_ids"][keep],
-                "tfs": flat["tfs"][keep],
-                "dls": flat["dls"][keep],
-                "poss": flat["poss"][occ_keep] if store_positions else flat["poss"],
-            }
-            # fully-deleted term rows vanish on their own: row boundaries
-            # are re-derived from the surviving (code, bucket) runs
-            new_tbl = encode_partition_rows(flat, avgdl, store_positions=store_positions)
-            if new_tbl.num_rows == 0:
-                os.remove(fpath)  # fresh build writes no file for an empty bucket
-                sha = ""
-                npost = 0
+            if int(b) in tomb_buckets and not _drop_postings(fpath, tombs):
+                sha, n_rows, npost = "", 0, 0  # the bucket emptied: file removed
             else:
-                sub = _canonical_parquet(new_tbl)
-                pq.write_table(sub, fpath + ".tmp")
-                os.replace(fpath + ".tmp", fpath)
                 with open(fpath, "rb") as f:
                     sha = hashlib.sha256(f.read()).hexdigest()
-                npost = int(pc.sum(new_tbl["df"]).as_py() or 0)
+                dfs = pq.read_table(fpath, columns=["df"])["df"]
+                n_rows, npost = len(dfs), int(pc.sum(dfs).as_py() or 0)
             out["part"].append(int(p))
             out["bucket"].append(int(b))
             out["sha"].append(sha)
-            out["n_rows"].append(new_tbl.num_rows)
+            out["n_rows"].append(n_rows)
             out["n_postings"].append(npost)
         return pa.table(out)
 
@@ -974,7 +931,7 @@ def compact_index(index_dir: str) -> "IndexMeta":
         res = (
             ray.data.from_items(items)
             .map_batches(
-                partial(compact_bucket, index_dir=index_dir, avgdl=avgdl),
+                partial(compact_bucket, index_dir=index_dir),
                 batch_format="pyarrow",
                 batch_size=1,
             )
@@ -1318,7 +1275,6 @@ def _build_index_inner(
         partial(
             encode_bucket,
             index_dir=index_dir,
-            avgdl=None,
             num_parts=num_parts,
             store_positions=positions,
         ),
@@ -1381,9 +1337,8 @@ def _build_index_inner(
     write_global(index_dir, n_docs, total_tokens, num_parts, range_bits)
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
 
-    # post-pass over the written index: fill block-max metadata (needs
-    # the corpus-global avgdl, which the same shuffle produced) and
-    # finalize each partition (_termdf + manifest + stale-file removal)
+    # finalize pass over the written index: per partition, stale-file
+    # removal, _termdf and the manifest (no bucket file is rewritten)
     written: dict[int, list[int]] = {p: [] for p in range(num_parts)}
     for r in rows:
         if r["part"] < num_parts:

@@ -3,8 +3,11 @@
 Per BASELINE.json north_star: postings are ``term -> sorted doc_id +
 term-frequency arrays``, doc-id gaps delta-encoded then LEB128-varint
 packed; every ``BLOCK`` entries carry (last doc_id, byte offsets, max
-BM25 u-factor) so the query side can skip blocks (block-max WAND) and
-decode blocks independently.
+tf, min doc length) so the query side can skip blocks (block-max WAND)
+and decode blocks independently.  The block summary holds no avgdl:
+the query side turns it into an upper bound with the avgdl it scores
+with (:func:`annotate_umax_table`), so no posting byte depends on
+corpus-global statistics and every file is written once.
 
 All encode/decode paths are numpy-vectorized (no per-posting Python
 loop): encoding builds the byte stream with <=10 masked scatter passes
@@ -95,6 +98,13 @@ def decode_ids(blob, count: int | None = None) -> np.ndarray:
     return np.cumsum(deltas, dtype=np.uint64).astype(np.int64)
 
 
+def _list(value_type: pa.DataType) -> pa.DataType:
+    """A list type whose item field is named ``element`` — the name a
+    parquet read-back gives it, so freshly encoded tables serialize to
+    the same bytes as their own read-back."""
+    return pa.list_(pa.field("element", value_type))
+
+
 POSTING_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
@@ -105,12 +115,13 @@ POSTING_SCHEMA = pa.schema(
         ("dls_blob", pa.binary()),  # per-posting doc length (varint)
         ("pos_blob", pa.binary()),  # per-occurrence positions (varint deltas,
                                      # reset at each posting; counts == tf)
-        ("block_last_id", pa.list_(pa.int64())),
-        ("block_umax", pa.list_(pa.float64())),
-        ("block_id_off", pa.list_(pa.int32())),
-        ("block_tf_off", pa.list_(pa.int32())),
-        ("block_dl_off", pa.list_(pa.int32())),
-        ("block_pos_off", pa.list_(pa.int32())),
+        ("block_last_id", _list(pa.int64())),
+        # per block, interleaved: (max tf, min doc length) — avgdl-free
+        ("block_bounds", _list(pa.int32())),
+        ("block_id_off", _list(pa.int32())),
+        ("block_tf_off", _list(pa.int32())),
+        ("block_dl_off", _list(pa.int32())),
+        ("block_pos_off", _list(pa.int32())),
     ]
 )
 
@@ -120,7 +131,6 @@ def encode_postings(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     doc_lens: np.ndarray,
-    avgdl: float | None,
     positions: np.ndarray | None = None,
 ) -> dict:
     """One term's sorted postings -> compressed row (dict per POSTING_SCHEMA).
@@ -129,12 +139,9 @@ def encode_postings(
     scoring never needs a doc-stats side table, which removes the
     docstats broadcast from the serving scale path entirely.
 
-    ``avgdl`` may be None when the corpus-global average is not yet
-    known (single-pass builds compute it from the same shuffle);
-    ``block_umax`` is then left empty and filled by
-    :func:`annotate_umax` in a small post-pass over the written index.
-    When given, umax uses the exact float64 ops of the query side
-    (:func:`cb.scoring.u_factor`), so block bounds are true upper bounds.
+    ``block_bounds`` holds each block's (max tf, min doc length),
+    interleaved; :func:`annotate_umax_table` turns it into block upper
+    bounds at query time.
     """
     ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     tfs = np.ascontiguousarray(tfs, dtype=np.int64)
@@ -145,7 +152,7 @@ def encode_postings(
         return {
             "term": term, "df": 0, "cf": 0,
             "ids_blob": b"", "tfs_blob": b"", "dls_blob": b"", "pos_blob": b"",
-            "block_last_id": [], "block_umax": [],
+            "block_last_id": [], "block_bounds": [],
             "block_id_off": [], "block_tf_off": [], "block_dl_off": [],
             "block_pos_off": [],
         }
@@ -168,11 +175,9 @@ def encode_postings(
     np.cumsum(tf_sizes, out=tf_cum[1:])
     dl_cum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(dl_sizes, out=dl_cum[1:])
-    if avgdl is not None:
-        u = scoring.u_factor(tfs, dls, avgdl)
-        umax = np.maximum.reduceat(u, block_starts).tolist()
-    else:
-        umax = []
+    bounds = interleave_bounds(
+        np.maximum.reduceat(tfs, block_starts), np.minimum.reduceat(dls, block_starts)
+    ).tolist()
     # positional stream: per-posting delta-encoded occurrence positions
     # (counts are the tfs, so no length prefix is needed); byte offsets
     # recorded at each BLOCK's first posting so blocks decode alone.
@@ -203,7 +208,7 @@ def encode_postings(
         "dls_blob": dl_bytes.tobytes(),
         "pos_blob": pos_blob,
         "block_last_id": ids[block_ends - 1].tolist(),
-        "block_umax": umax,
+        "block_bounds": bounds,
         "block_id_off": id_cum[block_starts].tolist(),
         "block_tf_off": tf_cum[block_starts].tolist(),
         "block_dl_off": dl_cum[block_starts].tolist(),
@@ -222,10 +227,10 @@ def _binary_column_stream(col) -> np.ndarray:
     return data[offs[0] : offs[-1]]
 
 
-def _block_starts(dfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row df of a posting table -> (flat posting index of every
-    block start, per-row block offsets with n_rows+1 entries).  Row r's
-    blocks start at row_start + {0, BLOCK, 2*BLOCK, ...}."""
+def _block_starts(dfs: np.ndarray) -> np.ndarray:
+    """Per-row df of a posting table -> flat posting index of every
+    block start.  Row r's blocks start at row_start + {0, BLOCK,
+    2*BLOCK, ...}."""
     n_blocks = (dfs + BLOCK - 1) // BLOCK
     row_starts = np.zeros(len(dfs), dtype=np.int64)
     np.cumsum(dfs[:-1], out=row_starts[1:])
@@ -234,7 +239,7 @@ def _block_starts(dfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block_in_row = np.arange(int(block_offsets[-1]), dtype=np.int64) - np.repeat(
         block_offsets[:-1], n_blocks
     )
-    return np.repeat(row_starts, n_blocks) + block_in_row * BLOCK, block_offsets
+    return np.repeat(row_starts, n_blocks) + block_in_row * BLOCK
 
 
 def _column_varints(col, total: int) -> np.ndarray:
@@ -257,7 +262,7 @@ def decode_table(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    starts, _ = _block_starts(dfs)
+    starts = _block_starts(dfs)
     t = np.cumsum(varint_decode(_binary_column_stream(tbl["ids_blob"]), total), dtype=np.uint64)
     base = np.empty(len(starts), dtype=np.uint64)
     base[0] = np.uint64(0)
@@ -266,41 +271,31 @@ def decode_table(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, _column_varints(tbl["tfs_blob"], total), _column_varints(tbl["dls_blob"], total)
 
 
-def annotate_umax_table(tbl: pa.Table, avgdl: float) -> pa.Table:
-    """Columnar block-umax rewrite of a whole partition file: ONE varint
-    decode over the concatenated tf/dl streams + one reduceat, instead
-    of a per-row Python dict round-trip (``to_pylist``) over up-to-GiB
-    partition files."""
-    if tbl.num_rows == 0:
-        return tbl
-    dfs = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-    total = int(dfs.sum())
-    u = scoring.u_factor(
-        _column_varints(tbl["tfs_blob"], total), _column_varints(tbl["dls_blob"], total), avgdl
-    )
-    starts, block_offsets = _block_starts(dfs)
-    umax_flat = np.maximum.reduceat(u, starts) if len(starts) else np.empty(0, dtype=np.float64)
-    umax_col = pa.ListArray.from_arrays(
-        pa.array(block_offsets, type=pa.int32()), pa.array(umax_flat, type=pa.float64())
-    )
-    return tbl.set_column(
-        tbl.schema.get_field_index("block_umax"), "block_umax", umax_col.cast(tbl["block_umax"].type)
-    )
-
-
-def annotate_umax(row: dict, avgdl: float) -> dict:
-    """Fill ``block_umax`` on a row encoded with ``avgdl=None``."""
-    pl = PostingList(row)
-    if pl.df == 0:
-        row = dict(row)
-        row["block_umax"] = []
-        return row
-    _, tfs, dls = pl.decode_all()
-    u = scoring.u_factor(tfs, dls, avgdl)
-    starts = np.arange(0, pl.df, BLOCK, dtype=np.int64)
-    out = dict(row)
-    out["block_umax"] = np.maximum.reduceat(u, starts).tolist()
+def interleave_bounds(max_tf: np.ndarray, min_dl: np.ndarray) -> np.ndarray:
+    """Per-block (max tf, min doc length) -> the ``block_bounds`` values
+    (int32, the pair of block i at [2i, 2i+1])."""
+    if len(max_tf) and max(int(max_tf.max()), int(min_dl.max())) > np.iinfo(np.int32).max:
+        # a real error: a silent int32 wrap would store a wrong bound
+        raise ValueError("a block's max tf or min doc length exceeds int32")
+    out = np.empty(2 * len(max_tf), dtype=np.int32)
+    out[0::2] = max_tf
+    out[1::2] = min_dl
     return out
+
+
+def annotate_umax_table(bounds: np.ndarray, avgdl: float) -> np.ndarray:
+    """``block_bounds`` values -> each block's upper bound on the BM25
+    u-factor under ``avgdl``: ``u_factor(max tf, min doc length)``.
+
+    Valid for any avgdl because :func:`cb.scoring.u_factor` rises with
+    tf and falls with doc length, and each float64 op rounds
+    monotonically, so the bound is >= every posting's exact u in the
+    block.  The query-side bound kernel: :class:`cb.wand.TermCursor`
+    calls it through this module with the avgdl it scores with.  (The
+    name predates the avgdl-free summaries; ``perfbench/trace.py``
+    wraps it by name.)"""
+    b = np.asarray(bounds, dtype=np.int64)
+    return scoring.u_factor(b[0::2], b[1::2], avgdl)
 
 
 class PostingList:
@@ -308,7 +303,7 @@ class PostingList:
 
     __slots__ = (
         "term", "df", "cf", "_ids_buf", "_tfs_buf", "_dls_buf", "_pos_buf",
-        "last_ids", "umax", "id_off", "tf_off", "dl_off", "pos_off",
+        "last_ids", "bounds", "id_off", "tf_off", "dl_off", "pos_off",
     )
 
     def __init__(self, row: dict):
@@ -320,7 +315,7 @@ class PostingList:
         self._dls_buf = np.frombuffer(row["dls_blob"], dtype=np.uint8)
         self._pos_buf = np.frombuffer(row.get("pos_blob") or b"", dtype=np.uint8)
         self.last_ids = np.asarray(row["block_last_id"], dtype=np.int64)
-        self.umax = np.asarray(row["block_umax"], dtype=np.float64)
+        self.bounds = np.asarray(row["block_bounds"], dtype=np.int64)
         self.id_off = np.asarray(row["block_id_off"], dtype=np.int64)
         self.tf_off = np.asarray(row["block_tf_off"], dtype=np.int64)
         self.dl_off = np.asarray(row["block_dl_off"], dtype=np.int64)

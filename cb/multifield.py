@@ -471,8 +471,8 @@ def _wand_eligible(routed: dict, tombstones: np.ndarray) -> bool:
         not len(tombstones)
         and routed.get("dis_max") is None  # max+tie_breaker breaks the
         # additive upper bound WAND prunes with — exact TAAT only
-        and not routed.get("cross_fields")  # blended df invalidates the
-        # stored per-field umax bounds
+        and not routed.get("cross_fields")  # blended df is not the
+        # per-field cursor sum WAND bounds
         and not routed.get("filters")
         and not routed.get("any_phrases")
         and not routed.get("field_phrases")
@@ -728,9 +728,9 @@ def _score_fields(
     ``algo="wand"`` serves eligible plain-term queries with multi-field
     block-max WAND (:func:`cb.wand.topk_wand_fields`) — bitwise
     rank-identical to TAAT by construction and by test — and falls back
-    to exact TAAT for every clause shape WAND can't bound.  Callers in
-    fed mode must not pass "wand" (overlay avgdl invalidates the stored
-    block-max bounds); the searcher/engine guards do this."""
+    to exact TAAT for every clause shape WAND can't bound.  Block
+    bounds use ``stats``' per-field avgdl, so fed overlays are exact
+    too."""
     if algo == "wand" and _wand_eligible(routed, tombstones):
         field_postings, field_idfs = _field_live_idfs(
             routed, get_postings, stats, field_order
@@ -802,9 +802,8 @@ class MultiFieldSearcher:
     per-field (N, avgdl) and per-term df overlays read from that
     field's feddf summaries (:func:`cb.federated.fed_overlay`), so
     member top-k lists merge bitwise into the monolithic multifield
-    result.  Fed members force ``algo="wand"`` to TAAT — the stored
-    block-max umax used each sub-index's build avgdl, which the fed
-    overlay can exceed, invalidating WAND's bounds.
+    result.  WAND's block bounds use the same overlay avgdl, so
+    ``algo="wand"`` stays exact on members.
 
     A request's query is a query string, routed and wildcard/fuzzy
     expanded here against this index's vocabularies, or a clause set
@@ -827,7 +826,6 @@ class MultiFieldSearcher:
             }
             for f, meta in self.metas.items()
         }
-        self._fed_override = fed is not None  # wand -> taat, see cb.shard.ShardScope
         if fed is not None:
             from .federated import fed_overlay
 
@@ -900,8 +898,6 @@ class MultiFieldSearcher:
         (measured, BENCH/BASELINE.md round-5); ``algo="wand"`` is the
         opt-in selective/disk path, rank-identical by construction and
         test."""
-        if algo == "wand" and self._fed_override:
-            algo = "taat"  # stored umax bounds are sub-index-avgdl-based
         self.telemetry.incr("server.scores")
         self.telemetry.incr(
             "server.terms",

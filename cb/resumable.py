@@ -15,7 +15,7 @@ reduce-side split of an external shuffle):
            shards whose manifest matches.
   driver   aggregates shard manifests -> ``_global.json`` (N, avgdl).
   stage B  one task per TERM PARTITION: read its shuffle files, sort,
-           encode (delta+varint + block maxes), atomic write + manifest
+           encode (delta+varint + block bounds), atomic write + manifest
            (lineage = the set of stage-A shard manifests).  A resumed
            build skips partitions whose manifest matches.
 
@@ -31,9 +31,9 @@ Fresh build and resumed build produce byte-identical indexes
 INCREMENTAL INGEST follows for free: calling
 :func:`build_index_resumable` again with a GROWN input list re-tokenizes
 only the new shards (old shard manifests match and skip), re-merges
-partitions from the durable partials, refreshes N/avgdl and block
-maxes, and yields an index byte-identical to a fresh build over the
-full corpus — the engine's analog of the reference's incremental
+partitions from the durable partials, refreshes N/avgdl, and yields
+an index byte-identical to a fresh build over the full corpus — the
+engine's analog of the reference's incremental
 offset-checkpointed shoveling (MasterScheduler.cs:80-87).
 """
 
@@ -184,7 +184,7 @@ def merge_partition(
         if files:
             allp = pa.concat_tables([pq.read_table(f) for f in files])
             flat = build._explode_partials(allp)
-            tbl = build.encode_partition_rows(flat, avgdl)
+            tbl = build.encode_partition_rows(flat)
         else:
             tbl = pa.Table.from_pylist([], schema=build._posting_file_schema())
         m = build.write_partition(tbl, index_dir, int(p), avgdl, lineage_tag)

@@ -28,11 +28,12 @@ postings (cb.compress) — so the only corpus-global serving state is
 One scope class, one pool under every engine.  :class:`ShardScope` is
 the one server-side implementation: it loads a doc-range slice
 (``buckets``; None is the whole index), applies a federation's overlay
-(``fed``), masks tombstones, routes WAND to exact TAAT where block-max
-bounds cannot hold, and answers every request.  :class:`ShardServer`
-is that class as a pool actor and :class:`LocalSearcher` is it over the
-whole index in process, adding only text front ends that analyze or
-parse a request before calling the same method; the multifield index
+(``fed``), masks tombstones (routing WAND to exact TAAT, whose
+universe can be masked before ranking), and answers every request.
+:class:`ShardServer` is that class as a pool actor and
+:class:`LocalSearcher` is it over the whole index in process, adding
+only text front ends that analyze or parse a request before calling
+the same method; the multifield index
 has the same split (:class:`cb.multifield.MultiFieldSearcher` and its
 actor :class:`cb.multifield.MultiFieldServer`).  :class:`ServerPool` is
 the driver half of every serving pool — this module's,
@@ -233,9 +234,18 @@ class ShardPartition:
         if not files:
             self.global_df = global_df or {}
             return
-        self.table = table = pa.concat_tables(
-            [pq.read_table(f) for _, f in sorted(files)]
-        ).sort_by([("term", "ascending"), ("bucket", "ascending")])
+        tables = []
+        for _, f in sorted(files):
+            t = pq.read_table(f)
+            if "block_umax" in t.column_names and "block_bounds" not in t.column_names:
+                raise ValueError(
+                    f"{f}: old-format posting file (block_umax, no block_bounds); "
+                    "rebuild the index"
+                )
+            tables.append(t)
+        self.table = table = pa.concat_tables(tables).sort_by(
+            [("term", "ascending"), ("bucket", "ascending")]
+        )
         # One pass over the (term, bucket)-sorted rows: Arrow run-end
         # detection (one dictionary_encode + one vectorized diff, no
         # per-row Python compares) gives each term's row range, and one
@@ -401,7 +411,8 @@ class ShardScope:
     still serve.  ``fed`` (a federation dir, :mod:`cb.federated`) makes
     the scope a federation member: it scores with the federation-global
     (N, avgdl) and per-term df (:func:`cb.federated.fed_overlay`), so
-    top-k lists merge exactly across sub-indexes."""
+    top-k lists merge exactly across sub-indexes; WAND's block bounds
+    use the same overlay avgdl, so it stays exact on members."""
 
     def __init__(self, index_dir: str, buckets: list[int] | None = None, fed: str | None = None):
         t0 = time.perf_counter()
@@ -411,11 +422,6 @@ class ShardScope:
             for p in range(meta.num_parts)
         }
         n_docs, avgdl = meta.n_docs, meta.avgdl
-        # block-max umax annotations were computed with the BUILD-time
-        # avgdl; a federation override changes avgdl, so WAND's pruning
-        # bounds would be invalid (u grows with avgdl) — fed members
-        # route every wand request through exact TAAT instead
-        self._fed_override = fed is not None
         if fed is not None:
             from .federated import fed_overlay
 
@@ -562,8 +568,6 @@ class ShardScope:
         rank-identical by construction and by test.
         """
         check_k(k)
-        if algo == "wand" and self._fed_override:
-            algo = "taat"  # stored umax bounds are sub-index-avgdl-based
         key = (tuple(terms), k, algo)
         hit = self.results.get(key)
         if hit is not None:

@@ -8,10 +8,12 @@ of queries):
   Simple, vectorized; the in-engine cross-check and small-query path.
 - :func:`topk_wand` — document-at-a-time WAND with the block-max check
   (Broder et al. WAND; Ding & Suel block-max refinement, public
-  literature): term-global upper bounds pick the pivot, per-block max
-  u-factor metadata (cb.compress) rejects doc-id ranges without decoding
-  them, and skipped terms advance by whole blocks via the block-last-id
-  skip lists.
+  literature): term-global upper bounds pick the pivot, per-block
+  upper bounds (the stored avgdl-free (max tf, min doc length) block
+  summaries of cb.compress, turned into u-factor bounds with the avgdl
+  the query scores with) reject doc-id ranges without decoding them,
+  and skipped terms advance by whole blocks via the block-last-id skip
+  lists.
 
 Exactness under floats: every upper bound is a float64 computed with the
 same multiply as real contributions (monotone under IEEE rounding), a
@@ -26,7 +28,7 @@ import heapq
 
 import numpy as np
 
-from . import scoring
+from . import compress, scoring
 from .query import check_k, rank_topk
 
 # Doc ids are 63-bit non-negative (cb.corpus), so the exhausted sentinel
@@ -50,35 +52,34 @@ class TermCursor:
         "ids", "tfs", "dls", "pos", "cur_doc", "avgdl", "group",
     )
 
-    def __init__(self, term: str, chunked, idf: float, alpha: int, need_umax: bool = True):
+    def __init__(self, term: str, chunked, idf: float, alpha: int, avgdl: float):
         self.term = term
         self.idf = float(idf)
         self.alpha = alpha
-        # set by the topk entry points: the avgdl this cursor's u-factors
-        # (and its stored block-max umax) are computed with, and the
-        # summation group (field rank) for multi-field evaluation
-        self.avgdl = None
+        # the avgdl this cursor's u-factors and block bounds are
+        # computed with (the scope's: global, per-field or the
+        # federation overlay), and the summation group (field rank) for
+        # multi-field evaluation
+        self.avgdl = avgdl
         self.group = 0
         self.chunked = chunked
         self.chunks = chunked.chunks
-        bc, bl, last, umax = [], [], [], []
+        bc, bl, last, bounds = [], [], [], []
         for ci, ch in enumerate(self.chunks):
             nb = ch.n_blocks
             bc.extend([ci] * nb)
             bl.extend(range(nb))
             last.append(ch.last_ids)
-            umax.append(ch.umax)
+            bounds.append(ch.bounds)
         self.blk_chunk = np.array(bc, dtype=np.int32)
         self.blk_local = np.array(bl, dtype=np.int32)
         self.blk_last = np.concatenate(last) if last else np.empty(0, dtype=np.int64)
-        self.blk_umax = np.concatenate(umax) if umax else np.empty(0, dtype=np.float64)
         self.n_blocks = len(self.blk_last)
-        if need_umax and self.n_blocks and len(self.blk_umax) != self.n_blocks:
-            raise ValueError(
-                f"postings for {term!r} lack block-max metadata (index built "
-                "with deferred umax and never annotated); run "
-                "cb.build.annotate_partition or score with algo='taat'"
-            )
+        # per-block u upper bounds from the stored avgdl-free (max tf,
+        # min dl) summaries
+        self.blk_umax = compress.annotate_umax_table(
+            np.concatenate(bounds) if bounds else np.empty(0, dtype=np.int64), avgdl
+        )
         # term-global upper bound: idf * max block u (float64 multiply —
         # monotone, so >= every exact contribution idf * u_i)
         self.global_ub = (
@@ -146,9 +147,9 @@ class TermCursor:
         return self.chunked.decode_all()
 
 
-def _gather_terms(postings: dict, idfs: dict) -> list[TermCursor]:
+def _gather_terms(postings: dict, idfs: dict, avgdl: float) -> list[TermCursor]:
     terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
-    return [TermCursor(t, postings[t], idfs[t], i) for i, t in enumerate(terms)]
+    return [TermCursor(t, postings[t], idfs[t], i, avgdl) for i, t in enumerate(terms)]
 
 
 def topk_taat(
@@ -210,13 +211,12 @@ def taat_scores(
         # the cache stores the WEIGHT-INDEPENDENT u-factor vector; idf
         # (which carries any per-query boost) multiplies at use, so a
         # boosted query never poisons the cache for an unboosted one.
-        # Only a miss needs a cursor (to decode).
+        # A miss is one columnar decode of the term's rows.
         hit = decoded_cache.get(t) if decoded_cache is not None else None
         if hit is not None:
             t_ids, u_vec = hit
         else:
-            cursor = TermCursor(t, postings[t], idfs[t], 0, need_umax=False)
-            t_ids, tfs, dls = cursor.decode_chunks()
+            t_ids, tfs, dls = postings[t].decode_all()
             u_vec = scoring.u_factor(tfs, dls, stats.avgdl)
             if decoded_cache is not None:
                 decoded_cache[t] = (t_ids, u_vec)
@@ -229,10 +229,7 @@ def topk_wand(postings: dict, idfs: dict, stats, k: int) -> list[tuple[int, floa
     """Block-max WAND; rank-identical to :func:`topk_taat`/the oracle."""
     if check_k(k) == 0:
         return []
-    cursors = _gather_terms(postings, idfs)
-    for c in cursors:
-        c.avgdl = stats.avgdl
-    return _wand_core(cursors, k)
+    return _wand_core(_gather_terms(postings, idfs, stats.avgdl), k)
 
 
 def topk_wand_fields(
@@ -242,16 +239,13 @@ def topk_wand_fields(
 
     Every (field, term) pair becomes an independent cursor over the
     shared doc-id space — its own postings, idf (per-field df/N, any
-    boost folded in) and per-field avgdl/umax — so the single-field
+    boost folded in) and per-field avgdl — so the single-field
     pivot/block-max machinery applies unchanged: the most_fields doc
     score is a plain sum of cursor contributions, and idf * max-block-u
-    (built with THAT field's avgdl) upper-bounds each.  Evaluation sums
-    per-field partials in field order (``group`` = field rank), which
-    is bitwise the TAAT accumulation spec — parity is test-enforced.
-
-    Callers must route fed members to TAAT (fed avgdl overlays
-    invalidate the stored umax bounds, same rule as the single-field
-    ShardServer) — :func:`cb.multifield._score_fields` guards this.
+    (computed with THAT field's avgdl, a federation overlay's included)
+    upper-bounds each.  Evaluation sums per-field partials in field
+    order (``group`` = field rank), which is bitwise the TAAT
+    accumulation spec — parity is test-enforced.
     """
     if check_k(k) == 0:
         return []
@@ -260,8 +254,7 @@ def topk_wand_fields(
         live = field_postings.get(f) or {}
         terms = sorted(t for t, p in live.items() if p is not None and p.df > 0)
         for a, t in enumerate(terms):
-            c = TermCursor(t, live[t], field_idfs[f][t], a)
-            c.avgdl = stats[f].avgdl
+            c = TermCursor(t, live[t], field_idfs[f][t], a, stats[f].avgdl)
             c.group = gi
             cursors.append(c)
     return _wand_core(cursors, k)

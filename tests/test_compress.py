@@ -31,23 +31,27 @@ def test_postings_roundtrip(data):
     ids = np.sort(rng.choice(2**40, size=n, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 100, size=n).astype(np.int64)
     dls = rng.integers(1, 5000, size=n).astype(np.int64)
-    row = compress.encode_postings("t", ids, tfs, dls, avgdl=250.0)
+    row = compress.encode_postings("t", ids, tfs, dls)
     pl = compress.PostingList(row)
     got_ids, got_tfs, got_dls = pl.decode_all()
     assert np.array_equal(got_ids, ids)
     assert np.array_equal(got_tfs, tfs)
     assert np.array_equal(got_dls, dls)
     assert pl.df == n and pl.cf == tfs.sum()
-    # deferred-umax path (single-pass build) annotates identically
-    deferred = compress.encode_postings("t", ids, tfs, dls, avgdl=None)
-    assert deferred["block_umax"] == []
-    assert compress.annotate_umax(deferred, 250.0)["block_umax"] == row["block_umax"]
-    # block maxes are true upper bounds of exact per-posting u factors
-    u = scoring.u_factor(tfs, dls, 250.0)
+    assert len(pl.bounds) == 2 * pl.n_blocks
     for b in range(pl.n_blocks):
         s, e = b * compress.BLOCK, min((b + 1) * compress.BLOCK, n)
-        assert pl.umax[b] == np.max(u[s:e])
+        # the stored summary is the exact (max tf, min dl) of the block
+        assert pl.bounds[2 * b] == tfs[s:e].max()
+        assert pl.bounds[2 * b + 1] == dls[s:e].min()
         assert pl.last_ids[b] == ids[e - 1]
+    # and bounds every posting's exact u factor under ANY avgdl
+    for a in (250.0, 1.0, 1e4):
+        ub = compress.annotate_umax_table(pl.bounds, a)
+        u = scoring.u_factor(tfs, dls, a)
+        for b in range(pl.n_blocks):
+            s, e = b * compress.BLOCK, min((b + 1) * compress.BLOCK, n)
+            assert ub[b] >= np.max(u[s:e]), (a, b)
 
 
 def test_empty():
@@ -88,7 +92,7 @@ def test_partition_encode_matches_per_row_reference():
         "dictionary": pa.array([f"term{k:03d}" for k in range(12)], type=pa.string()),
     }
 
-    def reference(flat, avgdl, store_positions):
+    def reference(flat, store_positions):
         occ = np.zeros(len(flat["tfs"]) + 1, dtype=np.int64)
         np.cumsum(flat["tfs"], out=occ[1:])
         c = flat["codes"]
@@ -101,20 +105,19 @@ def test_partition_encode_matches_per_row_reference():
         out = []
         for t, s, e in zip(terms, rs, re_):
             row = compress.encode_postings(
-                t, flat["doc_ids"][s:e], flat["tfs"][s:e], flat["dls"][s:e], avgdl,
+                t, flat["doc_ids"][s:e], flat["tfs"][s:e], flat["dls"][s:e],
                 positions=flat["poss"][occ[s]:occ[e]] if store_positions else None,
             )
             row["bucket"] = int(flat["buckets"][s])
             out.append(row)
         return pa.Table.from_pylist(out, schema=build._posting_file_schema())
 
-    for avgdl in (None, 73.5):
-        for store_positions in (True, False):
-            got = build.encode_partition_rows(flat, avgdl, store_positions=store_positions)
-            want = reference(flat, avgdl, store_positions)
-            assert got.equals(want), (avgdl, store_positions)
-            # the columnar decode inverts it: row by row, bitwise the
-            # per-row PostingList.decode_all (multi-block rows included)
-            per_row = [compress.PostingList(r).decode_all() for r in got.to_pylist()]
-            for col, want_col in zip(compress.decode_table(got), zip(*per_row)):
-                assert col.tobytes() == np.concatenate(want_col).tobytes()
+    for store_positions in (True, False):
+        got = build.encode_partition_rows(flat, store_positions=store_positions)
+        want = reference(flat, store_positions)
+        assert got.equals(want), store_positions
+        # the columnar decode inverts it: row by row, bitwise the
+        # per-row PostingList.decode_all (multi-block rows included)
+        per_row = [compress.PostingList(r).decode_all() for r in got.to_pylist()]
+        for col, want_col in zip(compress.decode_table(got), zip(*per_row)):
+            assert col.tobytes() == np.concatenate(want_col).tobytes()

@@ -185,3 +185,34 @@ def test_more_like_this_excludes_source_and_is_deterministic(built):
         assert target_id in {d for d, _ in incl}
     finally:
         engine.shutdown()
+
+
+def _rewrite_bytes(path: str) -> bytes:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    sink = pa.BufferOutputStream()
+    pq.write_table(pq.read_table(path), sink)
+    return sink.getvalue().to_pybytes()
+
+
+def test_build_writes_final_bytes(built, tmp_path):
+    """Every parquet file a build writes is already in its final bytes:
+    equal to a rewrite of its own parquet read-back, with and without
+    positions — so no pass needs to read a posting file back and
+    rewrite it."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    idx_dir = built[0]
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(corpus_mod.generate_corpus(120, seed=5), src)
+    nopos = str(tmp_path / "nopos")
+    build_index(src, nopos, text_col="content", num_parts=2, positions=False)
+    for d in (idx_dir, nopos):
+        files = glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)
+        assert any("bucket=" in f for f in files)
+        for f in files:
+            with open(f, "rb") as fh:
+                assert fh.read() == _rewrite_bytes(f), f

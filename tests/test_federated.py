@@ -538,10 +538,21 @@ def test_mlt_and_pagination_federated(fed_built):
         mono_eng.shutdown()
 
 
-def test_wand_on_federation_routes_to_exact_taat(fed_built):
-    """Block-max umax was annotated with the SUB-INDEX avgdl; under the
-    federation's avgdl override those bounds are invalid, so every wand
-    request on a fed member must produce the exact (taat) ranking."""
+def test_wand_on_federation_routes_to_exact_taat(fed_built, monkeypatch):
+    """Every wand request on a fed member must produce the exact (taat)
+    ranking, and it is served by WAND itself: block bounds are computed
+    at query time with the federation's avgdl overlay, not the
+    sub-index's build avgdl."""
+    from cb import wand
+
+    calls = []
+    real = wand.topk_wand
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(wand, "topk_wand", counting)
     src, mono, fed_dir, meta = fed_built
     mono_ls = LocalSearcher(mono)
     # an explicit wand request on a fed member must still be exact
@@ -550,7 +561,9 @@ def test_wand_on_federation_routes_to_exact_taat(fed_built):
     try:
         for q in QUERIES:
             expect = mono_ls.query(q, k=10, algo="taat")
+            before = len(calls)
             got_local = _merge_topk([ls.query(q, k=10, algo="wand") for ls in day_ls], 10)
+            assert len(calls) - before == len(day_ls), ("wand not run", q)
             assert got_local == expect, ("local-wand", q)
             assert eng.query(q, k=10, algo="wand") == expect, ("pool-wand", q)
     finally:

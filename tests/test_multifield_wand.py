@@ -1,8 +1,8 @@
 """Multi-field block-max WAND (cb.wand.topk_wand_fields): bitwise
 parity with the exact TAAT matcher over fuzzed corpora/queries, plus
-the routing guards — ineligible clause shapes, tombstones, and fed
-members must all fall back to TAAT (the same rules the single-field
-ShardServer enforces)."""
+the routing guards — ineligible clause shapes and tombstones must fall
+back to TAAT (the same rules the single-field ShardServer enforces),
+while fed members keep WAND."""
 
 import numpy as np
 import pyarrow as pa
@@ -145,18 +145,27 @@ def test_tombstones_force_taat(built, monkeypatch):
     assert res == s.search("hash join", k=10, algo="taat")
 
 
-def test_fed_member_forces_taat(built, monkeypatch):
-    """A fed-overlaid searcher must never use stored block-max bounds
-    (they were computed with the sub-index build avgdl)."""
+def test_fed_member_runs_wand(built, monkeypatch):
+    """A scope scoring with avgdls other than the build's (what a fed
+    overlay does) still serves algo="wand" with WAND, bitwise equal to
+    TAAT: block bounds are computed with the scope's per-field avgdl."""
     s = multifield.MultiFieldSearcher(built)
-    s._fed_override = True  # what MultiFieldSearcher(fed=...) sets
-    monkeypatch.setattr(
-        wand, "topk_wand_fields",
-        lambda *a, **kw: (_ for _ in ()).throw(AssertionError("WAND on a fed member")),
-    )
-    assert s.search("hash join", k=10, algo="wand") == s.search(
-        "hash join", k=10, algo="taat"
-    )
+    s.stats = {
+        f: multifield.GlobalStats(st.n_docs, st.avgdl * m)
+        for (f, st), m in zip(s.stats.items(), (0.3, 4.0))
+    }
+    calls = []
+    real = wand.topk_wand_fields
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(wand, "topk_wand_fields", counting)
+    for q in ("hash join", "import def w001", "title:sort return"):
+        got = s.search(q, k=10, algo="wand")
+        assert got == s.search(q, k=10, algo="taat"), q
+    assert len(calls) == 3
 
 
 def test_wildcard_expansion_parity(built):

@@ -20,7 +20,7 @@ def test_positions_roundtrip():
     dls = rng.integers(5, 500, size=n).astype(np.int64)
     pos_parts = [np.sort(rng.choice(1000, size=int(t), replace=False)) for t in tfs]
     poss = np.concatenate(pos_parts).astype(np.int64)
-    row = compress.encode_postings("t", ids, tfs, dls, avgdl=100.0, positions=poss)
+    row = compress.encode_postings("t", ids, tfs, dls, positions=poss)
     pl = compress.PostingList(row)
     flat, offsets = pl.decode_positions()
     assert np.array_equal(flat, poss)
@@ -30,7 +30,7 @@ def test_positions_roundtrip():
 
 def test_no_positions_raises():
     row = compress.encode_postings(
-        "t", np.array([1, 2]), np.array([1, 1]), np.array([3, 3]), avgdl=3.0
+        "t", np.array([1, 2]), np.array([1, 1]), np.array([3, 3])
     )
     pl = compress.PostingList(row)
     with pytest.raises(ValueError, match="no positions"):

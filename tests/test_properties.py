@@ -68,7 +68,7 @@ def test_posting_roundtrip_via_encode_postings(tfs, seed):
     poss = np.concatenate(
         [np.sort(rng.choice(1000, size=tf, replace=False)) for tf in tfs]
     ).astype(np.int64)
-    row = compress.encode_postings("t", ids, tfs, dls, 50.0, positions=poss)
+    row = compress.encode_postings("t", ids, tfs, dls, positions=poss)
     pl = compress.PostingList(row)
     got_ids, got_tfs, got_dls = pl.decode_all()
     assert np.array_equal(got_ids, ids)

@@ -106,7 +106,7 @@ def test_fast_path_value_equivalent(corpus_files, tmp_path):
             for r in t.to_pylist():
                 rows[(r["term"], r["bucket"])] = (
                     r["df"], r["cf"], r["ids_blob"], r["tfs_blob"],
-                    tuple(r["block_umax"]),
+                    tuple(r["block_bounds"]),
                 )
         return rows
 

@@ -143,6 +143,51 @@ def test_compaction_byte_identical_to_fresh_survivor_build(tmp_path):
         assert a.query(q, k=10, algo="wand") == b.query(q, k=10, algo="wand")
 
 
+def test_compaction_leaves_buckets_without_tombstones_untouched(tmp_path):
+    """Block summaries do not depend on N or avgdl, so compaction
+    rewrites only the bucket files whose doc range holds a tombstone:
+    every other posting and docstats file keeps its bytes and its inode."""
+    import glob
+    import hashlib
+    import os
+
+    from cb.build import ID_BITS, DEFAULT_RANGE_BITS, compact_index
+
+    shift = ID_BITS - DEFAULT_RANGE_BITS
+    rows = [
+        {"doc_id": (b << shift) + j, "text": f"join merge w{j} v{b} t{(b + j) % 3}"}
+        for b in range(6)
+        for j in range(1, 6)
+    ]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, text_col="text", id_col="doc_id", num_parts=2)
+
+    def files():
+        out = {}
+        for p in glob.glob(os.path.join(idx, "*", "**", "bucket=*.parquet"), recursive=True):
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, idx)] = (
+                    hashlib.sha256(fh.read()).hexdigest(), os.stat(p).st_ino
+                )
+        return out
+
+    before = files()
+    delete_docs(idx, [(3 << shift) + 2, (3 << shift) + 4])
+    compact_index(idx)
+    after = files()
+    untouched = {f for f in before if "bucket=3.parquet" not in f}
+    assert len(untouched) > 6
+    for f in untouched:
+        assert after[f] == before[f], f
+    changed = [f for f in before if f not in untouched]
+    assert changed and all(after.get(f) != before[f] for f in changed)
+    assert LocalSearcher(idx).query("join merge", k=50) == LocalSearcher(idx).query(
+        "join merge", k=50, algo="wand"
+    )
+
+
 def test_compaction_sentinel_cleared_and_forced_rerun(tmp_path):
     """The _compacting.json sentinel marks a mid-compaction index; a
     successful compact clears it, and a dangling sentinel (crash after
@@ -204,7 +249,7 @@ def test_decode_partition_flat_roundtrip(tmp_path):
         tbl = read_partition_table(idx, p)
         flat, store_positions = _decode_partition_flat(tbl)
         assert store_positions
-        re_tbl = encode_partition_rows(flat, meta.avgdl, store_positions=True)
+        re_tbl = encode_partition_rows(flat, store_positions=True)
         assert re_tbl.equals(tbl), f"partition {p} round-trip mismatch"
         checked += tbl.num_rows
     assert checked > 30
