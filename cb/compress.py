@@ -227,6 +227,22 @@ def _binary_column_stream(col) -> np.ndarray:
     return data[offs[0] : offs[-1]]
 
 
+def int_column(col) -> np.ndarray:
+    """Values of a fixed-width, null-free integer column as an ndarray
+    of its own width: a zero-copy view over the Arrow data buffer (one
+    copy when the column is chunked).  Unlike ``to_numpy`` it never
+    imports pandas, which costs a serving process a large share of its
+    start."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if not pa.types.is_integer(arr.type) or arr.null_count:
+        raise TypeError(f"not a null-free integer column: {arr.type}, {arr.null_count} nulls")
+    dtype = np.dtype(str(arr.type))
+    if len(arr) == 0:
+        return np.empty(0, dtype=dtype)
+    end = arr.offset + len(arr)
+    return np.frombuffer(arr.buffers()[1], dtype=dtype, count=end)[arr.offset : end]
+
+
 def _block_starts(dfs: np.ndarray) -> np.ndarray:
     """Per-row df of a posting table -> flat posting index of every
     block start.  Row r's blocks start at row_start + {0, BLOCK,
@@ -257,7 +273,7 @@ def decode_table(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The encoded id deltas reset to an absolute id at every block start,
     so ids = running cumsum minus the cumsum just before each block."""
-    dfs = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+    dfs = int_column(tbl["df"]).astype(np.int64)
     total = int(dfs.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)

@@ -63,7 +63,7 @@ from .aggs import (
 )
 from .shard import (
     QueryEngine, ServerPool, _merge_topk, _query_many, _terms_clause, _timed_topk,
-    _wait_topk, _wait_topk_each,
+    _wait_topk, _wait_topk_each, read_term_df,
 )
 from .telemetry import Telemetry, merge_snapshots
 
@@ -260,8 +260,7 @@ def fed_overlay(
     for p, part in (parts or {}).items():
         fp = feddf_path(fed_dir, p, field=field)
         if os.path.exists(fp):
-            t = pq.read_table(fp)
-            part.global_df = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+            part.global_df = read_term_df(fp)
     return st["n_docs"], st["avgdl"]
 
 

@@ -282,6 +282,7 @@ def _match_fields(
     field_order: list[str],
     tombstones: np.ndarray,
     docmeta=None,
+    decoded: dict[str, dict] | None = None,
 ):
     """Cross-field most_fields match + score over one postings scope
     (whole index in-process; a doc-range slice on a server): returns
@@ -291,8 +292,16 @@ def _match_fields(
     Field order is fixed, so the float sum is deterministic and
     slice-independent.  Every clause is evaluated per doc, so a
     doc-sharded server can run this over its disjoint slice and the
-    driver merge (top-k OR additive aggregation) stays exact."""
+    driver merge (top-k OR additive aggregation) stays exact.
+    ``decoded`` (field -> that field's ``wand.taat_scores`` decoded
+    cache) lets a scope decode each (field, term) once."""
     from . import phrase as phrase_mod
+
+    def cache(f: str) -> dict | None:
+        return None if decoded is None else decoded[f]
+
+    def term_ids(f: str, t: str, p) -> np.ndarray:
+        return wand.decoded_u(t, p, stats[f].avgdl, cache(f))[0]
 
     field_postings, field_idfs = _field_live_idfs(
         routed, get_postings, stats, field_order
@@ -302,7 +311,7 @@ def _match_fields(
         live = field_postings.get(f)
         if not live:
             continue
-        universe, acc = wand.taat_scores(live, field_idfs[f], stats[f])
+        universe, acc = wand.taat_scores(live, field_idfs[f], stats[f], cache(f))
         if universe is not None:
             per_field.append((f, universe, acc))
     if not per_field:
@@ -398,7 +407,7 @@ def _match_fields(
                     continue
                 p = get_postings(f, t)
                 if p is not None:
-                    union.append(p.decode_all()[0])
+                    union.append(term_ids(f, t, p))
             if union:
                 counts += np.isin(
                     all_ids, np.unique(np.concatenate(union)), assume_unique=True
@@ -414,7 +423,7 @@ def _match_fields(
                 continue
             p = get_postings(f, t)
             if p is not None:
-                union.append(p.decode_all()[0])
+                union.append(term_ids(f, t, p))
         if not union:
             return None
         keep &= np.isin(
@@ -425,8 +434,7 @@ def _match_fields(
             p = get_postings(f, t)
             if p is None:
                 continue
-            ids, _, _ = p.decode_all()
-            keep &= ~np.isin(all_ids, ids, assume_unique=True)
+            keep &= ~np.isin(all_ids, term_ids(f, t, p), assume_unique=True)
     return all_ids, total, keep
 
 
@@ -721,6 +729,7 @@ def _score_fields(
     docmeta=None,
     algo: str = "taat",
     dfs_of=None,
+    decoded: dict[str, dict] | None = None,
 ) -> list[tuple[int, float]]:
     """Top-k over :func:`_match_fields` (the original scoring entry
     point; aggregations reuse the match half directly).
@@ -748,7 +757,8 @@ def _score_fields(
         )
     else:
         m = _match_fields(
-            routed, get_postings, stats, field_order, tombstones, docmeta=docmeta
+            routed, get_postings, stats, field_order, tombstones, docmeta=docmeta,
+            decoded=decoded,
         )
     if m is None:
         return []
@@ -840,6 +850,9 @@ class MultiFieldSearcher:
         self._docmeta = None  # lazy, see _dm
         self._fds: dict = {}  # field -> lazy DocStats, see _field_docstats
         self._vocabs: dict[str, list[str]] | None = None  # lazy (wildcard/fuzzy)
+        # per field, term -> (ids, u): the decoded cache of
+        # ``wand.taat_scores``, so repeats decode nothing
+        self.decoded: dict[str, dict] = {f: {} for f in self.fields}
         self.telemetry = Telemetry()
 
     def metrics(self) -> dict:
@@ -907,7 +920,7 @@ class MultiFieldSearcher:
             dm = self._dm() if routed.get("filters") else None
             return _score_fields(
                 routed, self._get, self.stats, self.fields, k, self.tombstones,
-                docmeta=dm, algo=algo, dfs_of=self.term_dfs,
+                docmeta=dm, algo=algo, dfs_of=self.term_dfs, decoded=self.decoded,
             )
 
     def agg(self, query: str | dict, name: str, spec):
@@ -923,6 +936,7 @@ class MultiFieldSearcher:
             raise ValueError(f"{name} needs a docmeta table (cb.docmeta)")
         m = _match_fields(
             routed, self._get, self.stats, self.fields, self.tombstones, docmeta=dm,
+            decoded=self.decoded,
         )
         if m is None:
             return entry.empty(spec)
@@ -995,6 +1009,7 @@ class MultiFieldSearcher:
         dm = self._dm() if routed.get("filters") else None
         m = _match_fields(
             routed, self._get, self.stats, self.fields, self.tombstones, docmeta=dm,
+            decoded=self.decoded,
         )
         if m is None:
             return {}, 0

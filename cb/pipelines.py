@@ -10,6 +10,7 @@ arithmetic (bitwise-reproducible) or are rounded on both sides.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import glob
 import hashlib
@@ -95,6 +96,38 @@ def _cb_sources_hash() -> str:
     return h.hexdigest()
 
 
+# cache entry dir -> the fd of its lock file, shared-locked for the
+# life of this process so no other process evicts the entry
+_HELD_LOCKS: dict[str, int] = {}
+
+
+def _lock_path(entry: str) -> str:
+    """An entry's lock file: hidden (``.<name>.lock``), so a glob of the
+    entries never lists it."""
+    return os.path.join(os.path.dirname(entry), f".{os.path.basename(entry)}.lock")
+
+
+def _flock(path: str, op: int, fd: int | None = None) -> int:
+    """``flock(op)`` on the file ``path`` (created if absent) through
+    ``fd`` or a new fd, which is returned.  A lock file is unlinked only
+    by an evicting process that holds it exclusively, so a lock won on
+    an unlinked file is dropped and taken again on the live one."""
+    while True:
+        if fd is None:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
+        try:
+            fcntl.flock(fd, op)
+            if os.fstat(fd).st_ino == os.stat(path).st_ino:
+                return fd
+        except FileNotFoundError:
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+        fd = None
+
+
 def _cached_index(
     kind: str, sf_dir: str, build_fn, marker: str = "_global.json",
     table: str = "documents.parquet",
@@ -103,17 +136,50 @@ def _cached_index(
     built by ``build_fn(sf_dir, dir)`` unless ``dir/marker`` (written
     last by the build) exists.  The key covers the sf dir, the table's
     size and mtime and :func:`_cb_sources_hash`; a miss first drops
-    this kind's stale entries for the same sf dir."""
+    this kind's stale entries for the same sf dir.
+
+    Processes share entries through lock files: a process holds a
+    shared lock on each entry it uses until it exits, builds under an
+    exclusive one, and a miss evicts a stale entry only when it can lock
+    it exclusively at once, so never one another process is reading."""
     st = os.stat(os.path.join(sf_dir, table))
     stem = f"{kind}-{hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]}-"
     key = f"{st.st_size}|{st.st_mtime_ns}|{_cb_sources_hash()}"
     d = os.path.join(INDEX_CACHE, stem + hashlib.md5(key.encode()).hexdigest()[:12])
+    os.makedirs(INDEX_CACHE, exist_ok=True)
+    if d not in _HELD_LOCKS:
+        _HELD_LOCKS[d] = _flock(_lock_path(d), fcntl.LOCK_SH)
     if not os.path.exists(os.path.join(d, marker)):
-        for old in glob.glob(os.path.join(INDEX_CACHE, glob.escape(stem) + "*")):
-            if old != d:
-                shutil.rmtree(old, ignore_errors=True)
-        build_fn(sf_dir, d)
+        _HELD_LOCKS[d] = fd = _flock(_lock_path(d), fcntl.LOCK_EX, _HELD_LOCKS[d])
+        try:
+            if not os.path.exists(os.path.join(d, marker)):  # nobody built it meanwhile
+                _evict(stem, keep=d)
+                shutil.rmtree(d, ignore_errors=True)  # a build cut short
+                build_fn(sf_dir, d)
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_SH)
     return d
+
+
+def _evict(stem: str, keep: str) -> None:
+    """Remove the cache entries named ``stem*`` but ``keep``, skipping
+    each one another process holds a lock on (this process lets go of
+    its own)."""
+    entries = set(glob.glob(os.path.join(INDEX_CACHE, glob.escape(stem) + "*")))
+    for lock in glob.glob(os.path.join(INDEX_CACHE, "." + glob.escape(stem) + "*.lock")):
+        entries.add(os.path.join(INDEX_CACHE, os.path.basename(lock)[1 : -len(".lock")]))
+    for old in sorted(entries - {keep}):
+        if old in _HELD_LOCKS:
+            os.close(_HELD_LOCKS.pop(old))
+        try:
+            fd = _flock(_lock_path(old), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            continue  # in use
+        try:
+            shutil.rmtree(old, ignore_errors=True)
+            os.unlink(_lock_path(old))
+        finally:
+            os.close(fd)
 
 
 def _build_docs_index(sf_dir: str, dst: str) -> None:

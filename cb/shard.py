@@ -63,8 +63,14 @@ term's ``(ids, u)`` as a slice — the decoded cache
 ``wand.taat_scores`` reads, where idf multiplies at use — plus the
 term's view, whose per-chunk :class:`~cb.compress.PostingList` rows
 are built only if a positional reader or WAND's cursor asks.  Serving
-processes never import Ray Data: every module a server loads imports
-it inside the functions that build Datasets.
+processes never import Ray Data (every module a server loads imports
+it inside the functions that build Datasets), pandas or
+``pyarrow.dataset``: a server reads its parquet files with
+``pq.ParquetFile(...).read()`` (``pq.read_table`` imports both) and
+takes integer columns straight from their Arrow buffers
+(:func:`cb.compress.int_column`; ``to_numpy`` and ``pa.array`` over
+Python objects import pandas).  Only docmeta-backed requests (filters,
+aggregations) may still import pandas.
 
 Scale note (10^12 docs): with doc lengths posting-resident, serving
 shards are self-contained; adding servers re-slices the doc ranges, and
@@ -181,10 +187,12 @@ class DocStats:
             for f in os.listdir(ds_dir)
             if f.endswith(".parquet") and (want is None or f in want)
         )
-        tbl = pa.concat_tables([pq.read_table(f) for f in files])
+        tbl = pa.concat_tables(
+            [pq.ParquetFile(f).read(columns=["doc_id", "doc_len"]) for f in files]
+        )
         return cls(
-            tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            tbl["doc_len"].to_numpy(zero_copy_only=False).astype(np.int64),
+            compress.int_column(tbl["doc_id"]).astype(np.int64),
+            compress.int_column(tbl["doc_len"]).astype(np.int64),
             meta.n_docs,
             meta.avgdl,
         )
@@ -229,14 +237,13 @@ class ShardPartition:
         global_df = None
         tdf = os.path.join(path, "_termdf.parquet")
         if os.path.exists(tdf):
-            t = pq.read_table(tdf)
-            global_df = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+            global_df = read_term_df(tdf)
         if not files:
             self.global_df = global_df or {}
             return
         tables = []
         for _, f in sorted(files):
-            t = pq.read_table(f)
+            t = pq.ParquetFile(f).read()
             if "block_umax" in t.column_names and "block_bounds" not in t.column_names:
                 raise ValueError(
                     f"{f}: old-format posting file (block_umax, no block_bounds); "
@@ -249,20 +256,22 @@ class ShardPartition:
         # One pass over the (term, bucket)-sorted rows: Arrow run-end
         # detection (one dictionary_encode + one vectorized diff, no
         # per-row Python compares) gives each term's row range, and one
-        # reduceat per count column its df/cf.
+        # reduceat per count column its df/cf.  The rows are term-sorted,
+        # so the dictionary (codes in first-seen order) lists the terms
+        # in run order.
         if table.num_rows:
             enc = pc.dictionary_encode(table["term"].combine_chunks())
-            codes = enc.indices.to_numpy(zero_copy_only=False)
+            codes = compress.int_column(enc.indices)
             change = np.empty(len(codes), dtype=bool)
             change[0] = True
             change[1:] = codes[1:] != codes[:-1]
             starts = np.flatnonzero(change)
             stops = np.append(starts[1:], len(codes))
             dfs, cfs = (
-                np.add.reduceat(table[c].to_numpy(zero_copy_only=False).astype(np.int64), starts)
+                np.add.reduceat(compress.int_column(table[c]).astype(np.int64), starts)
                 for c in ("df", "cf")
             )
-            terms = enc.dictionary.take(pa.array(codes[starts])).to_pylist()
+            terms = enc.dictionary.to_pylist()
             self.offsets = dict(
                 zip(terms, zip(starts.tolist(), stops.tolist(), dfs.tolist(), cfs.tolist()))
             )
@@ -381,6 +390,13 @@ class GlobalStats:
         self.avgdl = avgdl
 
 
+def read_term_df(path: str) -> dict[str, int]:
+    """A (term, df) summary file (a partition's ``_termdf.parquet`` or
+    a federation's feddf) as term -> df."""
+    t = pq.ParquetFile(path).read(columns=["term", "df"])
+    return dict(zip(t["term"].to_pylist(), compress.int_column(t["df"]).tolist()))
+
+
 def load_vocab(meta: IndexMeta) -> list[str]:
     """Index vocabulary: the union of the partitions' ``_termdf.parquet``
     term columns (vocabulary-sized, NOT corpus-sized — this is the same
@@ -391,7 +407,7 @@ def load_vocab(meta: IndexMeta) -> list[str]:
     for p in range(meta.num_parts):
         path = os.path.join(meta.part_dir(p), "_termdf.parquet")
         if os.path.exists(path):
-            cols.append(pq.read_table(path, columns=["term"])["term"])
+            cols.append(pq.ParquetFile(path).read(columns=["term"])["term"])
     if not cols:
         return []
     return pa.chunked_array(cols).to_pylist()
@@ -532,19 +548,22 @@ class ShardScope:
         (``taat_scores``' cache contract)."""
         if part.table is None:
             return 0
-        terms, starts, stops, dfs = [], [], [], []
-        for term, (start, stop, df, _) in part.offsets.items():
+        terms, dfs = [], []
+        runs: list[list[int]] = []  # the selected row ranges, adjacent ones merged
+        for term, (start, stop, df, _) in part.offsets.items():  # row order
             if term in self.decoded or part.global_df.get(term, df) < min_df:
                 continue
             terms.append(term)
-            starts.append(start)
-            stops.append(stop)
             dfs.append(df)
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
         if not terms:
             return 0
-        rows = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
-        full = np.array_equal(rows, np.arange(part.table.num_rows))
-        ids, tfs, dls = compress.decode_table(part.table if full else part.table.take(rows))
+        ids, tfs, dls = compress.decode_table(
+            pa.concat_tables([part.table.slice(a, b - a) for a, b in runs])
+        )
         u = scoring.u_factor(tfs, dls, self.stats.avgdl)
         bounds = _cumsum0(np.array(dfs)).tolist()  # each term's postings
         for i, term in enumerate(terms):

@@ -211,18 +211,25 @@ def taat_scores(
         # the cache stores the WEIGHT-INDEPENDENT u-factor vector; idf
         # (which carries any per-query boost) multiplies at use, so a
         # boosted query never poisons the cache for an unboosted one.
-        # A miss is one columnar decode of the term's rows.
-        hit = decoded_cache.get(t) if decoded_cache is not None else None
-        if hit is not None:
-            t_ids, u_vec = hit
-        else:
-            t_ids, tfs, dls = postings[t].decode_all()
-            u_vec = scoring.u_factor(tfs, dls, stats.avgdl)
-            if decoded_cache is not None:
-                decoded_cache[t] = (t_ids, u_vec)
+        t_ids, u_vec = decoded_u(t, postings[t], stats.avgdl, decoded_cache)
         ids.append(t_ids)
         contribs.append(float(idfs[t]) * u_vec)
     return ordered_sum(ids, contribs)
+
+
+def decoded_u(
+    term: str, postings, avgdl: float, decoded_cache: dict | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A term's (doc ids, u-factors under ``avgdl``): a hit in
+    ``decoded_cache`` (term -> (ids, u)), else one columnar decode of
+    its rows, which fills the cache."""
+    hit = decoded_cache.get(term) if decoded_cache is not None else None
+    if hit is None:
+        ids, tfs, dls = postings.decode_all()
+        hit = (ids, scoring.u_factor(tfs, dls, avgdl))
+        if decoded_cache is not None:
+            decoded_cache[term] = hit
+    return hit
 
 
 def topk_wand(postings: dict, idfs: dict, stats, k: int) -> list[tuple[int, float]]:

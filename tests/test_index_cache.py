@@ -4,12 +4,16 @@ served stale."""
 
 import glob
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from cb import pipelines
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_docs(sf_dir: str, texts: list[str]) -> None:
@@ -59,3 +63,55 @@ def test_rewritten_embeddings_table_rebuilds_the_ivf_index(tmp_path, monkeypatch
     assert set(second["vec_id"].to_pylist()) <= set(range(1000, 1120))
     entries = glob.glob(str(tmp_path / "cache" / "ivf-*"))
     assert entries == [pipelines._ivf_index(sf)]  # a hit; the stale entry is dropped
+
+
+_USER = """
+import os, sys
+from cb import pipelines
+pipelines.INDEX_CACHE = sys.argv[1]
+def build(sf, d):
+    os.makedirs(d)
+    open(os.path.join(d, "_global.json"), "w").close()
+print(pipelines._cached_index("docs", sys.argv[2], build), flush=True)
+sys.stdin.readline()  # keeps using the entry until its stdin closes
+"""
+
+
+def _use(cache: str, sf: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", _USER, cache, sf], cwd=ROOT,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def test_a_miss_never_evicts_an_entry_another_process_uses(tmp_path):
+    """One process keeps using entry K1 while another misses on K2 of
+    the same sf dir: K1 survives.  Once no process uses them, the next
+    miss evicts both stale entries."""
+    cache, sf = str(tmp_path / "cache"), str(tmp_path / "sf")
+    os.makedirs(sf)
+    table = pipelines.docs_path(sf)
+
+    def run_once(content: str) -> str:
+        with open(table, "w") as f:
+            f.write(content)  # a new size: a new cache key
+        p = _use(cache, sf)
+        out, _ = p.communicate("\n", timeout=120)
+        assert p.returncode == 0
+        return out.strip()
+
+    with open(table, "w") as f:
+        f.write("a")
+    holder = _use(cache, sf)
+    try:
+        k1 = holder.stdout.readline().strip()
+        assert os.path.isdir(k1)
+        k2 = run_once("bb")
+        assert k2 != k1
+        assert os.path.isdir(k1) and os.path.isdir(k2)  # K1 is in use: kept
+    finally:
+        holder.communicate("\n", timeout=120)
+    assert holder.returncode == 0
+    k3 = run_once("ccc")
+    assert glob.glob(os.path.join(cache, "*")) == [k3]  # no user left: evicted
+    assert glob.glob(os.path.join(cache, ".*")) == [pipelines._lock_path(k3)]

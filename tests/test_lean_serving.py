@@ -2,6 +2,7 @@
 server's postings are lazy columnar views whose per-chunk rows are
 built only when a positional reader or WAND asks for them."""
 
+import glob
 import os
 import subprocess
 import sys
@@ -54,25 +55,49 @@ def _server(idx, buckets):
     return ShardServer.__ray_metadata__.modified_class(idx, buckets)
 
 
-_SHARD_PROBE = """
+# Serving start and term scoring import neither pandas nor
+# pyarrow.dataset (a pq.read_table, a to_numpy or a pa.array from a
+# Python object would); the docmeta-loading calls after the check may.
+_LEAN = """
+def lean(step):
+    for mod in ("pandas", "pyarrow.dataset"):
+        assert mod not in sys.modules, f"{{step}} imported {{mod}}"
+"""
+
+_SHARD_PROBE = _LEAN + """
 import sys
 import cb.shard
 from cb import querylang
 srv = cb.shard.ShardServer.__ray_metadata__.modified_class({idx!r}, [0, 2])
+lean("ShardServer start")
 assert srv.warm(0) > 0
+lean("warm(0)")
 assert srv.score(["join", "w1"], 5)
+lean("score taat")
+assert srv.score(["join", "w1", "w2"], 5, "wand")
+lean("score wand")
+# a fresh scope warmed in two selective passes (each selects
+# non-adjacent row ranges): the df >= 105 terms, then the rest
+fresh = cb.shard.ShardServer.__ray_metadata__.modified_class({idx!r}, [1, 3])
+n_terms = sum(len(p.offsets) for p in fresh.parts.values())
+hot = fresh.warm(min_df=105)
+assert 0 < hot < n_terms
+assert fresh.warm(min_df=2) == n_terms - hot
+lean("warm(min_df > 0)")
 assert srv.score_filtered(["merge"], 5, {{"cat": "even"}})
 facets, _ = srv.agg(querylang.parse("join"), "facets", (["cat"], []))
 assert facets["cat"]
 assert "ray.data" not in sys.modules, "a serving path imported ray.data"
 """
 
-_MULTIFIELD_PROBE = """
+_MULTIFIELD_PROBE = _LEAN + """
 import sys
 import cb.multifield as mf
 server = mf.MultiFieldServer.__ray_metadata__.modified_class({mf!r}, [0, 2])
+lean("MultiFieldServer start")
 routed = mf.route_query("join w1", server.fields)
 assert server.score(routed, 5)
+lean("multifield score")
 facets, _ = server.agg(routed, "facets", (["cat"], []))
 assert facets["cat"]
 assert "ray.data" not in sys.modules, "a serving path imported ray.data"
@@ -82,7 +107,8 @@ assert "ray.data" not in sys.modules, "a serving path imported ray.data"
 @pytest.mark.parametrize("probe", ["shard", "multifield"])
 def test_serving_never_imports_ray_data(built, probe):
     """In a fresh interpreter, import a serving module, start an
-    in-process server and serve a term query, a filtered query and an
+    in-process server and serve term queries (no pandas or
+    pyarrow.dataset imported so far), then a filtered query and an
     aggregation: Ray Data is never imported."""
     idx, mf = built
     code = (_SHARD_PROBE if probe == "shard" else _MULTIFIELD_PROBE).format(idx=idx, mf=mf)
@@ -90,6 +116,18 @@ def test_serving_never_imports_ray_data(built, probe):
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr[-3000:]
+
+
+def test_parquet_file_read_equals_read_table(built):
+    """The serving read (``ParquetFile.read``) of a built bucket file
+    and of a df summary gives the schema and values ``pq.read_table``
+    gives."""
+    idx, _ = built
+    part = IndexMeta(idx).part_dir(0)
+    for f in sorted(glob.glob(os.path.join(part, "*.parquet"))):
+        got, want = pq.ParquetFile(f).read(), pq.read_table(f)
+        assert got.schema == want.schema, f
+        assert got.num_rows > 0 and got.equals(want), f
 
 
 def _reference_rows(part) -> dict[str, list[dict]]:
@@ -194,3 +232,18 @@ def test_row_dict_view_equals_table_view(built):
         assert a.tobytes() == b.tobytes()
     for g, w in zip(other.chunks, view.chunks):
         _assert_chunk_equal(g, w)
+
+
+def test_selective_warm_equals_full_warm(built):
+    """Warming in selective passes (``min_df`` > 0 selects non-adjacent
+    row ranges) caches every term's ``(ids, u)`` bitwise as one full
+    warm does."""
+    idx, _ = built
+    full, sel = _server(idx, [1, 3]), _server(idx, [1, 3])
+    full.warm(0)
+    assert 0 < sel.warm(min_df=105) < len(full.decoded)
+    assert sel.warm(min_df=2) > 0
+    assert sel.decoded.keys() == full.decoded.keys()
+    for term, (ids, u) in full.decoded.items():
+        got_ids, got_u = sel.decoded[term]
+        assert got_ids.tobytes() == ids.tobytes() and got_u.tobytes() == u.tobytes(), term

@@ -471,3 +471,35 @@ def test_synonyms_after_wildcard_expansion_weights(built):
     assert out["field_weights"]["title"]["table"] == 3.0
     assert "table" not in out["field_terms"]["body"]
     assert out["weights"]["table"] == 3.0
+
+
+def test_repeat_queries_decode_nothing(built, monkeypatch):
+    """A multifield scope decodes each (field, term) once: its decoded
+    cache serves every later scored, required, msm or excluded use, and
+    the top-k is bitwise an uncached scope's."""
+    from cb.shard import ChunkedPostings
+
+    decodes = []
+    decode_all = ChunkedPostings.decode_all
+    monkeypatch.setattr(
+        ChunkedPostings, "decode_all", lambda self: decodes.append(self.term) or decode_all(self)
+    )
+    queries = QUERIES + ("+hash join table", "hash join table msm:2")
+
+    def bits(res):
+        return [(d, s.hex()) for d, s in res]
+
+    s = multifield.MultiFieldSearcher(built)
+    first = {q: bits(s.search(q, k=10)) for q in queries}
+    assert len(decodes) == sum(len(c) for c in s.decoded.values()) > 0
+    n = len(decodes)
+    for _ in range(3):
+        for q in queries:
+            assert bits(s.search(q, k=10)) == first[q], q
+    assert len(decodes) == n  # repeats decode nothing
+    for q in queries:  # no cache: the same bits
+        r = s._routed(q)
+        assert bits(
+            multifield._score_fields(r, s._get, s.stats, s.fields, 10, s.tombstones)
+        ) == first[q], q
+    assert len(decodes) > n
