@@ -3,7 +3,7 @@
 A from-scratch engine with the capabilities of aliostad/ConveyorBelt
 (/root/reference) re-expressed Ray-Data-first: read -> tokenize
 (map_batches over zero-copy Arrow) -> doc stats & df (groupby
-aggregates) -> salted posting-list merge (groupby.map_groups) ->
+aggregates) -> salted posting-list merge (one sort, block encode) ->
 delta+varint compressed partitioned index, each posting block
 summarized by its avgdl-free (max tf, min doc length), written once,
 with per-partition manifests (resume without recompute) -> top-k BM25

@@ -1,24 +1,32 @@
 """Index build pipeline — the wide shuffle of the engine.
 
 Ray-Data-first dataflow (BASELINE.json north_star; lifecycle design in
-SURVEY.md §3.4):
+SURVEY.md §3.4), ONE Ray Data execution per build:
 
     read corpus -> [identity: doc_id + sha256] (map_batches, stateless)
       -> ONE tokenize pass: per-batch PARTIAL postings (pre-aggregated
          so the shuffle moves array-valued rows, not one row per
-         (doc, term) pair — the partial/combiner pattern) PLUS doc-stats
-         sentinel rows (part >= num_parts) riding the same exchange
-      -> groupby(['part','bucket']).map_groups(encode_bucket)  # the one
-         shuffle, at the (term-partition, doc-range-bucket) grain —
-         encode parallelism = num_parts x 2**range_bits, task memory
-         bounded by one bucket file
-      -> per-partition postings parquet, ONE FILE PER DOC-RANGE BUCKET
-         (ids+tfs+doc_lens varint + avgdl-free block summaries; doc-
-         sharded servers read only their buckets), each written once in
-         its final bytes, and docstats/bucket files
-      -> small finalize pass per partition: stale-bucket removal, the
-         per-term df summary, file hashes and the manifest
-         (write-audit-publish)
+         (doc, term) pair — the partial/combiner pattern) PLUS two kinds
+         of sentinel rows riding the same exchange: per-(part, term)
+         batch df under bucket TERMDF_BUCKET, and doc stats in sentinel
+         partitions part >= num_parts
+      -> sort(['part','bucket'])  # the one shuffle, at the
+         (term-partition, doc-range-bucket) grain; a sort never splits
+         a key's rows across blocks
+      -> map_batches(encode_bucket, batch_size=None): each sorted block
+         is encoded whole, in runs of whole groups of at most
+         ENCODE_POSTINGS_BUDGET postings (one vectorized explode +
+         encode per run, which also bounds a task's working set), and
+         sliced into its files:
+           postings parquet, ONE FILE PER DOC-RANGE BUCKET (ids+tfs+
+           doc_lens varint + avgdl-free block summaries; doc-sharded
+           servers read only their buckets), each written once in its
+           final bytes and hashed from its serialized buffer;
+           _termdf.parquet per partition (sum of the batch-df rows);
+           docstats/bucket files
+      -> take_all of the stat rows (one per file written) -> on the
+         driver: stale-file removal, _global.json and each partition's
+         manifest (write-audit-publish); no file is read back
 
 Skew handling ("salting", reference precedent: the Modulo10 shard-key
 fan-out at /root/reference/src/ConveyorBelt.Tooling/Scheduling/
@@ -28,23 +36,26 @@ bucket)``; a hot term ("import") therefore arrives as up to
 ``2**range_bits`` bounded chunks whose doc-id ranges are disjoint and
 ordered, so the global posting list is the ordered concatenation of its
 chunks — the "re-merge" is a zero-cost concatenation at load time, never
-a second shuffle, and no group ever holds a whole hot posting list.
+a second shuffle.
 
-Partition sizing at scale: a term partition (= one output file = one
-resume unit = one serving shard) holds ~``total_tokens * ~10B /
-num_parts`` of pre-compression data in one ``map_groups`` group; pick
-``num_parts`` so that is <~1 GiB (sandbox default 8; a 100 TB corpus
-wants ~64k partitions).
+Partition sizing at scale: a term partition (= one manifest = one
+resume unit = one serving shard's file set) holds ~``total_tokens *
+~10B / num_parts`` of pre-compression data; pick ``num_parts`` so that
+is <~1 GiB (sandbox default 8; a 100 TB corpus wants ~64k partitions).
+An encode task's working set is bounded by the postings budget, not by
+a partition or a bucket: a task holds its sorted block (sized by Ray
+Data's target block size) plus one run's exploded arrays.
 
-Single-consumer pipelines are Ray Data's model, so the build's two
-outputs (postings + doc stats) share ONE consumer: doc-stats rows are
-keyed into sentinel partitions and separated at the encode step — the
-corpus is read and tokenized exactly once, and nothing corpus-sized is
-ever materialized in the object store.
+Single-consumer pipelines are Ray Data's model, so the build's outputs
+(postings, per-term df, doc stats) share ONE consumer: the sentinel
+rows are separated at the encode step — the corpus is read and
+tokenized exactly once, and nothing corpus-sized is ever materialized
+in the object store or on the driver.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -59,6 +70,12 @@ from . import analyze, compress, corpus, manifest
 
 DEFAULT_NUM_PARTS = 8
 DEFAULT_RANGE_BITS = 4
+# sentinel bucket of the per-(part, term) batch-df rows that ride the
+# build's shuffle; it sorts before a partition's doc-range buckets
+TERMDF_BUCKET = -1
+# the block encoder explodes and encodes whole (part, bucket) groups in
+# runs of at most this many postings (a larger group is a run alone)
+ENCODE_POSTINGS_BUDGET = 1 << 20
 ID_BITS = 63  # doc ids are 63-bit non-negative int64
 
 
@@ -151,8 +168,11 @@ def tokenize_partials(
     sorted by (term, bucket, doc_id).  ``poss`` is the flat stream of
     per-occurrence token positions in posting order (counts = tfs).
 
-    With ``emit_stats=True``, doc-stats sentinel rows are appended so
-    the single tokenize pass also produces the docstats table."""
+    With ``emit_stats=True`` (the fast path), two kinds of sentinel
+    rows are appended so the single tokenize pass also feeds the
+    per-partition ``_termdf.parquet`` and the docstats table: one
+    batch-df row per (part, term) (:func:`_termdf_partials`) and the
+    doc-stats rows (:func:`_stats_sentinel_rows`)."""
     occ, stats = analyze.term_occurrences(batch["doc_id"], batch["text"])
     if len(occ) == 0:
         if emit_stats and len(stats):
@@ -227,15 +247,51 @@ def tokenize_partials(
             ),
         }
     )
-    if emit_stats and len(stats):
-        out = pa.concat_tables([out, _stats_sentinel_rows(stats, num_parts, range_bits)])
+    if emit_stats:
+        out = pa.concat_tables(
+            [out, _termdf_partials(row_codes, np.diff(post_offsets), parts_lut, dictionary)]
+        )
+        if len(stats):
+            out = pa.concat_tables([out, _stats_sentinel_rows(stats, num_parts, range_bits)])
     return out
 
 
-def _explode_partials(group: pa.Table) -> pa.Table:
-    """Partial-postings rows -> flat OCCURRENCE arrays sorted by
-    (term-code, bucket, doc_id, pos); returns a dict of numpy arrays
-    plus the term dictionary (integer sorts only — no string compares).
+def _termdf_partials(
+    row_codes: np.ndarray, row_dfs: np.ndarray, parts_lut: np.ndarray, dictionary: pa.Array
+) -> pa.Table:
+    """One row per (part, term) of a batch under :data:`TERMDF_BUCKET`,
+    its batch df carried as the single ``tfs`` item (the other lists
+    are empty).  ``row_codes`` is non-decreasing (partial rows are
+    sorted by term code), so each term is one run of rows.  The
+    partition's sentinel group sums them into ``_termdf.parquet``."""
+    starts = np.flatnonzero(np.diff(row_codes, prepend=-1))
+    codes = row_codes[starts]
+    n = len(starts)
+    zeros = pa.array(np.zeros(n + 1, dtype=np.int64), type=pa.int64())
+    return pa.table(
+        {
+            "part": pa.array(parts_lut[codes], type=pa.int32()),
+            "term": dictionary.take(pa.array(codes)),
+            "bucket": pa.array(np.full(n, TERMDF_BUCKET, dtype=np.int32), type=pa.int32()),
+            "doc_ids": pa.ListArray.from_arrays(zeros, pa.array([], type=pa.int64())),
+            "tfs": pa.ListArray.from_arrays(
+                pa.array(np.arange(n + 1, dtype=np.int64), type=pa.int64()),
+                pa.array(np.add.reduceat(row_dfs, starts).astype(np.int32), type=pa.int32()),
+            ),
+            "dls": pa.ListArray.from_arrays(zeros, pa.array([], type=pa.int32())),
+            "poss": pa.ListArray.from_arrays(zeros, pa.array([], type=pa.int32())),
+        }
+    )
+
+
+def _explode_partials(group: pa.Table, key: np.ndarray | None = None) -> dict:
+    """Partial-postings rows -> flat posting/occurrence arrays sorted by
+    (key, term rank, bucket, doc_id), occurrences in pos order; returns
+    a dict of numpy arrays plus the term dictionary (integer sorts only
+    — no string compares).  ``key`` is an optional non-negative int per
+    row that sorts first: the block encoder passes each row's group
+    index, so one pass explodes many ``(part, bucket)`` groups in
+    output order.
     """
     ids_list = group["doc_ids"].combine_chunks() if isinstance(group["doc_ids"], pa.ChunkedArray) else group["doc_ids"]
     post_parents = pc.list_parent_indices(ids_list)
@@ -261,11 +317,16 @@ def _explode_partials(group: pa.Table) -> pa.Table:
     buckets_row = group["bucket"].to_numpy(zero_copy_only=False)
     codes_p = row_codes[row_of_posting]
     buckets_p = buckets_row[row_of_posting]
-    # sort POSTINGS (not occurrences) by (code, bucket, doc) — the
-    # (code,bucket) pair composed into one key; (code,bucket,doc) is
-    # unique per posting so the permutation is exactly the 3-key one
-    bshift = np.int64(int(buckets_p.max()).bit_length() if len(buckets_p) else 1)
-    ckey = (codes_p.astype(np.int64) << bshift) | buckets_p
+    # sort POSTINGS (not occurrences) by (key, code, bucket, doc) — the
+    # first three composed into one int64; (key,code,bucket,doc) is
+    # unique per posting so the permutation is exactly the 4-key one
+    bshift = int(buckets_p.max()).bit_length() if len(buckets_p) else 1
+    ckey = (codes_p.astype(np.int64) << np.int64(bshift)) | buckets_p
+    if key is not None and len(codes_p):
+        kshift = bshift + len(dictionary).bit_length()
+        if kshift + int(key.max()).bit_length() > 62:
+            raise ValueError("encode run too large for a composed sort key")
+        ckey |= key.astype(np.int64)[row_of_posting] << np.int64(kshift)
     order = np.lexsort((doc_flat, ckey))
     codes_p = codes_p[order]
     buckets_p = buckets_p[order]
@@ -452,84 +513,124 @@ def _bucket_stats_schema() -> pa.Schema:
             ("n_postings", pa.int64()),
             ("n_docs", pa.int64()),
             ("total_tokens", pa.int64()),
+            ("sha256", pa.string()),
         ]
     )
 
 
+def _write_parquet(tbl: pa.Table, fpath: str) -> str:
+    """Atomic parquet write from the serialized buffer; returns the
+    file's sha256 hex digest (no read-back)."""
+    sink = pa.BufferOutputStream()
+    pq.write_table(tbl, sink)
+    buf = sink.getvalue()
+    with open(fpath + ".tmp", "wb") as f:
+        f.write(buf)
+    os.replace(fpath + ".tmp", fpath)
+    return hashlib.sha256(buf).hexdigest()
+
+
 def encode_bucket(
-    group: pa.Table,
+    block: pa.Table,
     *,
     index_dir: str,
     num_parts: int,
     store_positions: bool = True,
 ) -> pa.Table:
-    """``groupby(["part", "bucket"]).map_groups`` body: one
-    (term-partition, doc-range-bucket) group -> one
-    ``parts/part=<p>/bucket=<b>.parquet`` file.
+    """Block encoder, the ``map_batches(batch_size=None)`` body after
+    ``sort(["part", "bucket"])``: every ``(part, bucket)`` group of one
+    sorted block -> its file.  A sort never splits a key's rows across
+    two blocks (the invariant ``map_groups`` rests on), so each group
+    is whole here.
 
-    The per-BUCKET grain is the build's scale unit (the same key the
-    per-bucket compaction pass proved out, :func:`compact_index` pass
-    2a): encode parallelism is ``num_parts x 2**range_bits`` instead of
-    ``num_parts``, and each ``map_groups`` task materializes only one
-    bucket's slice of a partition — task memory is bounded by the
-    bucket, never by a hot partition.  Per-row blob bytes are
-    context-free (LEB128, deltas reset per row/block), so a bucket file
-    encoded alone is byte-identical to the same bucket filtered out of
-    a whole-partition encode (the byte-identity suite cross-checks this
-    against the resumable path's whole-partition writes).
+    - Posting groups (``part < num_parts``, ``bucket >= 0``) ->
+      ``parts/part=<p>/bucket=<b>.parquet``.  Consecutive groups are
+      exploded and encoded together, in runs of whole groups up to
+      :data:`ENCODE_POSTINGS_BUDGET` postings (one larger group is a
+      run of its own): one vectorized pass per run, not per group, and
+      the run bounds the task's working set.  The encoded rows are
+      sliced back into one file per group.  Per-row blob bytes are
+      context-free (LEB128, deltas reset per row and block), so each
+      file is byte-identical to its group encoded alone, and to the
+      resumable path's whole-partition write (tested).
+    - The :data:`TERMDF_BUCKET` group of a partition (batch-df rows
+      from :func:`tokenize_partials`) -> ``_termdf.parquet``.
+    - Sentinel groups (``part >= num_parts``) -> ``docstats/``.
 
-    Sentinel groups (part >= num_parts, one bucket per sentinel part by
-    construction) are doc-stats and are written to ``docstats/``.
-    Per-partition artifacts (``_termdf.parquet``, ``manifest.json``,
-    stale-bucket removal) are finalized by :func:`annotate_partition`.
-
-    The file is written once, in its final bytes: no posting byte
-    depends on the corpus avgdl this same shuffle produces.
-
-    Returns one stats row (part, bucket, counters) for the driver.
+    Every file is written once, in its final bytes (no posting byte
+    depends on the corpus avgdl this same shuffle produces).  Returns
+    one stats row per file written — part, bucket, its row count (the
+    ``_termdf`` row count, n_terms, for the sentinel bucket), postings,
+    doc-stats counters and the file's sha256 — from which the driver's
+    :func:`annotate_partition` writes the manifests.
     """
-    part = int(group["part"][0].as_py())
-    if part >= num_parts:
-        m = write_docstats_bucket(group, index_dir, part, num_parts)
-        return pa.table(
-            {
-                "part": m["partition"],
-                "bucket": [part - num_parts],
-                "n_rows": m["n_rows"],
-                "n_postings": m["n_postings"],
-                "n_docs": m["n_docs"],
-                "total_tokens": m["total_tokens"],
-            },
-            schema=_bucket_stats_schema(),
-        )
-    bucket = int(group["bucket"][0].as_py())
-    flat = _explode_partials(group)
-    tbl = encode_partition_rows(flat, store_positions=store_positions)
-    pdir = os.path.join(index_dir, "parts", f"part={part}")
-    os.makedirs(pdir, exist_ok=True)
-    fpath = _bucket_file(pdir, bucket)
-    pq.write_table(tbl, fpath + ".tmp")
-    os.replace(fpath + ".tmp", fpath)
-    return pa.table(
-        {
-            "part": [part],
-            "bucket": [bucket],
-            "n_rows": [tbl.num_rows],
-            "n_postings": [int(pc.sum(tbl["df"]).as_py() or 0)],
-            "n_docs": [0],
-            "total_tokens": [0],
-        },
-        schema=_bucket_stats_schema(),
+    rows: dict[str, list] = {f.name: [] for f in _bucket_stats_schema()}
+
+    def emit(part, bucket, n_rows, n_postings=0, n_docs=0, total_tokens=0, sha=""):
+        for name, v in zip(rows, (part, bucket, n_rows, n_postings, n_docs, total_tokens, sha)):
+            rows[name].append(v)
+
+    n = block.num_rows
+    if n == 0:
+        return pa.table(rows, schema=_bucket_stats_schema())
+    parts = block["part"].to_numpy(zero_copy_only=False)
+    buckets = block["bucket"].to_numpy(zero_copy_only=False)
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    change[1:] = (parts[1:] != parts[:-1]) | (buckets[1:] != buckets[:-1])
+    g_starts = np.flatnonzero(change)
+    g_lens = np.diff(np.append(g_starts, n))
+    g_post = np.add.reduceat(
+        pc.list_value_length(block["doc_ids"]).to_numpy(zero_copy_only=False), g_starts
     )
 
+    def encode_run(run: list[int]) -> None:
+        sl = pa.concat_tables([block.slice(g_starts[g], g_lens[g]) for g in run])
+        key = np.repeat(np.arange(len(run)), g_lens[run])
+        tbl = encode_partition_rows(_explode_partials(sl, key), store_positions=store_positions)
+        # group i owns the rows whose postings start in its range
+        row_bounds = np.searchsorted(
+            _cumsum0(tbl["df"].to_numpy(zero_copy_only=False)), _cumsum0(g_post[run])
+        )
+        for i, g in enumerate(run):
+            p, b = int(parts[g_starts[g]]), int(buckets[g_starts[g]])
+            pdir = os.path.join(index_dir, "parts", f"part={p}")
+            os.makedirs(pdir, exist_ok=True)
+            r0, r1 = int(row_bounds[i]), int(row_bounds[i + 1])
+            sha = _write_parquet(tbl.slice(r0, r1 - r0), _bucket_file(pdir, b))
+            emit(p, b, r1 - r0, int(g_post[g]), sha=sha)
 
-def write_docstats_bucket(group: pa.Table, index_dir: str, part: int, num_parts: int) -> dict:
-    """Sentinel group -> docstats/bucket=<b>.parquet (atomic)."""
+    run: list[int] = []  # posting groups pending, in block order
+    run_post = 0
+    for g in range(len(g_starts)):
+        p, b = int(parts[g_starts[g]]), int(buckets[g_starts[g]])
+        grp = block.slice(g_starts[g], g_lens[g])
+        if p >= num_parts:
+            n_docs, total_tokens = write_docstats_bucket(grp, index_dir, b)
+            emit(p, b, n_docs, n_docs=n_docs, total_tokens=total_tokens)
+        elif b == TERMDF_BUCKET:
+            pdir = os.path.join(index_dir, "parts", f"part={p}")
+            os.makedirs(pdir, exist_ok=True)
+            df = pc.list_flatten(grp["tfs"]).cast(pa.int64())
+            emit(p, b, _write_termdf(pdir, pa.table({"term": grp["term"], "df": df})).num_rows)
+        else:
+            if run and run_post + g_post[g] > ENCODE_POSTINGS_BUDGET:
+                encode_run(run)
+                run, run_post = [], 0
+            run.append(g)
+            run_post += int(g_post[g])
+    if run:
+        encode_run(run)
+    return pa.table(rows, schema=_bucket_stats_schema())
+
+
+def write_docstats_bucket(group: pa.Table, index_dir: str, bucket: int) -> tuple[int, int]:
+    """Sentinel group -> docstats/bucket=<b>.parquet (atomic); returns
+    (docs, total tokens)."""
     ids = pc.list_flatten(group["doc_ids"]).to_numpy(zero_copy_only=False)
     lens = pc.list_flatten(group["dls"]).to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(ids, kind="stable")
     ids, lens = ids[order], lens[order]
-    bucket = part - num_parts
     ddir = os.path.join(index_dir, "docstats")
     os.makedirs(ddir, exist_ok=True)
     fpath = os.path.join(ddir, f"bucket={bucket}.parquet")
@@ -541,35 +642,7 @@ def write_docstats_bucket(group: pa.Table, index_dir: str, part: int, num_parts:
     )
     pq.write_table(tbl, fpath + ".tmp")
     os.replace(fpath + ".tmp", fpath)
-    return {
-        "partition": [part],
-        "status": ["done"],
-        "lineage": [f"docstats-bucket-{bucket}"],
-        "n_rows": [len(ids)],
-        "n_terms": [0],
-        "n_postings": [0],
-        "n_docs": [int(len(ids))],
-        "total_tokens": [int(lens.sum())],
-        "avgdl": [None],
-        "file_sha256": [""],
-    }
-
-
-def _manifest_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("partition", pa.int64()),
-            ("status", pa.string()),
-            ("lineage", pa.string()),
-            ("n_rows", pa.int64()),
-            ("n_terms", pa.int64()),
-            ("n_postings", pa.int64()),
-            ("n_docs", pa.int64()),
-            ("total_tokens", pa.int64()),
-            ("avgdl", pa.float64()),
-            ("file_sha256", pa.string()),
-        ]
-    )
+    return len(ids), int(lens.sum())
 
 
 def _bucket_file(pdir: str, bucket: int) -> str:
@@ -596,10 +669,11 @@ def read_partition_table(index_dir: str, part: int) -> pa.Table:
 
 
 def _write_termdf(pdir: str, tbl: pa.Table) -> pa.Table:
-    """Atomic ``_termdf.parquet`` from a (term, df, ...) posting-row
-    table — shared by the full-partition write and the per-bucket
-    compaction finalize so both produce identical bytes for identical
-    content (input chunking normalized before the group)."""
+    """Atomic ``_termdf.parquet`` from a (term, df, ...) table, df
+    summed per term — shared by the block encoder (batch-df rows), the
+    full-partition write and the per-bucket compaction finalize so all
+    produce identical bytes for identical content (input chunking
+    normalized before the group)."""
     if tbl.num_rows:
         termdf = (
             tbl.select(["term", "df"])
@@ -637,7 +711,6 @@ def write_partition(
     row for the manifests dataset).
     """
     import glob as _glob
-    import hashlib
 
     pdir = os.path.join(index_dir, "parts", f"part={part}")
     os.makedirs(pdir, exist_ok=True)
@@ -648,12 +721,7 @@ def write_partition(
         buckets = []
     for b in buckets:
         sub = tbl.filter(pc.equal(tbl["bucket"], b))
-        fpath = _bucket_file(pdir, int(b))
-        tmp = fpath + ".tmp"
-        pq.write_table(sub, tmp)
-        os.replace(tmp, fpath)
-        with open(fpath, "rb") as f:
-            written[int(b)] = hashlib.sha256(f.read()).hexdigest()
+        written[int(b)] = _write_parquet(sub, _bucket_file(pdir, int(b)))
     for f in _glob.glob(os.path.join(pdir, "bucket=*.parquet")):
         if int(os.path.basename(f)[len("bucket=") : -len(".parquet")]) not in written:
             os.remove(f)
@@ -679,69 +747,57 @@ def write_partition(
     return {k: [v] for k, v in m.items()}
 
 
-def annotate_partition(batch: pa.Table, *, index_dir: str, avgdl: float) -> pa.Table:
-    """Finalize pass body: for each partition the per-bucket encode
-    wrote (that encode writes no per-partition artifacts), remove
-    stale bucket files, write ``_termdf.parquet`` from a ``(term, df)``
-    column read of the bucket files, hash the files and write the
-    manifest (``avgdl`` is recorded there).  Nothing is decoded or
-    rewritten: bucket files are final as encoded, byte-identical to the
-    one-shot :func:`write_partition` path (the byte-identity suite and
-    the compaction-vs-fresh test cross-check the two paths).
-
-    Control rows may carry a ``buckets`` list column (the set of bucket
-    files the build just wrote): when present, bucket files NOT in the
-    list are stale leftovers from an earlier build into the same dir
-    and are removed."""
+def annotate_partition(
+    stats: list[dict], *, index_dir: str, num_parts: int, avgdl: float
+) -> None:
+    """Driver-side finalize from the block encoder's stat rows (one per
+    file written, :func:`encode_bucket`): for each term partition,
+    remove bucket files this build did not write (leftovers from an
+    earlier build into the same dir) and write ``manifest.json`` —
+    counters summed from the rows, ``avgdl``, and the partition hash,
+    the sha256 of the bucket files' sha256 hex digests in bucket order.
+    A partition that got no buckets also loses any earlier
+    ``manifest.json``/``_termdf.parquet``: they would describe deleted
+    data (stale df overlays, phantom postings).  No file is read: the
+    manifests are byte-identical to :func:`write_partition`'s for the
+    same content (the resume suite cross-checks the two paths)."""
     import glob as _glob
-    import hashlib
 
-    rows_out = []
-    has_expected = "buckets" in batch.column_names
-    for i, p in enumerate(batch["part"].to_pylist()):
-        pdir = os.path.join(index_dir, "parts", f"part={p}")
-        if has_expected:
-            expected = set(batch["buckets"][i].as_py() or [])
-            for f in _glob.glob(os.path.join(pdir, "bucket=*.parquet")):
-                if int(os.path.basename(f)[len("bucket=") : -len(".parquet")]) not in expected:
-                    os.remove(f)
-        files = sorted(
-            _glob.glob(os.path.join(pdir, "bucket=*.parquet")),
-            key=lambda f: int(os.path.basename(f)[len("bucket=") : -len(".parquet")]),
-        )
-        if not files:
-            if has_expected:
-                # THIS build owns the partition and produced no buckets:
-                # a previous build's manifest/_termdf would describe
-                # deleted data (stale df overlays, phantom postings)
-                for fname in ("manifest.json", "_termdf.parquet"):
-                    fp = os.path.join(pdir, fname)
-                    if os.path.exists(fp):
-                        os.remove(fp)
+    buckets: dict[int, list[dict]] = {p: [] for p in range(num_parts)}
+    n_terms: dict[int, int] = {}
+    for r in stats:
+        if r["part"] >= num_parts:
             continue
-        hashes = []
-        for f in files:
-            with open(f, "rb") as fh:
-                hashes.append(hashlib.sha256(fh.read()).hexdigest())
-        counts = pa.concat_tables([pq.read_table(f, columns=["term", "df"]) for f in files])
-        termdf = _write_termdf(pdir, counts)
+        if r["bucket"] == TERMDF_BUCKET:
+            n_terms[r["part"]] = r["n_rows"]
+        else:
+            buckets[r["part"]].append(r)
+    for p in range(num_parts):
+        pdir = os.path.join(index_dir, "parts", f"part={p}")
+        live = sorted(buckets[p], key=lambda r: r["bucket"])
+        keep = {r["bucket"] for r in live}
+        for f in _glob.glob(os.path.join(pdir, "bucket=*.parquet")):
+            if int(os.path.basename(f)[len("bucket=") : -len(".parquet")]) not in keep:
+                os.remove(f)
+        if not live:
+            for fname in ("manifest.json", "_termdf.parquet"):
+                fp = os.path.join(pdir, fname)
+                if os.path.exists(fp):
+                    os.remove(fp)
+            continue
         m = {
-            "partition": int(p),
+            "partition": p,
             "status": "done",
             "lineage": "fast-path",
-            "n_rows": counts.num_rows,
-            "n_terms": termdf.num_rows,
-            "n_postings": int(pc.sum(counts["df"]).as_py() or 0),
+            "n_rows": sum(r["n_rows"] for r in live),
+            "n_terms": n_terms[p],
+            "n_postings": sum(r["n_postings"] for r in live),
             "n_docs": 0,
             "total_tokens": 0,
             "avgdl": avgdl,
-            "file_sha256": hashlib.sha256("".join(hashes).encode()).hexdigest(),
+            "file_sha256": hashlib.sha256("".join(r["sha256"] for r in live).encode()).hexdigest(),
         }
         manifest.write_atomic(os.path.join(pdir, "manifest.json"), m)
-        rows_out.append({k: [v] for k, v in m.items()})
-    if not rows_out:
-        return pa.Table.from_pylist([], schema=_manifest_schema())
-    return pa.concat_tables([pa.table(r) for r in rows_out])
 
 
 def _decode_partition_flat(tbl: pa.Table) -> tuple[dict, bool]:
@@ -1100,8 +1156,9 @@ def auto_num_parts(
     typical (~400-token) documents; the floor keeps small corpora at
     the 8-partition default, and the cap (256k partitions ≈ the 100 TB
     operating point) bounds routing-table and file-count fan-out.
-    Encode parallelism no longer depends on this knob (it is
-    ``num_parts x 2**range_bits`` since the per-bucket encode), so the
+    Encode parallelism and task memory do not depend on this knob: the
+    encode runs once per sorted block of the ``(part, bucket)`` sort,
+    in runs of at most :data:`ENCODE_POSTINGS_BUDGET` postings, so the
     value only controls file/resume/serving granularity."""
     import math
 
@@ -1246,17 +1303,12 @@ def _build_index_inner(
     batch_size: int,
     positions: bool = True,
 ) -> IndexMeta:
-    import ray.data
-
     ds = _normalize(source, text_col, id_col)
 
-    # SINGLE tokenize pass: partial postings AND doc-stats sentinel rows
-    # ride one shuffle (doc stats land in sentinel partitions
-    # part >= num_parts and are written to docstats/).  Measured: the
-    # sort-based groupby merge with LARGE tokenize batches (fewer, wider
-    # partial rows = stronger pre-aggregation) beats both the
-    # hash-shuffle groupby and a key-based repartition here; the shuffle
-    # payload is what matters, not the exchange flavor.
+    # SINGLE tokenize pass: partial postings plus two kinds of sentinel
+    # rows ride one shuffle — per-(part, term) batch df under
+    # TERMDF_BUCKET, and doc stats in sentinel partitions
+    # part >= num_parts (written to docstats/)
     partials = ds.map_batches(
         partial(
             tokenize_partials,
@@ -1268,53 +1320,25 @@ def _build_index_inner(
         batch_size=batch_size,
         zero_copy_batch=True,
     )
-    # encode at the (part, bucket) grain: parallelism is
-    # num_parts x 2**range_bits and task memory is bounded by one
-    # bucket file — a hot partition never lands in a single task
-    stats = partials.groupby(["part", "bucket"]).map_groups(
-        partial(
-            encode_bucket,
-            index_dir=index_dir,
-            num_parts=num_parts,
-            store_positions=positions,
-        ),
-        batch_format="pyarrow",
+    # the one exchange: a sort never splits a (part, bucket) key across
+    # blocks, so each whole block is encoded in one call (runs of whole
+    # groups up to ENCODE_POSTINGS_BUDGET postings) and every file of
+    # the index — bucket files, _termdf, docstats — is written here
+    rows = (
+        partials.sort(["part", "bucket"])
+        .map_batches(
+            partial(
+                encode_bucket,
+                index_dir=index_dir,
+                num_parts=num_parts,
+                store_positions=positions,
+            ),
+            batch_format="pyarrow",
+            batch_size=None,
+            zero_copy_batch=True,
+        )
+        .take_all()
     )
-    # combine the (part, bucket) stat rows PER BATCH before they reach
-    # the driver: at the 100 TB operating point the raw grain is up to
-    # parts x buckets = 2^18 x 2^8 rows, but encode blocks hold
-    # contiguous key ranges, so a per-batch partial collapses that to
-    # ~one row per (part, block) — driver-tiny WITHOUT a second shuffle
-    # (a groupby here measured 2x on the whole build at bench scale)
-    def _combine_stats(batch: pa.Table) -> pa.Table:
-        parts_np = batch["part"].to_numpy(zero_copy_only=False)
-        order = np.argsort(parts_np, kind="stable")
-        starts = np.flatnonzero(
-            np.diff(parts_np[order], prepend=parts_np[order[0]] - 1 if len(order) else 0)
-        )
-        bounds = np.append(starts, len(order))
-        out = {"part": [], "buckets": [], "n_docs": [], "total_tokens": []}
-        bks = batch["bucket"].to_numpy(zero_copy_only=False)
-        nd = batch["n_docs"].to_numpy(zero_copy_only=False)
-        tt = batch["total_tokens"].to_numpy(zero_copy_only=False)
-        for i in range(len(starts)):
-            sl = order[bounds[i] : bounds[i + 1]]
-            out["part"].append(int(parts_np[sl[0]]))
-            out["buckets"].append(sorted(int(b) for b in bks[sl]))
-            out["n_docs"].append(int(nd[sl].sum()))
-            out["total_tokens"].append(int(tt[sl].sum()))
-        return pa.table(
-            {
-                "part": pa.array(out["part"], type=pa.int64()),
-                "buckets": pa.array(out["buckets"], type=pa.list_(pa.int64())),
-                "n_docs": pa.array(out["n_docs"], type=pa.int64()),
-                "total_tokens": pa.array(out["total_tokens"], type=pa.int64()),
-            }
-        )
-
-    rows = stats.map_batches(
-        _combine_stats, batch_format="pyarrow", batch_size=4096
-    ).take_all()
     n_docs = sum(r["n_docs"] for r in rows)
     total_tokens = sum(r["total_tokens"] for r in rows)
     # stale-docstats sweep: DocStats.load concatenates EVERY parquet in
@@ -1323,12 +1347,7 @@ def _build_index_inner(
     # files this build didn't write — phantom docs would mis-route
     # federated deletes and corrupt doc-length analytics while
     # write_global reports the correct smaller n_docs
-    ds_written = {
-        f"bucket={int(b)}.parquet"
-        for r in rows
-        if r["part"] >= num_parts
-        for b in r["buckets"]
-    }
+    ds_written = {f"bucket={r['bucket']}.parquet" for r in rows if r["part"] >= num_parts}
     ddir = os.path.join(index_dir, "docstats")
     if os.path.isdir(ddir):
         for f in os.listdir(ddir):
@@ -1336,19 +1355,6 @@ def _build_index_inner(
                 os.remove(os.path.join(ddir, f))
     write_global(index_dir, n_docs, total_tokens, num_parts, range_bits)
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
-
-    # finalize pass over the written index: per partition, stale-file
-    # removal, _termdf and the manifest (no bucket file is rewritten)
-    written: dict[int, list[int]] = {p: [] for p in range(num_parts)}
-    for r in rows:
-        if r["part"] < num_parts:
-            written[int(r["part"])].extend(int(b) for b in r["buckets"])
-    parts_ds = ray.data.from_items(
-        [{"part": p, "buckets": sorted(written[p])} for p in range(num_parts)]
-    )
-    parts_ds.map_batches(
-        partial(annotate_partition, index_dir=index_dir, avgdl=avgdl),
-        batch_format="pyarrow",
-        batch_size=1,
-    ).materialize()
+    # per-partition finalize on the driver, from the stat rows alone
+    annotate_partition(rows, index_dir=index_dir, num_parts=num_parts, avgdl=avgdl)
     return IndexMeta(index_dir)

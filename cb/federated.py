@@ -1225,11 +1225,12 @@ class FederatedMultiFieldEngine(_Federation):
         """Send ``method`` to the named members, then wait: name order."""
         return rpc.get(self._handles(names, lambda p: p.fanout(method, *args)))
 
-    def warm(self) -> int:
-        """Touch every member once (actor construction is lazy-ish under
-        Ray; a trivial query forces state load) — the serving-startup
-        cost lands here instead of the first user query."""
-        return len(self._call(list(self.members), "search", "", 1))
+    def warm(self, min_df: int = 0) -> int:
+        """Pre-decode every member's terms with df >= min_df in every
+        field (:meth:`cb.multifield.MultiFieldSearcher.warm`), so the
+        first user query of a term pays no decode; blocks until done.
+        Returns the number of (field, term) pairs warmed."""
+        return sum(self._call(list(self.members), "warm", min_df))
 
     def search(
         self, query: str, k: int = 10,

@@ -57,7 +57,7 @@ from .build import IndexMeta, term_partition
 from .query import page_after as _page_after, rank_topk
 from .shard import (
     GlobalStats, PoolEngine, ServerPool, ShardPartition, _live_mask, _merge_topk,
-    _timed_topk, doc_slices, load_tombstones,
+    _timed_topk, doc_slices, load_tombstones, warm_partition,
 )
 from .telemetry import Telemetry
 
@@ -858,6 +858,22 @@ class MultiFieldSearcher:
     def metrics(self) -> dict:
         return self.telemetry.snapshot()
 
+    def warm(self, min_df: int = 0) -> int:
+        """Pre-decode every field's terms with df >= min_df into that
+        field's decoded cache, so a term's first query decodes nothing:
+        the single-field scope's columnar pass
+        (:func:`cb.shard.warm_partition`) per field partition, with the
+        field's own (possibly federation-overlaid) avgdl.  Returns the
+        number of (field, term) pairs warmed by this call."""
+        with self.telemetry.timer("server.warm"):
+            n = sum(
+                len(warm_partition(part, self.decoded[f], self.stats[f].avgdl, min_df))
+                for f in self.fields
+                for part in self.parts[f].values()
+            )
+        self.telemetry.incr("server.terms_warmed", n)
+        return n
+
     def _get(self, field: str, term: str):
         meta = self.metas[field]
         return self.parts[field][term_partition(term, meta.num_parts)].get(term)
@@ -1108,6 +1124,10 @@ class MultiFieldEngine(PoolEngine):
             MultiFieldServer,
             [(index_dir, b) for b in doc_slices(index_dir, range_bits, num_servers)],
         )
+
+    def warm(self, min_df: int = 0) -> int:
+        """Pre-decode hot postings on every server (blocks until done)."""
+        return sum(self.pool.gather("warm", min_df))
 
     def search(
         self, query: str, k: int = 10, algo: str = "taat",

@@ -413,6 +413,42 @@ def load_vocab(meta: IndexMeta) -> list[str]:
     return pa.chunked_array(cols).to_pylist()
 
 
+def warm_partition(part: ShardPartition, decoded: dict, avgdl: float, min_df: int) -> list[str]:
+    """One columnar pass over a partition's loaded slice: select the
+    rows of the terms to warm (df >= ``min_df``, not yet in
+    ``decoded``; so the cached slices never pin cold postings), decode
+    them with ONE varint pass per stream
+    (:func:`cb.compress.decode_table`), compute the u-factor once over
+    the flat arrays against ``avgdl``, and cache each term's
+    ``(ids, u)`` in ``decoded`` as a slice.  u is weight-independent;
+    idf multiplies at use (``taat_scores``' cache contract).  Every
+    scope's warm (single-field, and each field of a multifield scope)
+    is this pass.  Returns the terms warmed."""
+    if part.table is None:
+        return []
+    terms, dfs = [], []
+    runs: list[list[int]] = []  # the selected row ranges, adjacent ones merged
+    for term, (start, stop, df, _) in part.offsets.items():  # row order
+        if term in decoded or part.global_df.get(term, df) < min_df:
+            continue
+        terms.append(term)
+        dfs.append(df)
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop])
+    if not terms:
+        return []
+    ids, tfs, dls = compress.decode_table(
+        pa.concat_tables([part.table.slice(a, b - a) for a, b in runs])
+    )
+    u = scoring.u_factor(tfs, dls, avgdl)
+    bounds = _cumsum0(np.array(dfs)).tolist()  # each term's postings
+    for i, term in enumerate(terms):
+        decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
+    return terms
+
+
 class ShardScope:
     """One doc-range slice of an index: the doc-range buckets
     ``buckets`` of every term partition (None: every bucket, the whole
@@ -534,44 +570,16 @@ class ShardScope:
         on the first query: p95).  Returns the number of terms warmed by
         this call (terms already decoded are skipped)."""
         with self.telemetry.timer("server.warm"):
-            n = sum(self._warm_partition(part, min_df) for part in self.parts.values())
+            n = 0
+            for part in self.parts.values():
+                terms = warm_partition(part, self.decoded, self.stats.avgdl, min_df)
+                for term in terms:
+                    # score reads df/gdf from the cached view; its chunks
+                    # stay unbuilt until a positional reader or WAND asks
+                    self.get_postings(term)
+                n += len(terms)
         self.telemetry.incr("server.terms_warmed", n)
         return n
-
-    def _warm_partition(self, part: ShardPartition, min_df: int) -> int:
-        """One columnar pass over a partition's loaded slice: select the
-        rows of the terms to warm (so the cached slices never pin cold
-        postings), decode them with ONE varint pass per stream
-        (:func:`cb.compress.decode_table`), compute the u-factor once
-        over the flat arrays, and cache each term's ``(ids, u)`` as a
-        slice.  u is weight-independent; idf multiplies at use
-        (``taat_scores``' cache contract)."""
-        if part.table is None:
-            return 0
-        terms, dfs = [], []
-        runs: list[list[int]] = []  # the selected row ranges, adjacent ones merged
-        for term, (start, stop, df, _) in part.offsets.items():  # row order
-            if term in self.decoded or part.global_df.get(term, df) < min_df:
-                continue
-            terms.append(term)
-            dfs.append(df)
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
-        if not terms:
-            return 0
-        ids, tfs, dls = compress.decode_table(
-            pa.concat_tables([part.table.slice(a, b - a) for a, b in runs])
-        )
-        u = scoring.u_factor(tfs, dls, self.stats.avgdl)
-        bounds = _cumsum0(np.array(dfs)).tolist()  # each term's postings
-        for i, term in enumerate(terms):
-            self.decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
-            # score reads df/gdf from the cached view; its chunks stay
-            # unbuilt until a positional reader or WAND asks for them
-            self.get_postings(term)
-        return len(terms)
 
     def _live_idfs(self, terms) -> tuple[dict, dict]:
         """The query terms present in this slice -> their postings, and

@@ -121,3 +121,67 @@ def test_partition_encode_matches_per_row_reference():
         per_row = [compress.PostingList(r).decode_all() for r in got.to_pylist()]
         for col, want_col in zip(compress.decode_table(got), zip(*per_row)):
             assert col.tobytes() == np.concatenate(want_col).tobytes()
+
+
+def test_block_encoder_writes_each_group_as_if_alone(tmp_path, monkeypatch):
+    """``build.encode_bucket`` over a (part, bucket)-sorted block writes,
+    for every group, the bytes that group writes when encoded alone,
+    whatever runs the postings budget cuts the block into; the
+    ``_termdf``/docstats files and the stat rows agree too."""
+    import hashlib
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from cb import build, corpus
+
+    src = str(tmp_path / "corpus")
+    corpus.write_corpus(src, 120, seed=3, n_files=1)
+    t = corpus.with_identity(pq.read_table(src))
+    norm = pa.table({"doc_id": t["doc_id"], "text": t["content"]})
+    block = pa.concat_tables(
+        [
+            build.tokenize_partials(norm.slice(o, 50), num_parts=3, range_bits=3, emit_stats=True)
+            for o in (0, 50, 100)
+        ]
+    ).sort_by([("part", "ascending"), ("bucket", "ascending")])
+    keys = list(zip(block["part"].to_pylist(), block["bucket"].to_pylist()))
+    starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+    n_posting_groups = sum(1 for i in starts if keys[i][0] < 3 and keys[i][1] >= 0)
+
+    calls = []
+    encode = build.encode_partition_rows
+    monkeypatch.setattr(
+        build, "encode_partition_rows", lambda *a, **k: calls.append(1) or encode(*a, **k)
+    )
+
+    def run(name, budget, per_group=False):
+        monkeypatch.setattr(build, "ENCODE_POSTINGS_BUDGET", budget)
+        out = str(tmp_path / name)
+        del calls[:]
+        if per_group:
+            bounds = starts + [len(keys)]
+            stats = pa.concat_tables(
+                [
+                    build.encode_bucket(block.slice(a, b - a), index_dir=out, num_parts=3)
+                    for a, b in zip(bounds, bounds[1:])
+                ]
+            )
+        else:
+            stats = build.encode_bucket(block, index_dir=out, num_parts=3)
+        files = {}
+        for d, _, fs in os.walk(out):
+            for f in fs:
+                with open(os.path.join(d, f), "rb") as fh:
+                    files[os.path.relpath(os.path.join(d, f), out)] = hashlib.sha256(fh.read()).hexdigest()
+        return files, sorted(stats.to_pylist(), key=lambda r: (r["part"], r["bucket"])), len(calls)
+
+    want_files, want_stats, n = run("alone", 1 << 20, per_group=True)
+    assert n == n_posting_groups > 3
+    assert sum(f.endswith("_termdf.parquet") for f in want_files) == 3
+    for name, budget, n_calls in (("one", 1 << 20, 1), ("each", 1, n_posting_groups), ("some", 400, None)):
+        files, stats, n = run(name, budget)
+        assert files == want_files, name
+        assert stats == want_stats, name
+        assert n == n_calls if n_calls else 1 < n < n_posting_groups, name

@@ -216,3 +216,25 @@ def test_build_writes_final_bytes(built, tmp_path):
         for f in files:
             with open(f, "rb") as fh:
                 assert fh.read() == _rewrite_bytes(f), f
+
+
+def test_build_is_one_execution(tmp_path, monkeypatch):
+    """A fast-path build is ONE Ray Data execution: the per-partition
+    finalize (``_termdf``, manifests, stale-file removal) rides the
+    shuffle's stat rows, with no second pass over the written files."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(corpus_mod.generate_corpus(120, seed=5), src)
+    runs = []
+    execute = StreamingExecutor.execute
+    monkeypatch.setattr(
+        StreamingExecutor, "execute", lambda self, *a, **k: runs.append(1) or execute(self, *a, **k)
+    )
+    idx = str(tmp_path / "idx")
+    meta = build_index(src, idx, text_col="content", num_parts=3, range_bits=2)
+    assert len(runs) == 1
+    for p in range(meta.num_parts):
+        pdir = os.path.join(idx, "parts", f"part={p}")
+        assert {"manifest.json", "_termdf.parquet"} <= set(os.listdir(pdir)), p

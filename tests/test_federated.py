@@ -642,6 +642,8 @@ def test_multifield_federation_bitwise_equals_monolithic(tmp_path, ray_session):
 
     eng = federated.FederatedMultiFieldEngine(fed_dir)
     try:
+        # every member pre-decodes its fields; scoring is unchanged
+        assert eng.warm(min_df=0) > 0
         for q in (
             "tok1 tok2", "title:tok3 tok4", "tok5 -tok6", "tok7 tok8 tok9",
             'tok1 "tok2 tok3"', 'title:"tok4 tok5" tok6',

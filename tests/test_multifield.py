@@ -503,3 +503,48 @@ def test_repeat_queries_decode_nothing(built, monkeypatch):
             multifield._score_fields(r, s._get, s.stats, s.fields, 10, s.tombstones)
         ) == first[q], q
     assert len(decodes) > n
+
+
+def test_warm_leaves_first_query_nothing_to_decode(tmp_path, monkeypatch):
+    """``MultiFieldSearcher.warm`` fills every field's decoded cache with
+    the single-field columnar pass, so the first query of a warmed term
+    decodes no postings; results are bitwise an unwarmed scope's, and
+    the pool engine's warm fans out to every server."""
+    from cb import compress
+    from cb.shard import ChunkedPostings
+
+    rows = [
+        {"doc_id": i, "title": f"join w{i % 3} t{i}", "body": f"w1 w2 join body{i % 5}"}
+        for i in range(1, 41)
+    ]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pylist(rows), src)
+    idx = str(tmp_path / "idx")
+    multifield.build_multifield(src, idx, ["title", "body"], id_col="doc_id", num_parts=4)
+
+    decodes = []
+    for cls in (ChunkedPostings, compress.PostingList):
+        orig = cls.decode_all
+        monkeypatch.setattr(
+            cls, "decode_all", lambda self, _o=orig: decodes.append(1) or _o(self)
+        )
+    cold = multifield.MultiFieldSearcher(idx)
+    want = cold.search("join w1 w2", k=10)
+    assert want and decodes  # an unwarmed scope decodes on first use
+
+    s = multifield.MultiFieldSearcher(idx)
+    n_terms = sum(len(s.term_dfs(f, analyze.tokenize(" ".join(r[f] for r in rows))))
+                  for f in s.fields)
+    del decodes[:]
+    assert s.warm() == n_terms
+    assert s.warm() == 0  # already decoded: nothing left to warm
+    assert s.search("join w1 w2", k=10) == want
+    assert decodes == []
+    assert s.metrics()["counters"]["server.terms_warmed"] == n_terms
+
+    eng = multifield.MultiFieldEngine(idx, num_servers=2)
+    try:
+        assert eng.warm(min_df=0) > 0
+        assert eng.search("join w1 w2", k=10) == want
+    finally:
+        eng.shutdown()

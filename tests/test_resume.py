@@ -2,6 +2,7 @@
 partitions are not recomputed (north_rule / BASELINE.md criterion)."""
 
 import hashlib
+import json
 import os
 
 import pyarrow.parquet as pq
@@ -83,7 +84,8 @@ def test_resume_skips_done_partitions(corpus_files, tmp_path):
 
 def test_fast_path_value_equivalent(corpus_files, tmp_path):
     """Fast (in-memory shuffle) and resumable builds agree on every
-    posting, docstat and global stat."""
+    posting, docstat and global stat, and write the same partition
+    files."""
     a = str(tmp_path / "fast")
     b = str(tmp_path / "resum")
     ds = ray.data.read_parquet(corpus_files)
@@ -122,6 +124,28 @@ def test_fast_path_value_equivalent(corpus_files, tmp_path):
         return out
 
     assert docstats_map(a) == docstats_map(b)
+
+    # the partitions are the same files: every bucket file and
+    # _termdf.parquet byte for byte, manifests apart from lineage, and
+    # the fast path's partition hash is the sha256 of its bucket files'
+    # sha256 hex digests in bucket order
+    def bucket_no(f):
+        return int(f[len("bucket=") : -len(".parquet")])
+
+    for p in range(4):
+        pa_, pb = (os.path.join(d, "parts", f"part={p}") for d in (a, b))
+        fa, fb = (sorted(f for f in os.listdir(d) if f.endswith(".parquet")) for d in (pa_, pb))
+        assert fa == fb and "_termdf.parquet" in fa, p
+        for f in fa:
+            assert _sha(os.path.join(pa_, f)) == _sha(os.path.join(pb, f)), (p, f)
+        ma, mb = (json.load(open(os.path.join(d, "manifest.json"))) for d in (pa_, pb))
+        assert ma.pop("lineage") == "fast-path" and mb.pop("lineage") != "fast-path"
+        assert ma == mb, p
+        digests = "".join(
+            _sha(os.path.join(pa_, f))
+            for f in sorted((f for f in fa if f.startswith("bucket=")), key=bucket_no)
+        )
+        assert ma["file_sha256"] == hashlib.sha256(digests.encode()).hexdigest(), p
 
 
 def test_resumable_with_id_column_input(tmp_path):
