@@ -30,6 +30,17 @@ def check_k(k: int) -> int:
     return k
 
 
+ALGOS = ("taat", "wand")
+
+
+def check_algo(algo: str) -> str:
+    """A top-k's ``algo``: ``"taat"`` or ``"wand"``.  Anything else is
+    an error, never a silent TAAT."""
+    if algo not in ALGOS:
+        raise ValueError(f"algo must be 'taat' or 'wand', got {algo!r}")
+    return algo
+
+
 def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     """(score desc, doc_id asc) top-k over any float scores; NaN sorts
     last.  ``np.partition`` finds the k-th best score, and only the docs

@@ -96,7 +96,7 @@ from .aggs import (
 )
 from .build import IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
-from .query import check_k
+from .query import check_algo, check_k
 from .telemetry import Telemetry, merge_snapshots
 
 
@@ -493,6 +493,7 @@ class ShardScope:
 
         self.cache: dict[str, ChunkedPostings | None] = {}
         self.decoded: dict[str, tuple] = {}  # term -> (ids, contrib) numpy
+        self._idfs: dict[str, float] = {}  # term -> idf memo (_live_idfs)
         # (terms, k, algo) -> result, true LRU (hits refresh recency)
         self.results: OrderedDict[tuple, list] = OrderedDict()
         self._results_cap = 4096
@@ -585,7 +586,13 @@ class ShardScope:
         """The query terms present in this slice -> their postings, and
         each one's corpus-global idf (``gdf``, so slices score alike)."""
         live = {t: p for t in terms if (p := self.get_postings(t)) is not None}
-        return live, {t: float(scoring.idf(p.gdf, self.n_docs)) for t, p in live.items()}
+        idfs = {}
+        for t, p in live.items():
+            w = self._idfs.get(t)
+            if w is None:  # gdf and N are fixed for the scope's lifetime
+                w = self._idfs[t] = float(scoring.idf(p.gdf, self.n_docs))
+            idfs[t] = w
+        return live, idfs
 
     def score(self, terms: list[str], k: int, algo: str = "taat"):
         """Run top-k over the query terms within this slice.
@@ -595,6 +602,7 @@ class ShardScope:
         rank-identical by construction and by test.
         """
         check_k(k)
+        check_algo(algo)
         key = (tuple(terms), k, algo)
         hit = self.results.get(key)
         if hit is not None:
@@ -1352,6 +1360,8 @@ class ShardScope:
     def score_many(self, term_lists: list[list[str]], k: int, algo: str = "taat"):
         """Batched scoring of pre-tokenized queries (one RPC amortizes
         round-trips)."""
+        check_k(k)
+        check_algo(algo)
         return [self.score(terms, k, algo=algo) for terms in term_lists]
 
     def get_dfs(self, terms: list[str]) -> dict[str, int]:
@@ -1635,6 +1645,7 @@ class QueryEngine(PoolEngine):
         """Send a top-k over analyzed, sorted unique ``terms`` to every
         server without waiting; None when there is nothing to ask."""
         check_k(k)
+        check_algo(algo)
         if not terms:
             return None
         return self.pool.fanout("score", terms, k, algo=algo)

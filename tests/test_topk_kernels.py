@@ -17,7 +17,7 @@ import pytest
 from cb import wand
 from cb.aggs import _merge_topk
 from cb.build import build_index
-from cb.query import rank_topk
+from cb.query import check_algo, rank_topk
 from cb.shard import LocalSearcher, QueryEngine, delete_docs
 
 
@@ -193,5 +193,27 @@ def test_negative_k_query_engine(built):
         for algo in ("taat", "wand"):
             with pytest.raises(ValueError):
                 engine.pool.gather("score", ["hash", "join"], -1, algo=algo)
+        for bad in ("bogus", "WAND"):
+            with pytest.raises(ValueError, match="taat"):
+                engine.query("hash join", k=2, algo=bad)
+            with pytest.raises(ValueError, match="wand"):
+                engine.query_many(["hash join"], k=2, algo=bad)
     finally:
         engine.shutdown()
+
+
+def test_unknown_algo_is_rejected(built):
+    """An unknown ``algo`` is a ValueError naming both algorithms, not a
+    silent TAAT; the idf memo returns the bits a fresh idf gives."""
+    assert check_algo("taat") == "taat" and check_algo("wand") == "wand"
+    s = LocalSearcher(built)
+    for bad in ("bogus", "WAND", ""):
+        with pytest.raises(ValueError, match="taat.*wand"):
+            s.query("import parse", algo=bad)
+        with pytest.raises(ValueError, match="taat.*wand"):
+            s.score_many([["hash"]], 10, algo=bad)
+    want = s.query("hash join", k=3)
+    assert s.query("hash join", k=4)[:3] == want  # second call: memo hits
+    fresh = LocalSearcher(built)
+    _, idfs = fresh._live_idfs(["hash", "join"])
+    assert idfs == s._live_idfs(["hash", "join"])[1] and set(s._idfs) >= {"hash", "join"}
