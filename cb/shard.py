@@ -58,9 +58,12 @@ nothing until asked.  :meth:`ShardScope.warm` pre-decodes a server's
 postings so the first queries do not pay it: per loaded partition it
 selects the rows of the terms to warm, decodes their id/tf/dl streams
 in ONE varint pass per stream (:func:`cb.compress.decode_table`),
-computes the BM25 u-factor once over the flat arrays, and caches each
-term's ``(ids, u)`` as a slice — the decoded cache
-``wand.taat_scores`` reads, where idf multiplies at use — plus the
+computes the BM25 u-factor once over the flat arrays, maps the ids to
+their ordinals in the slice's doc universe (the sorted doc ids of the
+docstats files it owns), and caches each term's ``(ids, u, ords)`` as
+slices — the decoded cache ``wand.taat_scores`` reads, where idf
+multiplies at use and the ordinals let one ``np.bincount`` accumulate
+a query with no sort — plus the
 term's view, whose per-chunk :class:`~cb.compress.PostingList` rows
 are built only if a positional reader or WAND's cursor asks.  Serving
 processes never import Ray Data (every module a server loads imports
@@ -383,11 +386,39 @@ class GlobalStats:
     doc-stats side table to broadcast to servers — the serving scale
     path needs just these two scalars per index."""
 
-    __slots__ = ("n_docs", "avgdl")
+    __slots__ = ("n_docs", "avgdl", "universe")
 
-    def __init__(self, n_docs: int, avgdl: float):
+    def __init__(self, n_docs: int, avgdl: float, universe: np.ndarray | None = None):
         self.n_docs = n_docs
         self.avgdl = avgdl
+        # the scope's slice's sorted doc ids (None: unknown), which
+        # ``wand.taat_scores`` accumulates over densely
+        self.universe = universe
+
+
+def slice_universe(index_dir: str, buckets: list[int] | None, range_bits: int) -> np.ndarray | None:
+    """The sorted doc ids of a scope's slice, from the docstats files it
+    owns (bucket files pruned at the read, like the postings), or None
+    when the index has no docstats."""
+    from .build import ID_BITS
+
+    ds_dir = os.path.join(index_dir, "docstats")
+    if not os.path.isdir(ds_dir):
+        return None
+    files = sorted(f for f in os.listdir(ds_dir) if f.endswith(".parquet"))
+    if buckets is not None and all(f.startswith("bucket=") for f in files):
+        want = {f"bucket={b}.parquet" for b in buckets}
+        files = [f for f in files if f in want]
+    ids = [
+        compress.int_column(
+            pq.ParquetFile(os.path.join(ds_dir, f)).read(columns=["doc_id"])["doc_id"]
+        ).astype(np.int64)
+        for f in files
+    ]
+    universe = np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
+    if buckets is not None:  # a layout not named by bucket: filter by id
+        universe = universe[np.isin(universe >> (ID_BITS - range_bits), buckets)]
+    return universe
 
 
 def read_term_df(path: str) -> dict[str, int]:
@@ -413,14 +444,18 @@ def load_vocab(meta: IndexMeta) -> list[str]:
     return pa.chunked_array(cols).to_pylist()
 
 
-def warm_partition(part: ShardPartition, decoded: dict, avgdl: float, min_df: int) -> list[str]:
+def warm_partition(
+    part: ShardPartition, decoded: dict, avgdl: float, min_df: int, universe: np.ndarray | None = None
+) -> list[str]:
     """One columnar pass over a partition's loaded slice: select the
     rows of the terms to warm (df >= ``min_df``, not yet in
     ``decoded``; so the cached slices never pin cold postings), decode
     them with ONE varint pass per stream
     (:func:`cb.compress.decode_table`), compute the u-factor once over
-    the flat arrays against ``avgdl``, and cache each term's
-    ``(ids, u)`` in ``decoded`` as a slice.  u is weight-independent;
+    the flat arrays against ``avgdl``, map the flat ids to their
+    ordinals in the slice's sorted ``universe`` with one searchsorted
+    (:func:`cb.wand.doc_ordinals`; None without one), and cache each
+    term's ``(ids, u, ords)`` in ``decoded`` as slices.  u is weight-independent;
     idf multiplies at use (``taat_scores``' cache contract).  Every
     scope's warm (single-field, and each field of a multifield scope)
     is this pass.  Returns the terms warmed."""
@@ -444,8 +479,10 @@ def warm_partition(part: ShardPartition, decoded: dict, avgdl: float, min_df: in
     )
     u = scoring.u_factor(tfs, dls, avgdl)
     bounds = _cumsum0(np.array(dfs)).tolist()  # each term's postings
+    ords = wand.doc_ordinals(universe, ids)
     for i, term in enumerate(terms):
-        decoded[term] = (ids[bounds[i] : bounds[i + 1]], u[bounds[i] : bounds[i + 1]])
+        a, b = bounds[i], bounds[i + 1]
+        decoded[term] = (ids[a:b], u[a:b], None if ords is None else ords[a:b])
     return terms
 
 
@@ -478,7 +515,9 @@ class ShardScope:
             from .federated import fed_overlay
 
             n_docs, avgdl = fed_overlay(fed, self.parts)
-        self.stats = GlobalStats(n_docs, avgdl)
+        self.stats = GlobalStats(
+            n_docs, avgdl, slice_universe(index_dir, buckets, meta.range_bits)
+        )
         self.n_docs = n_docs
         self.num_parts = meta.num_parts
         self.range_bits = meta.range_bits
@@ -492,7 +531,7 @@ class ShardScope:
         from collections import OrderedDict
 
         self.cache: dict[str, ChunkedPostings | None] = {}
-        self.decoded: dict[str, tuple] = {}  # term -> (ids, contrib) numpy
+        self.decoded: dict[str, tuple] = {}  # term -> (ids, u, ords) numpy
         self._idfs: dict[str, float] = {}  # term -> idf memo (_live_idfs)
         # (terms, k, algo) -> result, true LRU (hits refresh recency)
         self.results: OrderedDict[tuple, list] = OrderedDict()
@@ -573,7 +612,9 @@ class ShardScope:
         with self.telemetry.timer("server.warm"):
             n = 0
             for part in self.parts.values():
-                terms = warm_partition(part, self.decoded, self.stats.avgdl, min_df)
+                terms = warm_partition(
+                    part, self.decoded, self.stats.avgdl, min_df, self.stats.universe
+                )
                 for term in terms:
                     # score reads df/gdf from the cached view; its chunks
                     # stay unbuilt until a positional reader or WAND asks

@@ -162,7 +162,7 @@ def topk_taat(
     pointer-chasing WAND loop until posting lists far exceed memory;
     block-max WAND (below) is the IO-bound/disk-resident path and the
     rank-equality of the two is test-enforced.  ``decoded_cache``
-    (term -> (ids, u)) amortizes varint decoding and the per-posting
+    (term -> (ids, u, ords)) amortizes varint decoding and the per-posting
     u-factor across queries — tf, dl and avgdl are fixed per (index,
     term), so u is query-independent; idf multiplies at use.
     """
@@ -183,7 +183,9 @@ def ordered_sum(ids: list[np.ndarray], vals: list[np.ndarray]) -> tuple[np.ndarr
     ``np.bincount`` adds each id's values sequentially from 0.0 — so
     every sum is ``0.0 + v_1 + v_2 + ...`` in run order, bitwise the
     spec's summation order.  (``np.add.reduceat`` would not be: it sums
-    runs longer than 8 pairwise.)"""
+    runs longer than 8 pairwise.)  TAAT's branch for a small query over
+    a big slice or a scope with no universe (:func:`taat_scores`), and
+    multifield's cross-field combine."""
     cat = np.concatenate(ids)
     order = np.argsort(cat, kind="stable")
     merged = cat[order]
@@ -195,40 +197,90 @@ def ordered_sum(ids: list[np.ndarray], vals: list[np.ndarray]) -> tuple[np.ndarr
     return universe, sums.astype(np.float64, copy=False)  # empty: int64
 
 
+def dense_sum(
+    universe: np.ndarray, ords: list[np.ndarray], vals: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ordered_sum` over runs given as ordinals into the sorted
+    ``universe``: one ``np.bincount`` with ``minlength=len(universe)``
+    adds each doc's values from 0.0 in run order (bitwise the spec, as
+    in :func:`ordered_sum`), and a hit mask, not ``score > 0``, picks
+    the matched docs (a ``^0`` boost scores a match 0.0).  No sort."""
+    o = np.concatenate(ords)
+    acc = np.bincount(o, weights=np.concatenate(vals), minlength=len(universe))
+    hit = np.zeros(len(universe), dtype=bool)
+    hit[o] = True
+    pos = np.flatnonzero(hit)
+    return universe[pos], acc[pos]
+
+
+def doc_ordinals(universe: np.ndarray | None, ids: np.ndarray) -> np.ndarray | None:
+    """``ids``' positions in the sorted ``universe`` (one searchsorted),
+    or None when there is no universe or some id is not in it."""
+    if universe is None:
+        return None
+    ords = np.searchsorted(universe, ids)
+    if len(ids) and (ords[-1] >= len(universe) or not np.array_equal(universe[ords], ids)):
+        return None
+    return ords
+
+
 def taat_scores(
     postings: dict, idfs: dict, stats, decoded_cache: dict | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact TAAT accumulation -> (matching doc ids sorted, scores), or
     (None, None) when no term has postings.  Each doc's score sums its
-    terms' ``idf * u`` in sorted-term order (:func:`ordered_sum`).  The
-    shared core of :func:`topk_taat` and filtered search (which masks
-    the universe by a metadata predicate BEFORE ranking)."""
+    terms' ``idf * u`` in sorted-term order.  The shared core of
+    :func:`topk_taat` and filtered search (which masks the universe by
+    a metadata predicate BEFORE ranking).
+
+    Two kernels, one result bitwise.  A scope whose ``stats`` carries
+    its slice's sorted doc ids (``stats.universe``, N of them) stores
+    each cached term's doc ordinals in it, and a query with
+    ``postings * 2 >= N`` accumulates densely (:func:`dense_sum`, no
+    sort).  A smaller query, or stats with no universe, merges the
+    sorted runs (:func:`ordered_sum`).  The rule follows a crossover
+    probe (sorted ids, n postings over N docs, 1 vCPU): at N = 1.5k
+    dense wins at every n; at N = 20k from n ~ N/4; at N = 150k, n =
+    N/4, merge takes 0.7 ms and dense 1.6 ms, and at n = N merge 4.6 ms
+    and dense 1.3 ms."""
     terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
     if not terms:
         return None, None
-    ids, contribs = [], []
+    universe = getattr(stats, "universe", None)
+    ids, ords, contribs = [], [], []
     for t in terms:  # sorted -> spec summation order
         # the cache stores the WEIGHT-INDEPENDENT u-factor vector; idf
         # (which carries any per-query boost) multiplies at use, so a
         # boosted query never poisons the cache for an unboosted one.
-        t_ids, u_vec = decoded_u(t, postings[t], stats.avgdl, decoded_cache)
+        t_ids, u_vec, t_ords = decoded_u(t, postings[t], stats.avgdl, decoded_cache, universe)
         ids.append(t_ids)
+        ords.append(t_ords)
         contribs.append(float(idfs[t]) * u_vec)
+    if (
+        universe is not None
+        and 2 * sum(len(a) for a in ids) >= len(universe)
+        and all(o is not None for o in ords)
+    ):
+        return dense_sum(universe, ords, contribs)
     return ordered_sum(ids, contribs)
 
 
 def decoded_u(
-    term: str, postings, avgdl: float, decoded_cache: dict | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """A term's (doc ids, u-factors under ``avgdl``): a hit in
-    ``decoded_cache`` (term -> (ids, u)), else one columnar decode of
-    its rows, which fills the cache."""
+    term: str, postings, avgdl: float, decoded_cache: dict | None, universe=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A term's (doc ids, u-factors under ``avgdl``, doc ordinals in
+    ``universe`` or None): a hit in ``decoded_cache`` (term -> that
+    triple), else one columnar decode of its rows, which fills the
+    cache."""
     hit = decoded_cache.get(term) if decoded_cache is not None else None
     if hit is None:
         ids, tfs, dls = postings.decode_all()
-        hit = (ids, scoring.u_factor(tfs, dls, avgdl))
+        hit = (ids, scoring.u_factor(tfs, dls, avgdl), doc_ordinals(universe, ids))
         if decoded_cache is not None:
             decoded_cache[term] = hit
+    elif hit[2] is None and universe is not None:
+        hit = (hit[0], hit[1], doc_ordinals(universe, hit[0]))
+        decoded_cache[term] = hit
     return hit
 
 

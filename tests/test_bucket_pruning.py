@@ -149,8 +149,8 @@ def _per_term_decoded(srv, min_df):
 
 def _assert_bitwise(got: dict, want: dict):
     assert got.keys() == want.keys()
-    for t, (ids, u) in want.items():
-        g_ids, g_u = got[t]
+    for t, w in want.items():
+        (ids, u), (g_ids, g_u) = w[:2], got[t][:2]
         assert g_ids.dtype == ids.dtype and g_u.dtype == u.dtype, t
         assert g_ids.tobytes() == ids.tobytes(), t
         assert g_u.tobytes() == u.tobytes(), t

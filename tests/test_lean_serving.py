@@ -244,6 +244,6 @@ def test_selective_warm_equals_full_warm(built):
     assert 0 < sel.warm(min_df=105) < len(full.decoded)
     assert sel.warm(min_df=2) > 0
     assert sel.decoded.keys() == full.decoded.keys()
-    for term, (ids, u) in full.decoded.items():
-        got_ids, got_u = sel.decoded[term]
+    for term, (ids, u, _) in full.decoded.items():
+        got_ids, got_u, _ = sel.decoded[term]
         assert got_ids.tobytes() == ids.tobytes() and got_u.tobytes() == u.tobytes(), term

@@ -217,3 +217,78 @@ def test_unknown_algo_is_rejected(built):
     fresh = LocalSearcher(built)
     _, idfs = fresh._live_idfs(["hash", "join"])
     assert idfs == s._live_idfs(["hash", "join"])[1] and set(s._idfs) >= {"hash", "join"}
+
+
+def _dense(universe, ids, vals):
+    return wand.dense_sum(universe, [np.searchsorted(universe, a) for a in ids], vals)
+
+
+@pytest.mark.parametrize("layout", ["overlapping", "disjoint", "identical"])
+def test_dense_sum_bitwise_matches_ordered_sum(layout):
+    """The dense kernel gives ordered_sum's bits, over a universe equal
+    to the runs' union and over one many times larger (both sides of
+    the postings * 2 >= N cut)."""
+    rng = np.random.default_rng(11)
+    for n_runs in [1, 2, 3, 9, 40]:
+        ids, vals = _runs(rng, n_runs, layout)
+        want_u, want_acc = wand.ordered_sum(ids, vals)
+        for extra in (0, 5000):
+            universe = np.union1d(np.concatenate(ids), np.arange(10**6, 10**6 + extra))
+            got_u, got_acc = _dense(universe, ids, vals)
+            assert got_u.tobytes() == want_u.tobytes(), (layout, n_runs, extra)
+            assert got_acc.tobytes() == want_acc.tobytes(), (layout, n_runs, extra)
+
+
+def test_dense_sum_edges():
+    one = np.array([42], dtype=np.int64)
+    u, acc = _dense(one, [one, one], [np.array([0.25]), np.array([1e-17])])
+    assert u.tolist() == [42] and acc.tobytes() == np.array([0.25 + 1e-17]).tobytes()
+    # a zero-weight term's doc is matched, with score 0.0
+    uni = np.array([3, 5, 9], dtype=np.int64)
+    u, acc = _dense(uni, [np.array([5])], [np.array([0.0])])
+    assert u.tolist() == [5] and acc.tolist() == [0.0]
+    empty = np.array([], dtype=np.int64)
+    u, acc = _dense(uni, [empty, empty], [np.array([]), np.array([])])
+    assert len(u) == 0 and len(acc) == 0
+    assert wand.doc_ordinals(uni, np.array([5, 7])) is None  # 7 is not in it
+    assert wand.doc_ordinals(None, uni) is None
+
+
+def test_scope_caches_ordinals_and_scores_like_merge(built, monkeypatch):
+    """warm(0) stores every term's ordinals, so the first query maps
+    none; a min_df > 0 warm maps a cold term on first use; the dense
+    path scores bitwise like the merge path, tombstones and refresh
+    included."""
+    from cb.shard import GlobalStats
+
+    s = LocalSearcher(built)
+    uni = s.stats.universe
+    assert uni.tolist() == [1, 2, 3, 4, 5]
+    s.warm(0)
+    assert all(uni[o].tobytes() == i.tobytes() for i, _, o in s.decoded.values())
+    calls = []
+    real = wand.doc_ordinals
+    monkeypatch.setattr(wand, "doc_ordinals", lambda *a: calls.append(1) or real(*a))
+    s.query("hash join window", k=5)
+    assert calls == []
+    cold = LocalSearcher(built)
+    cold.warm(min_df=3)
+    assert "window" not in cold.decoded
+    cold.query("window", k=5)
+    assert calls and cold.decoded["window"][2] is not None
+    merge = GlobalStats(s.stats.n_docs, s.stats.avgdl)  # no universe
+    for text in ("hash join", "the quick window", "merge sort frame path"):
+        terms = sorted(set(text.split()))
+        live, idfs = s._live_idfs(terms)
+        got = wand.taat_scores(live, idfs, s.stats, s.decoded)
+        want = wand.taat_scores(live, idfs, merge, {})
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    want = s.query("hash join", k=5)
+    delete_docs(built, [1])
+    engine = QueryEngine(built, num_servers=1)
+    try:
+        engine.refresh()
+        assert engine.query("hash join", k=5) == [r for r in want if r[0] != 1]
+    finally:
+        engine.shutdown()
+    assert LocalSearcher(built).query("hash join", k=5) == [r for r in want if r[0] != 1]
