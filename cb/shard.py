@@ -97,7 +97,7 @@ from .aggs import (
     AGGS, AggRoute, _collapse_from_top_hits, _jlh_rank, _merge_sig,
     _merge_topk, _page_composite, _pct_ranges, _pct_ranks_from_counts,
 )
-from .build import IndexMeta, _cumsum0, term_partition
+from .build import ID_BITS, IndexMeta, _cumsum0, term_partition
 from .compress import PostingList
 from .query import check_algo, check_k
 from .telemetry import Telemetry, merge_snapshots
@@ -384,7 +384,9 @@ class GlobalStats:
 
     Doc lengths ride inside the postings (cb.compress), so there is NO
     doc-stats side table to broadcast to servers — the serving scale
-    path needs just these two scalars per index."""
+    path needs just these two scalars per index.  ``universe`` is a
+    scope's own slice's doc ids, a local index for dense TAAT, not
+    corpus-global state."""
 
     __slots__ = ("n_docs", "avgdl", "universe")
 
@@ -400,8 +402,6 @@ def slice_universe(index_dir: str, buckets: list[int] | None, range_bits: int) -
     """The sorted doc ids of a scope's slice, from the docstats files it
     owns (bucket files pruned at the read, like the postings), or None
     when the index has no docstats."""
-    from .build import ID_BITS
-
     ds_dir = os.path.join(index_dir, "docstats")
     if not os.path.isdir(ds_dir):
         return None

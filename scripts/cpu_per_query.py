@@ -4,7 +4,9 @@ Builds the search_terms index of perfbench (a seeded code corpus,
 default build knobs), starts a 2-server ``QueryEngine``, warms it, sends
 N distinct ``TermQueries`` (every one a result-cache miss) and prints
 the CPU ms per query of the driver, of each ``ray::ShardServer`` and of
-every other process (Ray's own), read with ``perfbench.sysmon.cpu_ticks``.
+every other process (Ray's own), read with ``perfbench.sysmon.cpu_ticks``,
+then each server's mean ``server.score`` microseconds over the batch
+(from ``engine.metrics()["per_server"]``).
 ``ops_per_cpu_s`` sums all of them; this shows which process a change
 moved.
 
@@ -62,10 +64,12 @@ def main() -> int:
             engine.query(q, k=10)
         servers = sysmon.ray_workers("ray::ShardServer")
         batch = queries.take(args.queries)
+        m0 = engine.metrics()["per_server"]
         c0 = sysmon.cpu_ticks()
         for q in batch:
             engine.query(q, k=10)
         c1 = sysmon.cpu_ticks()
+        m1 = engine.metrics()["per_server"]
     finally:
         if engine is not None:
             engine.shutdown()
@@ -85,6 +89,12 @@ def main() -> int:
         print(f"  ShardServer {key[0]:<5}{ms_per_query([key]):7.3f}")
     print(f"  other processes  {ms_per_query(other):7.3f}")
     print(f"  all processes    {ms_per_query(list(c1)):7.3f}")
+    print("mean server.score us per query (the serve-score layer):")
+    for i, (a, b) in enumerate(zip(m0, m1)):
+        ta, tb = a["timers"]["server.score"], b["timers"]["server.score"]
+        n = tb["count"] - ta["count"]
+        mean = 1e6 * (tb["total_sec"] - ta["total_sec"]) / n if n else 0.0
+        print(f"  server {i}         {mean:7.1f}")
     return 0
 
 
