@@ -54,7 +54,7 @@ from .aggs import (
     AGGS, _collapse_from_top_hits, _jlh_rank, _merge_sig, _page_composite,
 )
 from .build import IndexMeta, term_partition
-from .query import page_after as _page_after, rank_topk
+from .query import check_algo, page_after as _page_after, rank_topk
 from .shard import (
     GlobalStats, PoolEngine, ServerPool, ShardPartition, _live_mask, _merge_topk,
     _timed_topk, doc_slices, load_tombstones, warm_partition,
@@ -927,6 +927,7 @@ class MultiFieldSearcher:
         (measured, BENCH/BASELINE.md round-5); ``algo="wand"`` is the
         opt-in selective/disk path, rank-identical by construction and
         test."""
+        check_algo(algo)
         self.telemetry.incr("server.scores")
         self.telemetry.incr(
             "server.terms",
@@ -1134,6 +1135,7 @@ class MultiFieldEngine(PoolEngine):
         synonyms: dict | None = None, mode: str = "most_fields",
         tie_breaker: float = 0.0,
     ) -> list[tuple[int, float]]:
+        check_algo(algo)
         t0 = time.perf_counter()
         routed = self._routed(query)  # route + expand ONCE per query
         if synonyms:

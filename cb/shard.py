@@ -163,9 +163,11 @@ class ChunkedPostings:
 class DocStats:
     """doc_id -> doc_len lookup (sorted arrays + searchsorted).
 
-    NOT used for scoring (doc lengths ride in the postings); this backs
-    doc-length ANALYTICS over the docstats table the build writes
-    (e.g. the doc_stats pipelines and tests)."""
+    Its lengths are NOT used for scoring (doc lengths ride in the
+    postings); they back doc-length ANALYTICS over the docstats table
+    the build writes (e.g. the doc_stats pipelines and tests).  Its
+    sorted ids are a scope's doc universe, which dense TAAT
+    accumulates over (:func:`cb.wand.dense_sum`)."""
 
     __slots__ = ("ids", "lens", "n_docs", "avgdl")
 
@@ -181,24 +183,27 @@ class DocStats:
         """``buckets`` restricts the read to those doc-range bucket
         files (docstats/bucket=<b>.parquet) — a doc-sharded server
         loads only its own slice's lengths, same pruning contract as
-        the postings read."""
+        the postings read.  A layout not named by bucket (a resumable
+        build's ``shard=<s>`` files) is read whole and filtered by id."""
         meta = IndexMeta(index_dir)
         ds_dir = meta.docstats_dir()
-        want = None if buckets is None else {f"bucket={b}.parquet" for b in buckets}
-        files = sorted(
-            os.path.join(ds_dir, f)
-            for f in os.listdir(ds_dir)
-            if f.endswith(".parquet") and (want is None or f in want)
+        names = sorted(f for f in os.listdir(ds_dir) if f.endswith(".parquet"))
+        by_bucket = buckets is not None and all(f.startswith("bucket=") for f in names)
+        if by_bucket:
+            want = {f"bucket={b}.parquet" for b in buckets}
+            names = [f for f in names if f in want]
+        tables = [
+            pq.ParquetFile(os.path.join(ds_dir, f)).read(columns=["doc_id", "doc_len"])
+            for f in names
+        ]
+        ids, lens = (
+            np.concatenate([np.empty(0, np.int64)] + [compress.int_column(t[c]) for t in tables])
+            for c in ("doc_id", "doc_len")
         )
-        tbl = pa.concat_tables(
-            [pq.ParquetFile(f).read(columns=["doc_id", "doc_len"]) for f in files]
-        )
-        return cls(
-            compress.int_column(tbl["doc_id"]).astype(np.int64),
-            compress.int_column(tbl["doc_len"]).astype(np.int64),
-            meta.n_docs,
-            meta.avgdl,
-        )
+        if buckets is not None and not by_bucket:
+            keep = np.isin(ids >> (ID_BITS - meta.range_bits), buckets)
+            ids, lens = ids[keep], lens[keep]
+        return cls(ids, lens, meta.n_docs, meta.avgdl)
 
     def lookup(self, doc_ids: np.ndarray) -> np.ndarray:
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
@@ -398,29 +403,6 @@ class GlobalStats:
         self.universe = universe
 
 
-def slice_universe(index_dir: str, buckets: list[int] | None, range_bits: int) -> np.ndarray | None:
-    """The sorted doc ids of a scope's slice, from the docstats files it
-    owns (bucket files pruned at the read, like the postings), or None
-    when the index has no docstats."""
-    ds_dir = os.path.join(index_dir, "docstats")
-    if not os.path.isdir(ds_dir):
-        return None
-    files = sorted(f for f in os.listdir(ds_dir) if f.endswith(".parquet"))
-    if buckets is not None and all(f.startswith("bucket=") for f in files):
-        want = {f"bucket={b}.parquet" for b in buckets}
-        files = [f for f in files if f in want]
-    ids = [
-        compress.int_column(
-            pq.ParquetFile(os.path.join(ds_dir, f)).read(columns=["doc_id"])["doc_id"]
-        ).astype(np.int64)
-        for f in files
-    ]
-    universe = np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
-    if buckets is not None:  # a layout not named by bucket: filter by id
-        universe = universe[np.isin(universe >> (ID_BITS - range_bits), buckets)]
-    return universe
-
-
 def read_term_df(path: str) -> dict[str, int]:
     """A (term, df) summary file (a partition's ``_termdf.parquet`` or
     a federation's feddf) as term -> df."""
@@ -515,8 +497,13 @@ class ShardScope:
             from .federated import fed_overlay
 
             n_docs, avgdl = fed_overlay(fed, self.parts)
+        # the slice's doc lengths, whose sorted ids are the universe
+        # dense TAAT accumulates over (None: an index with no docstats)
+        self._docstats = (
+            DocStats.load(index_dir, buckets) if os.path.isdir(meta.docstats_dir()) else None
+        )
         self.stats = GlobalStats(
-            n_docs, avgdl, slice_universe(index_dir, buckets, meta.range_bits)
+            n_docs, avgdl, None if self._docstats is None else self._docstats.ids
         )
         self.n_docs = n_docs
         self.num_parts = meta.num_parts
@@ -527,7 +514,6 @@ class ShardScope:
         # need a new engine (documented delete_docs contract)
         self.tombstones = load_tombstones(index_dir)
         self._docmeta = None  # lazy DocMeta for filtered search
-        self._docstats = None  # lazy bucket-pruned doc-length lookup
         from collections import OrderedDict
 
         self.cache: dict[str, ChunkedPostings | None] = {}
@@ -1626,6 +1612,7 @@ def _query_many(pools: list[ServerPool], texts: list[str], k: int, algo: str) ->
     query — per-query round trips were the throughput ceiling for small
     queries.  Each server scores its doc slice; the driver merges per
     query (exact: every server is a disjoint doc set)."""
+    check_algo(algo)
     term_lists = [sorted(set(analyze.tokenize(t))) for t in texts]
     live = [i for i, terms in enumerate(term_lists) if terms]
     batch = [term_lists[i] for i in live]

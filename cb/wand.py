@@ -6,6 +6,9 @@ of queries):
 - :func:`topk_taat` — exact term-at-a-time: decode everything, accumulate
   per-doc scores in sorted-term order (the float-summation spec), rank.
   Simple, vectorized; the in-engine cross-check and small-query path.
+  A scope that knows its slice's doc ids accumulates with one
+  ``np.bincount`` over cached doc ordinals (:func:`dense_sum`), else
+  with one stable merge of the sorted runs (:func:`ordered_sum`).
 - :func:`topk_wand` — document-at-a-time WAND with the block-max check
   (Broder et al. WAND; Ding & Suel block-max refinement, public
   literature): term-global upper bounds pick the pivot, per-block
@@ -183,9 +186,9 @@ def ordered_sum(ids: list[np.ndarray], vals: list[np.ndarray]) -> tuple[np.ndarr
     ``np.bincount`` adds each id's values sequentially from 0.0 — so
     every sum is ``0.0 + v_1 + v_2 + ...`` in run order, bitwise the
     spec's summation order.  (``np.add.reduceat`` would not be: it sums
-    runs longer than 8 pairwise.)  TAAT's branch for a small query over
-    a big slice or a scope with no universe (:func:`taat_scores`), and
-    multifield's cross-field combine."""
+    runs longer than 8 pairwise.)  TAAT's kernel for stats with no
+    universe (:func:`taat_scores`), and multifield's cross-field
+    combine."""
     cat = np.concatenate(ids)
     order = np.argsort(cat, kind="stable")
     merged = cat[order]
@@ -214,12 +217,13 @@ def dense_sum(
 
 
 def doc_ordinals(universe: np.ndarray | None, ids: np.ndarray) -> np.ndarray | None:
-    """``ids``' positions in the sorted ``universe`` (one searchsorted),
-    or None when there is no universe or some id is not in it."""
+    """``ids``' positions in the sorted ``universe`` (one searchsorted;
+    ``ids`` need not be sorted), or None when there is no universe or
+    some id is not in it."""
     if universe is None:
         return None
     ords = np.searchsorted(universe, ids)
-    if len(ids) and (ords[-1] >= len(universe) or not np.array_equal(universe[ords], ids)):
+    if len(ids) and (ords.max() >= len(universe) or not np.array_equal(universe[ords], ids)):
         return None
     return ords
 
@@ -234,15 +238,17 @@ def taat_scores(
     a metadata predicate BEFORE ranking).
 
     Two kernels, one result bitwise.  A scope whose ``stats`` carries
-    its slice's sorted doc ids (``stats.universe``, N of them) stores
-    each cached term's doc ordinals in it, and a query with
-    ``postings * 2 >= N`` accumulates densely (:func:`dense_sum`, no
-    sort).  A smaller query, or stats with no universe, merges the
-    sorted runs (:func:`ordered_sum`).  The rule follows a crossover
-    probe (sorted ids, n postings over N docs, 1 vCPU): at N = 1.5k
-    dense wins at every n; at N = 20k from n ~ N/4; at N = 150k, n =
-    N/4, merge takes 0.7 ms and dense 1.6 ms, and at n = N merge 4.6 ms
-    and dense 1.3 ms."""
+    its slice's sorted doc ids (``stats.universe``) stores each cached
+    term's doc ordinals in it and accumulates densely
+    (:func:`dense_sum`, no sort, O(n + N) for n postings over N docs).
+    Stats with no universe, or a term whose ids are not all in it,
+    merge the sorted runs (:func:`ordered_sum`, O(n log runs)).  Dense
+    wins at every n on slices of up to ~5k docs, the benchmark's
+    ~1.5k-doc slices included (1 vCPU, 3 sorted runs: at N = 1.5k,
+    5.5 vs 10.6 us at n = 3 and 12.6 vs 32.6 us at n = N).  On larger
+    slices merge wins below n ~ N/8 (N = 150k: 66 vs 15 us at n = 300,
+    1.2 vs 4.2 ms at n = N); no workload serves such slices yet, so
+    there is no cut (ROADMAP direction 4)."""
     terms = sorted(t for t, p in postings.items() if p is not None and p.df > 0)
     if not terms:
         return None, None
@@ -256,11 +262,7 @@ def taat_scores(
         ids.append(t_ids)
         ords.append(t_ords)
         contribs.append(float(idfs[t]) * u_vec)
-    if (
-        universe is not None
-        and 2 * sum(len(a) for a in ids) >= len(universe)
-        and all(o is not None for o in ords)
-    ):
+    if universe is not None and all(o is not None for o in ords):
         return dense_sum(universe, ords, contribs)
     return ordered_sum(ids, contribs)
 

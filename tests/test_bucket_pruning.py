@@ -18,7 +18,9 @@ import ray
 from cb import scoring, wand
 from cb.build import IndexMeta, build_index
 from cb.compress import PostingList
-from cb.shard import LocalSearcher, QueryEngine, ShardPartition, ShardServer, _merge_topk
+from cb.shard import (
+    DocStats, LocalSearcher, QueryEngine, ShardPartition, ShardServer, _merge_topk,
+)
 
 HI = 1 << 59  # bucket stride at range_bits=4 (bucket = id >> 59)
 
@@ -204,7 +206,7 @@ def test_columnar_warm_matches_per_term_decode(built, tmp_path, case):
 
 def test_taat_miss_caches_what_warm_stores(built):
     """A decoded-cache miss in taat_scores fills the cache with exactly
-    the (ids, u) warm would have stored, and scores identically."""
+    the (ids, u, ords) warm would have stored, and scores identically."""
     warm, cold = _server(built, [1, 3]), _server(built, [1, 3])
     warm.warm(0)
     terms = sorted(warm.decoded)[::3]
@@ -212,5 +214,28 @@ def test_taat_miss_caches_what_warm_stores(built):
     idfs = {t: float(scoring.idf(p.gdf, cold.n_docs)) for t, p in postings.items()}
     got = wand.taat_scores(postings, idfs, cold.stats, cold.decoded)
     _assert_bitwise(cold.decoded, {t: warm.decoded[t] for t in terms})
+    assert all(cold.decoded[t][2].tobytes() == warm.decoded[t][2].tobytes() for t in terms)
     want = wand.taat_scores(postings, idfs, warm.stats, warm.decoded)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_slice_universe_is_its_docstats(built, tmp_path):
+    """A scope's doc universe is its slice's docstats ids, read by
+    bucket file; a docstats layout not named by bucket (a resumable
+    build's ``shard=<s>`` files) is filtered by id to the same slice."""
+    whole = DocStats.load(built)
+    merged = str(tmp_path / "merged")
+    shutil.copytree(built, merged)
+    ddir = os.path.join(merged, "docstats")
+    files = sorted(glob.glob(os.path.join(ddir, "bucket=*.parquet")))
+    tbl = pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+    for f in files:
+        os.remove(f)
+    pq.write_table(tbl, os.path.join(ddir, "shard=0.parquet"))
+    for buckets in ([0, 2], [1], [3]):
+        keep = np.isin(whole.ids // HI, buckets)
+        for idx in (built, merged):
+            ds = DocStats.load(idx, buckets)
+            assert ds.ids.tolist() == whole.ids[keep].tolist(), (idx, buckets)
+            assert ds.lens.tolist() == whole.lens[keep].tolist(), (idx, buckets)
+        assert _server(merged, buckets).stats.universe.tolist() == whole.ids[keep].tolist()

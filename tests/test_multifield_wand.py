@@ -92,6 +92,12 @@ def test_engine_wand_parity(built):
             want = s.search(q, k=10, algo="taat")
             assert eng.search(q, k=10, algo="wand") == want, q
             assert eng.search(q, k=10, algo="taat") == want, q
+        for bad in ("bogus", "WAND"):  # never a silent TAAT
+            for search in (s.search, eng.search):
+                with pytest.raises(ValueError, match="taat.*wand"):
+                    search("alpha", k=10, algo=bad)
+            with pytest.raises(ValueError, match="taat.*wand"):
+                s.score(s._routed("alpha"), 10, algo=bad)
     finally:
         eng.shutdown()
 

@@ -226,8 +226,7 @@ def _dense(universe, ids, vals):
 @pytest.mark.parametrize("layout", ["overlapping", "disjoint", "identical"])
 def test_dense_sum_bitwise_matches_ordered_sum(layout):
     """The dense kernel gives ordered_sum's bits, over a universe equal
-    to the runs' union and over one many times larger (both sides of
-    the postings * 2 >= N cut)."""
+    to the runs' union and over one many times larger."""
     rng = np.random.default_rng(11)
     for n_runs in [1, 2, 3, 9, 40]:
         ids, vals = _runs(rng, n_runs, layout)
@@ -252,6 +251,11 @@ def test_dense_sum_edges():
     assert len(u) == 0 and len(acc) == 0
     assert wand.doc_ordinals(uni, np.array([5, 7])) is None  # 7 is not in it
     assert wand.doc_ordinals(None, uni) is None
+    # warm maps many terms' runs at once, so ids come unsorted; an id
+    # above the universe anywhere in them gives None, not an IndexError
+    assert wand.doc_ordinals(uni, np.array([3, 9, 5, 3, 5, 9])).tolist() == [0, 2, 1, 0, 1, 2]
+    assert wand.doc_ordinals(uni, np.array([3, 9, 12, 5])) is None
+    assert wand.doc_ordinals(uni[:0], np.array([3])) is None
 
 
 def test_scope_caches_ordinals_and_scores_like_merge(built, monkeypatch):
