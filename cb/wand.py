@@ -280,9 +280,6 @@ def decoded_u(
         hit = (ids, scoring.u_factor(tfs, dls, avgdl), doc_ordinals(universe, ids))
         if decoded_cache is not None:
             decoded_cache[term] = hit
-    elif hit[2] is None and universe is not None:
-        hit = (hit[0], hit[1], doc_ordinals(universe, hit[0]))
-        decoded_cache[term] = hit
     return hit
 
 
